@@ -11,9 +11,7 @@ from .biphoton import (
     JsaGrid,
     PumpSpec,
     SchmidtResult,
-    complex_erf,
     jsa_analytic,
-    jsa_cw,
     jsa_numeric,
     phi_function,
     schmidt_metrics,
@@ -78,7 +76,6 @@ __all__ = [
     "SfwmError",
     "TauSet",
     "build_profile",
-    "complex_erf",
     "critical_power",
     "delta_k_cw",
     "effective_index",
@@ -87,7 +84,6 @@ __all__ = [
     "fwhm",
     "get_material",
     "jsa_analytic",
-    "jsa_cw",
     "jsa_numeric",
     "mi_sideband_detuning",
     "pm_map",

@@ -1,12 +1,11 @@
 """Joint spectral amplitudes of photon pairs and their mode structure.
 
-Three routes to the JSA of a degenerate-pump pair source:
+Two routes to the JSA of a degenerate-pump pair source:
 
 * `jsa_numeric`: direct quadrature of the pump-envelope integral against the
   full dispersion proxy; the reference, no expansion involved.
 * `jsa_analytic`: closed form for the quadratic (Taylor) phase mismatch of a
   `TauSet`, built on the pair-production profile function `phi_function`.
-* `jsa_cw`: the monochromatic-pump limit along the energy-conservation line.
 
 The closed form reduces the pump integral to
 
@@ -30,37 +29,12 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import wofz
 
 from .dispersion import DispersionProfile, TauSet
-from .errors import ConfigError, EvaluationError, RangeError
-from .phasematching import delta_k_cw, sinc_phase
+from .errors import ConfigError, EvaluationError
+from .phasematching import sinc_phase
 from .units import nonlinear_mismatch, omega_from_wavelength, pump_sigma_from_fwhm
 
-_ERF_BOX = 30.0
 _PHI_TAYLOR_CUT = 1e-4
 _PHI_SERIES_CUT = 1e-4
-
-
-def complex_erf(z):
-    """Error function on the complex plane via the Faddeeva function.
-
-    Arguments are restricted to the box |Re z| <= 30, |Im z| <= 30; inside
-    it the result may still overflow double range (erf grows like
-    e^{y^2} on the imaginary axis), in which case EvaluationError is raised
-    rather than returning inf.
-    """
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    if np.any(np.abs(z.real) > _ERF_BOX) or np.any(np.abs(z.imag) > _ERF_BOX):
-        raise RangeError(f"complex_erf argument outside |Re|,|Im| <= {_ERF_BOX} box")
-    # Map to Re z >= 0 through oddness so the wofz identity is stable.
-    flip = (z.real < 0) | ((z.real == 0) & (z.imag < 0))
-    zz = np.where(flip, -z, z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = 1.0 - np.exp(-zz * zz) * wofz(1j * zz)
-    out = np.where(flip, -out, out)
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError("complex_erf overflowed double precision")
-    return out[0] if scalar else out
 
 
 def phi_function(a: float, x):
@@ -329,27 +303,6 @@ def jsa_numeric(
             )
     grid = JsaGrid(signal_axis=signal_axis, idler_axis=idler_axis, amplitude=amp)
     return grid.normalize() if normalize else grid
-
-
-def jsa_cw(
-    profile: DispersionProfile,
-    omega_p: float,
-    omega_signal,
-    length_nm: float,
-    gamma: float = 0.0,
-    power: float = 0.0,
-):
-    """Monochromatic-pump JSA along the energy-conservation line.
-
-    Returns the complex amplitude sinc(L dk / 2) e^{i L dk / 2} at signal
-    frequencies omega_signal with the idler pinned at 2 omega_p - omega_s;
-    its squared magnitude is the CW singles spectrum.
-    """
-    if length_nm <= 0:
-        raise ConfigError(f"fibre length must be positive, got {length_nm}")
-    om_s = np.asarray(omega_signal, dtype=float)
-    dk = delta_k_cw(profile, omega_p, om_s - omega_p, gamma=gamma, power=power)
-    return sinc_phase(length_nm * dk)
 
 
 @dataclass(frozen=True)

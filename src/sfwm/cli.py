@@ -1,9 +1,11 @@
 """Command-line front end producing deterministic text outputs.
 
-Every subcommand reads one run file (--config PATH or --preset NAME),
-writes its results under --out and echoes the fully resolved configuration
-as '#' comment lines at the top of each file.  Outputs carry no timestamps
-and all floats are printed with %.9g, so repeated runs are byte-identical.
+Every subcommand reads one run file (--config PATH or --preset NAME), gets
+its numbers from the library (RunConfig.profile, resolve_pump or
+working_point, then the physics modules) and only formats them: results go
+under --out, each file headed by the resolved configuration as '#' lines.
+Outputs carry no timestamps and floats are printed with %.9g, so repeated
+runs are byte-identical.
 
 Exit codes: 0 success, 2 configuration errors, 3 numerical failures,
 4 I/O errors.
@@ -16,13 +18,19 @@ import os
 import sys
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import __version__
-from .biphoton import PumpSpec, jsa_analytic, jsa_numeric, schmidt_metrics
-from .config import RunConfig, ResolvedPump, load_config, load_preset, resolve_pump
+from .biphoton import jsa_analytic, jsa_numeric, schmidt_metrics
+from .config import (
+    ResolvedPump,
+    RunConfig,
+    WorkingPoint,
+    load_config,
+    load_preset,
+    resolve_pump,
+    working_point,
+)
 from .dispersion import (
-    build_profile,
     find_fgvm_points,
     tau_coefficients,
     theta_pm,
@@ -31,7 +39,6 @@ from .dispersion import (
 from .errors import ConfigError, EvaluationError, NumericsError
 from .phasematching import (
     critical_power,
-    delta_k_cw,
     fwhm,
     mi_sideband_detuning,
     pm_map,
@@ -45,12 +52,15 @@ def _f(x) -> str:
     return "%.9g" % float(x)
 
 
+def _nm(omega) -> str:
+    """A frequency in rad/fs, printed as its vacuum wavelength in nm."""
+    return _f(wavelength_from_omega(omega))
+
+
 def _header(command: str, args, config: RunConfig, resolved=()) -> list[str]:
     lines = [f"# sfwm {command}", f"# version = {__version__}"]
     source = f"preset {args.preset}" if args.preset else f"config {args.config}"
     lines.append(f"# source = {source}")
-    lines.append(f"# threads = {args.threads} (recorded; numerics run single-threaded)")
-    lines.append(f"# seed = {args.seed} (recorded; no randomness is used)")
     for key, value in config.echo_items():
         lines.append(f"# {key} = {value}")
     for key, value in resolved:
@@ -58,28 +68,15 @@ def _header(command: str, args, config: RunConfig, resolved=()) -> list[str]:
     return lines
 
 
-def _write_text(path: str, lines: list[str]):
-    """Write atomically: a temporary file in place, then a rename."""
+def _write(args, config: RunConfig, name: str, lines: list[str]):
+    """Write one result file atomically: a temporary file, then a rename."""
+    out_dir = args.out if args.out is not None else config.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     os.replace(tmp, path)
-
-
-def _out_path(args, config: RunConfig, name: str) -> str:
-    out_dir = args.out if args.out is not None else config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
-
-
-def _load(args) -> RunConfig:
-    return load_preset(args.preset) if args.preset else load_config(args.config)
-
-
-def _profile(config: RunConfig):
-    return build_profile(
-        config.fiber(), config.window_nm, samples=config.samples, degree=config.degree
-    )
 
 
 def _pump_resolution_echo(rp: ResolvedPump) -> list[tuple[str, str]]:
@@ -94,68 +91,12 @@ def _pump_resolution_echo(rp: ResolvedPump) -> list[tuple[str, str]]:
     if rp.p_star is not None:
         out.append(("critical_power_w", _f(rp.p_star)))
     if rp.gvm is not None:
-        out.append(("gvm_pump_nm", _f(wavelength_from_omega(rp.gvm.omega_p))))
+        out.append(("gvm_pump_nm", _nm(rp.gvm.omega_p)))
         out.append(("gvm_half_separation_rad_fs", _f(rp.gvm.delta)))
     return out
 
 
-def _matched_delta(config: RunConfig, profile, rp: ResolvedPump) -> float:
-    """Half-separation of the exactly matched pair at the resolved pump.
-
-    At the critical power of an auto-gvm pump the loop has shrunk to the
-    match itself, which a sign-change scan cannot see, so that case returns
-    the match directly.  Otherwise the outermost root of the mismatch on
-    (0, detuning_max] is used, preferring the root nearest the match when
-    one is known.
-    """
-    if (
-        rp.gvm is not None
-        and config.pump_wavelength.auto
-        and rp.p_star is not None
-        and abs(rp.power - rp.p_star) <= 1e-9 * abs(rp.p_star)
-    ):
-        return rp.gvm.delta
-    # The mismatch vanishes identically at delta = 0, so near the axis its
-    # sign is fit noise; start the scan clear of that region.
-    floor = max(1e-4, config.detuning_max / 4000.0)
-    if floor >= config.detuning_max:
-        raise ConfigError("grids.detuning_max_rad_fs is too small to scan")
-    grid = np.linspace(floor, config.detuning_max, 4001)
-    vals = delta_k_cw(profile, rp.omega_p, grid, gamma=config.gamma, power=rp.power)
-    flips = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    if flips.size == 0:
-        raise EvaluationError(
-            "no phase-matched signal/idler pair within grids.detuning_max_rad_fs "
-            "at the resolved pump and power"
-        )
-    roots = [
-        brentq(
-            lambda d: float(
-                delta_k_cw(profile, rp.omega_p, d, gamma=config.gamma, power=rp.power)
-            ),
-            grid[i],
-            grid[i + 1],
-        )
-        for i in flips
-    ]
-    if rp.gvm is not None:
-        return min(roots, key=lambda d: abs(d - rp.gvm.delta))
-    return max(roots)
-
-
-def _signal_axis(config: RunConfig, profile, omega_p: float) -> np.ndarray:
-    """Signal frequencies whose energy-matched idler also stays in window."""
-    lo, hi = profile.query_window
-    s_lo = max(lo, 2.0 * omega_p - hi)
-    s_hi = min(hi, 2.0 * omega_p - lo)
-    if not s_lo < s_hi:
-        raise EvaluationError("pump frequency leaves no signal range in the window")
-    return np.linspace(s_lo, s_hi, config.spectrum_points)
-
-
-def _cmd_dispersion(args) -> int:
-    config = _load(args)
-    profile = _profile(config)
+def _cmd_dispersion(args, config: RunConfig, profile) -> int:
     zdws = zero_dispersion_wavelengths(profile)
     points = find_fgvm_points(profile)
 
@@ -168,13 +109,8 @@ def _cmd_dispersion(args) -> int:
     )
     cols = [profile.k_derivative(omega, n) for n in range(4)]
     for j, om in enumerate(omega):
-        lines.append(
-            ",".join(
-                [_f(om), _f(wavelength_from_omega(om))]
-                + [_f(c[j]) for c in cols]
-            )
-        )
-    _write_text(_out_path(args, config, "dispersion.csv"), lines)
+        lines.append(",".join([_f(om), _nm(om)] + [_f(c[j]) for c in cols]))
+    _write(args, config, "dispersion.csv", lines)
 
     lines = _header("dispersion", args, config)
     lines.append(
@@ -186,23 +122,22 @@ def _cmd_dispersion(args) -> int:
                 [
                     _f(p.omega_p),
                     _f(p.delta),
-                    _f(wavelength_from_omega(p.omega_p)),
-                    _f(wavelength_from_omega(p.omega_s)),
-                    _f(wavelength_from_omega(p.omega_i)),
+                    _nm(p.omega_p),
+                    _nm(p.omega_s),
+                    _nm(p.omega_i),
                     "1" if p.degenerate else "0",
                 ]
             )
         )
-    _write_text(_out_path(args, config, "fgvm_points.csv"), lines)
+    _write(args, config, "fgvm_points.csv", lines)
 
     print(f"zero-dispersion wavelengths (nm): {' '.join(_f(z) for z in zdws)}")
     for p in points:
         if p.degenerate or p.delta < 0:
             continue
         msg = (
-            f"group-velocity match: pump {_f(wavelength_from_omega(p.omega_p))} nm, "
-            f"signal {_f(wavelength_from_omega(p.omega_s))} nm, "
-            f"idler {_f(wavelength_from_omega(p.omega_i))} nm"
+            f"group-velocity match: pump {_nm(p.omega_p)} nm, "
+            f"signal {_nm(p.omega_s)} nm, idler {_nm(p.omega_i)} nm"
         )
         if config.gamma > 0:
             pc = critical_power(profile, p.omega_p, p.delta, config.gamma)
@@ -211,9 +146,7 @@ def _cmd_dispersion(args) -> int:
     return 0
 
 
-def _cmd_contours(args) -> int:
-    config = _load(args)
-    profile = _profile(config)
+def _cmd_contours(args, config: RunConfig, profile) -> int:
     rp = resolve_pump(config, profile)
     lo, hi = profile.query_window
     dmax = config.detuning_max
@@ -241,88 +174,79 @@ def _cmd_contours(args) -> int:
         print(
             f"P = {_f(power)} W: {len(contours)} contour(s), {closed} closed"
         )
-    _write_text(_out_path(args, config, "contours.csv"), lines)
+    _write(args, config, "contours.csv", lines)
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    config = _load(args)
-    profile = _profile(config)
-    rp = resolve_pump(config, profile)
-    axis = _signal_axis(config, profile, rp.omega_p)
+def _singles(config: RunConfig, profile, rp: ResolvedPump):
+    """Singles spectrum over the signal axis and its FWHM in rad/fs and nm.
+
+    Returns (axis, spectrum, widths, note); when the half maximum is not
+    resolved in the window, widths is None and note says why.
+    """
+    axis = config.signal_axis(profile, rp.omega_p)
     spectrum = singles_spectrum(
-        profile,
-        rp.omega_p,
-        axis,
-        config.length_nm,
-        gamma=config.gamma,
-        power=rp.power,
+        profile, rp.omega_p, axis, config.length_nm,
+        gamma=config.gamma, power=rp.power,
     )
-    resolved = _pump_resolution_echo(rp)
-    width_note = None
     try:
-        width = fwhm(axis, spectrum)
         lam = wavelength_from_omega(axis)
-        width_nm = abs(fwhm(lam[::-1], spectrum[::-1]))
+        widths = (fwhm(axis, spectrum), abs(fwhm(lam[::-1], spectrum[::-1])))
+    except EvaluationError as exc:
+        return axis, spectrum, None, str(exc)
+    return axis, spectrum, widths, None
+
+
+def _cmd_spectrum(args, config: RunConfig, profile) -> int:
+    rp = resolve_pump(config, profile)
+    axis, spectrum, widths, note = _singles(config, profile, rp)
+    resolved = _pump_resolution_echo(rp)
+    if widths is not None:
+        width, width_nm = widths
         resolved.append(("fwhm_rad_fs", _f(width)))
         resolved.append(("fwhm_nm", _f(width_nm)))
-    except EvaluationError as exc:
-        width_note = str(exc)
+    else:
         resolved.append(("fwhm_rad_fs", "unresolved"))
 
     lines = _header("spectrum", args, config, resolved)
     lines.append("omega_s_rad_fs,wavelength_nm,intensity")
     for om, value in zip(axis, spectrum):
-        lines.append(",".join([_f(om), _f(wavelength_from_omega(om)), _f(value)]))
-    _write_text(_out_path(args, config, "spectrum.csv"), lines)
+        lines.append(",".join([_f(om), _nm(om), _f(value)]))
+    _write(args, config, "spectrum.csv", lines)
 
-    if width_note is None:
+    if widths is not None:
         print(f"singles spectrum FWHM: {_f(width)} rad/fs ({_f(width_nm)} nm)")
     else:
-        print(f"singles spectrum FWHM unresolved: {width_note}")
+        print(f"singles spectrum FWHM unresolved: {note}")
     return 0
 
 
-def _jsa_grid(config: RunConfig, profile, rp: ResolvedPump, points: int):
-    delta0 = _matched_delta(config, profile, rp)
-    s_axis = np.linspace(
-        rp.omega_p + delta0 - config.jsa_span,
-        rp.omega_p + delta0 + config.jsa_span,
-        points,
-    )
-    i_axis = np.linspace(
-        rp.omega_p - delta0 - config.jsa_span,
-        rp.omega_p - delta0 + config.jsa_span,
-        points,
-    )
-    pump = PumpSpec(omega_p=rp.omega_p, sigma=rp.sigma, power=rp.power)
-    jsa = jsa_numeric(
+def _working_point_echo(wp: WorkingPoint) -> list[tuple[str, str]]:
+    return _pump_resolution_echo(wp.pump) + [
+        ("matched_half_separation_rad_fs", _f(wp.delta)),
+        ("signal_center_nm", _nm(wp.omega_s)),
+        ("idler_center_nm", _nm(wp.omega_i)),
+    ]
+
+
+def _numeric_jsa(config: RunConfig, profile, wp: WorkingPoint, points: int):
+    s_axis, i_axis = wp.axes(config.jsa_span, points)
+    return jsa_numeric(
         profile,
-        pump,
+        wp.pump_spec(),
         s_axis,
         i_axis,
         config.length_nm,
         gamma=config.gamma,
         nodes=config.jsa_nodes,
     )
-    return jsa, delta0
 
 
-def _jsa_resolution_echo(rp: ResolvedPump, delta0: float) -> list[tuple[str, str]]:
-    return _pump_resolution_echo(rp) + [
-        ("matched_half_separation_rad_fs", _f(delta0)),
-        ("signal_center_nm", _f(wavelength_from_omega(rp.omega_p + delta0))),
-        ("idler_center_nm", _f(wavelength_from_omega(rp.omega_p - delta0))),
-    ]
+def _cmd_jsa(args, config: RunConfig, profile) -> int:
+    wp = working_point(config, profile)
+    jsa = _numeric_jsa(config, profile, wp, config.jsa_points)
 
-
-def _cmd_jsa(args) -> int:
-    config = _load(args)
-    profile = _profile(config)
-    rp = resolve_pump(config, profile)
-    jsa, delta0 = _jsa_grid(config, profile, rp, config.jsa_points)
-
-    lines = _header("jsa", args, config, _jsa_resolution_echo(rp, delta0))
+    lines = _header("jsa", args, config, _working_point_echo(wp))
     lines.append("omega_s_rad_fs,omega_i_rad_fs,re_amplitude,im_amplitude")
     for m, om_s in enumerate(jsa.signal_axis):
         row = jsa.amplitude[m]
@@ -330,31 +254,28 @@ def _cmd_jsa(args) -> int:
             lines.append(
                 ",".join([_f(om_s), _f(om_i), _f(row[n].real), _f(row[n].imag)])
             )
-    _write_text(_out_path(args, config, "jsa.csv"), lines)
+    _write(args, config, "jsa.csv", lines)
 
     peak = np.unravel_index(np.argmax(jsa.intensity()), jsa.amplitude.shape)
     print(
         f"JSA grid {config.jsa_points}x{config.jsa_points}; intensity peak at "
-        f"signal {_f(wavelength_from_omega(jsa.signal_axis[peak[0]]))} nm, "
-        f"idler {_f(wavelength_from_omega(jsa.idler_axis[peak[1]]))} nm"
+        f"signal {_nm(jsa.signal_axis[peak[0]])} nm, "
+        f"idler {_nm(jsa.idler_axis[peak[1]])} nm"
     )
     return 0
 
 
-def _cmd_purity(args) -> int:
-    config = _load(args)
-    profile = _profile(config)
-    rp = resolve_pump(config, profile)
-    jsa, delta0 = _jsa_grid(config, profile, rp, config.purity_points)
-    result = schmidt_metrics(jsa)
+def _cmd_purity(args, config: RunConfig, profile) -> int:
+    wp = working_point(config, profile)
+    result = schmidt_metrics(_numeric_jsa(config, profile, wp, config.purity_points))
 
-    lines = _header("purity", args, config, _jsa_resolution_echo(rp, delta0))
+    lines = _header("purity", args, config, _working_point_echo(wp))
     lines.append(f"purity = {_f(result.purity)}")
     lines.append(f"schmidt_number = {_f(result.schmidt_number)}")
     lines.append(f"grid_points = {config.purity_points}")
     for n, lam in enumerate(result.coefficients[:16]):
         lines.append(f"coefficient_{n:02d} = {_f(lam)}")
-    _write_text(_out_path(args, config, "purity.txt"), lines)
+    _write(args, config, "purity.txt", lines)
 
     print(
         f"heralded purity {_f(result.purity)} "
@@ -363,22 +284,13 @@ def _cmd_purity(args) -> int:
     return 0
 
 
-def _cmd_design_report(args) -> int:
-    config = _load(args)
-    profile = _profile(config)
+def _cmd_design_report(args, config: RunConfig, profile) -> int:
     zdws = zero_dispersion_wavelengths(profile)
-    rp = resolve_pump(config, profile)
-    delta0 = _matched_delta(config, profile, rp)
-    om_s0 = rp.omega_p + delta0
-    om_i0 = rp.omega_p - delta0
+    wp = working_point(config, profile)
+    rp = wp.pump
     tau = tau_coefficients(
-        profile,
-        rp.omega_p,
-        om_s0,
-        om_i0,
-        config.length_nm,
-        gamma=config.gamma,
-        power=rp.power,
+        profile, rp.omega_p, wp.omega_s, wp.omega_i, config.length_nm,
+        gamma=config.gamma, power=rp.power,
     )
 
     body = []
@@ -394,13 +306,9 @@ def _cmd_design_report(args) -> int:
         "  zero_dispersion_nm = " + (" ".join(_f(z) for z in zdws) or "none")
     )
     if rp.gvm is not None:
-        body.append(f"  gvm_pump_nm = {_f(wavelength_from_omega(rp.gvm.omega_p))}")
-        body.append(
-            f"  gvm_signal_nm = {_f(wavelength_from_omega(rp.gvm.omega_s))}"
-        )
-        body.append(
-            f"  gvm_idler_nm = {_f(wavelength_from_omega(rp.gvm.omega_i))}"
-        )
+        body.append(f"  gvm_pump_nm = {_nm(rp.gvm.omega_p)}")
+        body.append(f"  gvm_signal_nm = {_nm(rp.gvm.omega_s)}")
+        body.append(f"  gvm_idler_nm = {_nm(rp.gvm.omega_i)}")
     body.append("pump")
     body.append(f"  wavelength_nm = {_f(rp.lambda_nm)}")
     body.append(f"  sigma_rad_fs = {_f(rp.sigma)}")
@@ -413,8 +321,8 @@ def _cmd_design_report(args) -> int:
     except (ConfigError, EvaluationError):
         body.append("  mi_sideband_rad_fs = none")
     body.append("working point")
-    body.append(f"  signal_nm = {_f(wavelength_from_omega(om_s0))}")
-    body.append(f"  idler_nm = {_f(wavelength_from_omega(om_i0))}")
+    body.append(f"  signal_nm = {_nm(wp.omega_s)}")
+    body.append(f"  idler_nm = {_nm(wp.omega_i)}")
     body.append(f"  delta_k0 = {_f(tau.delta_k0)}")
     body.append(f"  tau_s1_fs = {_f(tau.tau_s1)}")
     body.append(f"  tau_i1_fs = {_f(tau.tau_i1)}")
@@ -428,34 +336,23 @@ def _cmd_design_report(args) -> int:
     else:
         body.append(f"  stripe_angle_deg = {_f(theta_pm(tau))}")
 
-    axis = _signal_axis(config, profile, rp.omega_p)
-    spectrum = singles_spectrum(
-        profile, rp.omega_p, axis, config.length_nm,
-        gamma=config.gamma, power=rp.power,
-    )
+    widths = _singles(config, profile, rp)[2]
     body.append("singles spectrum")
-    try:
-        lam = wavelength_from_omega(axis)
-        body.append(f"  fwhm_rad_fs = {_f(fwhm(axis, spectrum))}")
-        body.append(f"  fwhm_nm = {_f(abs(fwhm(lam[::-1], spectrum[::-1])))}")
-    except EvaluationError:
+    if widths is not None:
+        body.append(f"  fwhm_rad_fs = {_f(widths[0])}")
+        body.append(f"  fwhm_nm = {_f(widths[1])}")
+    else:
         body.append("  fwhm_rad_fs = unresolved within the window")
 
-    pump = PumpSpec(omega_p=rp.omega_p, sigma=rp.sigma, power=rp.power)
-    s_axis = np.linspace(
-        om_s0 - config.jsa_span, om_s0 + config.jsa_span, config.jsa_points
-    )
-    i_axis = np.linspace(
-        om_i0 - config.jsa_span, om_i0 + config.jsa_span, config.jsa_points
-    )
-    result = schmidt_metrics(jsa_analytic(tau, pump, s_axis, i_axis))
+    s_axis, i_axis = wp.axes(config.jsa_span, config.jsa_points)
+    result = schmidt_metrics(jsa_analytic(tau, wp.pump_spec(), s_axis, i_axis))
     body.append("biphoton (quadratic model)")
     body.append(f"  purity = {_f(result.purity)}")
     body.append(f"  schmidt_number = {_f(result.schmidt_number)}")
 
-    lines = _header("design-report", args, config, _jsa_resolution_echo(rp, delta0))
+    lines = _header("design-report", args, config, _working_point_echo(wp))
     lines.extend(body)
-    _write_text(_out_path(args, config, "design_report.txt"), lines)
+    _write(args, config, "design_report.txt", lines)
     print("\n".join(body))
     return 0
 
@@ -514,14 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--out", metavar="DIR", default=None,
             help="output directory (default: [outputs] directory, else '.')",
         )
-        sp.add_argument(
-            "--threads", type=int, default=1, metavar="N",
-            help="recorded in output headers; numerics are single-threaded",
-        )
-        sp.add_argument(
-            "--seed", type=int, default=0, metavar="N",
-            help="recorded in output headers; nothing here is random",
-        )
         sp.set_defaults(func=func)
     return parser
 
@@ -529,7 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = load_preset(args.preset) if args.preset else load_config(args.config)
+        return args.func(args, config, config.profile())
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

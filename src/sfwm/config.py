@@ -14,11 +14,15 @@ import configparser
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .dispersion import DispersionProfile, FgvmPoint, find_fgvm_points
+import numpy as np
+from scipy.optimize import brentq
+
+from .biphoton import PumpSpec
+from .dispersion import DispersionProfile, FgvmPoint, build_profile, find_fgvm_points
 from .errors import ConfigError, EvaluationError
 from .materials import ConstantIndex, Material, SellmeierModel, get_material
 from .modes import FiberSpec
-from .phasematching import critical_power
+from .phasematching import critical_power, delta_k_cw
 from .units import omega_from_wavelength, pump_sigma_from_fwhm, wavelength_from_omega
 
 # Checked in order; an empty or absent option fails naming the first gap.
@@ -113,6 +117,21 @@ class RunConfig:
             cladding=get_material(self.cladding, extra=self.materials),
             radius_um=self.radius_um,
         )
+
+    def profile(self) -> DispersionProfile:
+        """Dispersion proxy of the fibre, fitted over the run's window."""
+        return build_profile(
+            self.fiber(), self.window_nm, samples=self.samples, degree=self.degree
+        )
+
+    def signal_axis(self, profile: DispersionProfile, omega_p: float) -> np.ndarray:
+        """Signal frequencies whose energy-matched idler also stays in window."""
+        lo, hi = profile.query_window
+        s_lo = max(lo, 2.0 * omega_p - hi)
+        s_hi = min(hi, 2.0 * omega_p - lo)
+        if not s_lo < s_hi:
+            raise EvaluationError("pump frequency leaves no signal range in the window")
+        return np.linspace(s_lo, s_hi, self.spectrum_points)
 
     def echo_items(self) -> list[tuple[str, str]]:
         """Every setting as (key, value) text, in a fixed order."""
@@ -409,3 +428,85 @@ def resolve_pump(config: RunConfig, profile: DispersionProfile) -> ResolvedPump:
         p_star=p_star,
         gvm=gvm,
     )
+
+
+# Powers this close to P* count as the critical power.  Run files may hold
+# P* pasted from an output echo, whose %.9g rounding is up to 5e-9 relative.
+_CRITICAL_POWER_RTOL = 1e-8
+
+
+@dataclass(frozen=True)
+class WorkingPoint:
+    """Resolved pump and the exactly phase-matched signal/idler pair at it."""
+
+    pump: ResolvedPump
+    delta: float  # matched half-separation (rad/fs): the pair is omega_p +- delta
+
+    @property
+    def omega_s(self) -> float:
+        return self.pump.omega_p + self.delta
+
+    @property
+    def omega_i(self) -> float:
+        return self.pump.omega_p - self.delta
+
+    def pump_spec(self) -> PumpSpec:
+        return PumpSpec(
+            omega_p=self.pump.omega_p, sigma=self.pump.sigma, power=self.pump.power
+        )
+
+    def axes(self, span: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+        """Signal and idler axes of `points` samples, +-span around the pair."""
+        return (
+            np.linspace(self.omega_s - span, self.omega_s + span, points),
+            np.linspace(self.omega_i - span, self.omega_i + span, points),
+        )
+
+
+def _matched_delta(config: RunConfig, profile, rp: ResolvedPump) -> float:
+    """Half-separation of the exactly matched pair at the resolved pump.
+
+    At the critical power of an auto-gvm pump the loop has shrunk to the
+    match itself, which a sign-change scan cannot see, so that case returns
+    the match directly.  Otherwise the outermost root of the mismatch on
+    (0, detuning_max] is used, preferring the root nearest the match when
+    one is known.
+    """
+    if rp.gvm is not None and config.pump_wavelength.auto and config.gamma > 0:
+        p_star = rp.p_star
+        if p_star is None:  # a fixed power, possibly P* itself
+            p_star = critical_power(profile, rp.gvm.omega_p, rp.gvm.delta, config.gamma)
+        if abs(rp.power - p_star) <= _CRITICAL_POWER_RTOL * abs(p_star):
+            return rp.gvm.delta
+    # The mismatch vanishes identically at delta = 0, so near the axis its
+    # sign is fit noise; start the scan clear of that region.
+    floor = max(1e-4, config.detuning_max / 4000.0)
+    if floor >= config.detuning_max:
+        raise ConfigError("grids.detuning_max_rad_fs is too small to scan")
+    grid = np.linspace(floor, config.detuning_max, 4001)
+    vals = delta_k_cw(profile, rp.omega_p, grid, gamma=config.gamma, power=rp.power)
+    flips = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+    if flips.size == 0:
+        raise EvaluationError(
+            "no phase-matched signal/idler pair within grids.detuning_max_rad_fs "
+            "at the resolved pump and power"
+        )
+    roots = [
+        brentq(
+            lambda d: float(
+                delta_k_cw(profile, rp.omega_p, d, gamma=config.gamma, power=rp.power)
+            ),
+            grid[i],
+            grid[i + 1],
+        )
+        for i in flips
+    ]
+    if rp.gvm is not None:
+        return min(roots, key=lambda d: abs(d - rp.gvm.delta))
+    return max(roots)
+
+
+def working_point(config: RunConfig, profile: DispersionProfile) -> WorkingPoint:
+    """Resolve the pump and find the phase-matched pair the biphoton runs use."""
+    rp = resolve_pump(config, profile)
+    return WorkingPoint(pump=rp, delta=_matched_delta(config, profile, rp))

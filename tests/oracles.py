@@ -2,9 +2,8 @@
 
 Everything here is written against textbook formulas with none of the
 package's numerics shared, so agreement is meaningful: a scalar weak-guidance
-mode solver, a Taylor-series error function, a brute-force quadrature for the
-pair-generation pump integral, and a symbolic zero-dispersion solve for bulk
-silica.
+mode solver, a brute-force quadrature for the pair-generation pump integral,
+and a symbolic zero-dispersion solve for bulk silica.
 """
 
 import math
@@ -44,15 +43,6 @@ def lp01_effective_index(n_co, n_cl, radius_nm, lambda_nm):
         if b - a < 1e-15:
             break
     return 0.5 * (a + b)
-
-
-def erf_taylor(z, terms=30):
-    """Maclaurin series of erf, adequate to ~1e-12 for |z| <~ 2."""
-    z = complex(z)
-    total = 0.0 + 0.0j
-    for n in range(terms):
-        total += (-1) ** n * z ** (2 * n + 1) / (math.factorial(n) * (2 * n + 1))
-    return 2.0 / math.sqrt(math.pi) * total
 
 
 def pair_integral_quadrature(a, x, limit=400):

@@ -4,54 +4,19 @@ import pytest
 from sfwm.biphoton import (
     JsaGrid,
     PumpSpec,
-    complex_erf,
     jsa_analytic,
-    jsa_cw,
     jsa_numeric,
     phi_function,
     schmidt_metrics,
 )
 from sfwm.dispersion import TauSet, tau_coefficients
-from sfwm.errors import ConfigError, EvaluationError, RangeError
-from sfwm.phasematching import singles_spectrum
+from sfwm.errors import ConfigError, EvaluationError
+from sfwm.phasematching import delta_k_cw, sinc_phase
 
-from oracles import erf_taylor, pair_integral_quadrature
+from oracles import pair_integral_quadrature
 from synthetic import hermite_polynomial_profile, quadratic_profile
 
 SQRT_PI = np.sqrt(np.pi)
-
-
-# ---------------------------------------------------------------- complex_erf
-
-
-def test_erf_reference_value():
-    # Classic tabulated value, reproduced independently by the Maclaurin
-    # series oracle.
-    assert complex_erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-9)
-    assert erf_taylor(1.0).real == pytest.approx(0.8427007929497149, abs=1e-12)
-
-
-def test_erf_matches_series_on_complex_points():
-    pts = [0.3, 1.2, 0.5 + 0.5j, 1.0 - 0.7j, 1.5j, -0.8 + 0.2j]
-    for z in pts:
-        assert complex_erf(z) == pytest.approx(erf_taylor(z), abs=1e-12)
-
-
-def test_erf_odd():
-    for z in (0.7, 1.3 + 0.4j, 2.0j, -1.1 + 0.9j):
-        total = complex_erf(z) + complex_erf(-z)
-        assert abs(total) < 1e-12
-    assert complex_erf(0.0) == 0.0
-
-
-def test_erf_domain_box():
-    with pytest.raises(RangeError):
-        complex_erf(30.5)
-    with pytest.raises(RangeError):
-        complex_erf(1.0 + 31.0j)
-    # Inside the box but beyond double range on the imaginary axis.
-    with pytest.raises(EvaluationError):
-        complex_erf(28.0j)
 
 
 # --------------------------------------------------------------- phi_function
@@ -228,12 +193,17 @@ def _cw_setup():
     return prof, signal, idler
 
 
+def _cw_line(prof, signal):
+    """Monochromatic-pump amplitude along the energy-conservation line."""
+    return sinc_phase(1e6 * delta_k_cw(prof, 1.2, signal - 1.2))
+
+
 def test_jsa_numeric_single_node_equals_cw():
     prof, signal, idler = _cw_setup()
     pump = PumpSpec(omega_p=1.2, sigma=0.004)
     grid = jsa_numeric(prof, pump, signal, idler, 1e6, nodes=1, check=False,
                        normalize=False)
-    line = jsa_cw(prof, 1.2, signal, 1e6)
+    line = _cw_line(prof, signal)
     diag = np.array([grid.amplitude[m, signal.size - 1 - m] for m in range(signal.size)])
     ratio = diag / line
     assert np.max(np.abs(ratio - ratio[0])) < 1e-12 * np.abs(ratio[0])
@@ -243,18 +213,11 @@ def test_jsa_numeric_cw_limit():
     prof, signal, idler = _cw_setup()
     pump = PumpSpec(omega_p=1.2, sigma=1e-4)
     grid = jsa_numeric(prof, pump, signal, idler, 1e6, nodes=31, check=False)
-    line = jsa_cw(prof, 1.2, signal, 1e6)
+    line = _cw_line(prof, signal)
     diag = np.array([grid.amplitude[m, signal.size - 1 - m] for m in range(signal.size)])
     a = np.abs(diag) / np.abs(diag).max()
     b = np.abs(line) / np.abs(line).max()
     assert np.max(np.abs(a - b)) < 0.01
-
-
-def test_jsa_cw_squares_to_singles():
-    prof, signal, _ = _cw_setup()
-    line = jsa_cw(prof, 1.2, signal, 1e6, gamma=70.0, power=0.5)
-    singles = singles_spectrum(prof, 1.2, signal, 1e6, gamma=70.0, power=0.5)
-    assert np.max(np.abs(np.abs(line) ** 2 - singles)) < 1e-12
 
 
 def test_jsa_numeric_convergence_guard():

@@ -1,10 +1,12 @@
 """End-to-end runs of the command-line interface on small grids."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import sfwm
 from sfwm.cli import main
 
 TINY = """
@@ -103,19 +105,49 @@ def test_design_report_outputs(tiny_cfg, tmp_path, capsys):
     assert "critical_power_w" in text
 
 
-def test_reruns_are_byte_identical(tiny_cfg, tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert _run(["spectrum", "--config", tiny_cfg, "--out", str(a)]) == 0
-    assert _run(["spectrum", "--config", tiny_cfg, "--out", str(b)]) == 0
-    assert (a / "spectrum.csv").read_bytes() == (b / "spectrum.csv").read_bytes()
+@pytest.mark.parametrize(
+    "command", ["dispersion", "contours", "spectrum", "jsa", "purity", "design-report"]
+)
+def test_reruns_are_byte_identical(command, tiny_cfg, tmp_path, capsys):
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert _run([command, "--config", tiny_cfg, "--out", str(out)]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((files, capsys.readouterr().out))
+    assert runs[0][0]
+    assert runs[0] == runs[1]
 
 
-def test_threads_and_seed_recorded(tiny_cfg, tmp_path):
-    args = ["spectrum", "--config", tiny_cfg, "--out", str(tmp_path)]
-    assert _run(args + ["--threads", "8", "--seed", "42"]) == 0
-    header = (tmp_path / "spectrum.csv").read_text()
-    assert "# threads = 8" in header
-    assert "# seed = 42" in header
+@pytest.mark.parametrize("flag", ["--threads", "--seed"])
+def test_removed_flags_rejected(flag, tiny_cfg, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        _run(["spectrum", "--config", tiny_cfg, "--out", str(tmp_path), flag, "1"])
+    assert err.value.code == 2
+
+
+def _header_value(path, key):
+    for line in path.read_text().splitlines():
+        if line.startswith(f"# resolved.{key} = "):
+            return line.split(" = ", 1)[1]
+    raise AssertionError(f"{key} not echoed in {path}")
+
+
+def test_pasted_critical_power_matches_auto_critical(tmp_path):
+    # The echoed P* is rounded to 9 digits; pasted back as watts it must
+    # still select the collapsed loop's match, like auto-critical does.
+    auto = tmp_path / "auto.cfg"
+    auto.write_text(TINY.replace("auto-critical:0.5", "auto-critical"))
+    assert _run(["design-report", "--config", str(auto), "--out", str(tmp_path / "a")]) == 0
+    report = tmp_path / "a" / "design_report.txt"
+    p_star = _header_value(report, "critical_power_w")
+    pasted = tmp_path / "pasted.cfg"
+    pasted.write_text(TINY.replace("auto-critical:0.5", p_star))
+    assert _run(["design-report", "--config", str(pasted), "--out", str(tmp_path / "b")]) == 0
+    delta = _header_value(report, "matched_half_separation_rad_fs")
+    assert _header_value(
+        tmp_path / "b" / "design_report.txt", "matched_half_separation_rad_fs"
+    ) == delta
 
 
 def test_empty_config_exit_and_message(tmp_path, capsys):
@@ -152,10 +184,14 @@ def test_config_and_preset_are_exclusive(tiny_cfg, tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # The child imports the same sources as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(sfwm.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "sfwm.cli", "--version"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert result.returncode == 0
     assert "sfwm" in result.stdout

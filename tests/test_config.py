@@ -1,5 +1,8 @@
 """Run-file parsing, validation order, presets and pump resolution."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from sfwm.config import (
@@ -9,9 +12,11 @@ from sfwm.config import (
     load_preset,
     parse_config,
     resolve_pump,
+    working_point,
 )
 from sfwm.errors import ConfigError, EvaluationError
 from sfwm.materials import ConstantIndex, ScaledIndex, SellmeierModel
+from sfwm.phasematching import delta_k_cw
 
 MINIMAL = """
 [fiber]
@@ -272,3 +277,83 @@ def test_resolve_pump_without_match_raises():
     profile = build_profile(config.fiber(), (1500, 1600), samples=60, degree=10)
     with pytest.raises(EvaluationError, match="match"):
         resolve_pump(config, profile)
+
+
+# ------------------------------------------------------------- working point
+
+
+def _mismatch(config, profile, wp, delta):
+    return float(
+        delta_k_cw(profile, wp.pump.omega_p, delta, gamma=config.gamma, power=wp.pump.power)
+    )
+
+
+def _scan_roots(config, profile, wp):
+    """Sign changes of the mismatch on a grid five times finer than the search's."""
+    grid = np.linspace(1e-3, config.detuning_max, 20001)
+    vals = delta_k_cw(profile, wp.pump.omega_p, grid, gamma=config.gamma, power=wp.pump.power)
+    return grid[np.nonzero(np.diff(np.sign(vals)) != 0)[0]]
+
+
+def test_working_point_at_critical_power_is_the_match(profile_1644):
+    config = parse_config(MINIMAL)
+    wp = working_point(config, profile_1644)
+    assert wp.delta == wp.pump.gvm.delta
+    assert wp.omega_s == wp.pump.omega_p + wp.delta
+    assert wp.omega_i == wp.pump.omega_p - wp.delta
+    pump = wp.pump_spec()
+    assert (pump.omega_p, pump.sigma, pump.power) == (
+        wp.pump.omega_p, wp.pump.sigma, wp.pump.power
+    )
+    s_axis, i_axis = wp.axes(0.01, 5)
+    assert s_axis[2] == pytest.approx(wp.omega_s, abs=1e-15)
+    assert i_axis[0] == pytest.approx(wp.omega_i - 0.01, abs=1e-15)
+    # P* pasted as watts, off by the worst rounding of a 9-digit echo.
+    pasted = MINIMAL.replace("auto-critical", repr(wp.pump.p_star * (1 + 4e-9)))
+    assert working_point(parse_config(pasted), profile_1644).delta == wp.delta
+
+
+def test_working_point_below_critical_takes_root_nearest_match(profile_1644, monkeypatch):
+    config = parse_config(MINIMAL.replace("auto-critical", "auto-critical:0.9"))
+    wp = working_point(config, profile_1644)
+    roots = _scan_roots(config, profile_1644, wp)
+    assert roots.size == 2  # the loop crosses the pump line twice
+    nearest = min(roots, key=lambda d: abs(d - wp.pump.gvm.delta))
+    assert wp.delta == pytest.approx(nearest, abs=1e-5)
+    # Root precision: brentq's 2e-12 rad/fs bracket times the slope, plus the
+    # roundoff of forming 2 k_p - k_s - k_i from k values of ~6e-3 rad/nm.
+    h = 1e-6
+    slope = (
+        _mismatch(config, profile_1644, wp, wp.delta + h)
+        - _mismatch(config, profile_1644, wp, wp.delta - h)
+    ) / (2 * h)
+    roundoff = 8 * np.finfo(float).eps * float(profile_1644.k(wp.pump.omega_p))
+    assert abs(_mismatch(config, profile_1644, wp, wp.delta)) <= abs(slope) * 1e-11 + roundoff
+    # On this loop the outer root is also the nearer one.  Moving the match
+    # next to the inner root shows that the choice follows the match.
+    moved = replace(wp.pump, gvm=replace(wp.pump.gvm, delta=roots.min() + 1e-3))
+    monkeypatch.setattr("sfwm.config.resolve_pump", lambda config, profile: moved)
+    assert working_point(config, profile_1644).delta == pytest.approx(roots.min(), abs=1e-5)
+
+
+def test_working_point_fixed_pump_takes_outermost_root(profile_1644):
+    config = parse_config(MINIMAL.replace("auto-gvm", "1540").replace("auto-critical", "0.7"))
+    wp = working_point(config, profile_1644)
+    assert wp.pump.gvm is None
+    roots = _scan_roots(config, profile_1644, wp)
+    assert roots.size == 2
+    assert wp.delta == pytest.approx(roots.max(), abs=1e-5)
+
+
+def test_working_point_without_sign_change_raises(profile_1644):
+    text = MINIMAL.replace("auto-gvm", "1540").replace("auto-critical", "0.7")
+    config = parse_config(text + "detuning_max_rad_fs = 0.03\n")
+    with pytest.raises(EvaluationError, match="no phase-matched"):
+        working_point(config, profile_1644)
+
+
+def test_working_point_detuning_below_scan_floor(profile_1644):
+    text = MINIMAL.replace("auto-gvm", "1540").replace("auto-critical", "0.7")
+    config = parse_config(text + "detuning_max_rad_fs = 1e-4\n")
+    with pytest.raises(ConfigError, match="too small to scan"):
+        working_point(config, profile_1644)
