@@ -38,7 +38,7 @@ from .materials import (
     get_material,
     refractive_index,
 )
-from .modes import FiberSpec, effective_index, propagation_constant, v_number
+from .modes import FiberSpec, effective_index
 from .phasematching import (
     Contour,
     PmMap,
@@ -88,13 +88,11 @@ __all__ = [
     "mi_sideband_detuning",
     "pm_map",
     "phi_function",
-    "propagation_constant",
     "refractive_index",
     "schmidt_metrics",
     "singles_spectrum",
     "tau_coefficients",
     "theta_pm",
     "trace_contours",
-    "v_number",
     "zero_dispersion_wavelengths",
 ]

@@ -31,10 +31,12 @@ from scipy.special import wofz
 from .dispersion import DispersionProfile, TauSet
 from .errors import ConfigError, EvaluationError
 from .phasematching import sinc_phase
-from .units import nonlinear_mismatch, omega_from_wavelength, pump_sigma_from_fwhm
+from .units import nonlinear_mismatch
 
 _PHI_TAYLOR_CUT = 1e-4
 _PHI_SERIES_CUT = 1e-4
+# Cell areas come from the mean axis step, so every step must match it.
+_AXIS_STEP_RTOL = 1e-6
 
 
 def phi_function(a: float, x):
@@ -120,15 +122,6 @@ class PumpSpec:
         if self.power < 0:
             raise ConfigError(f"pump power must be nonnegative, got {self.power}")
 
-    @classmethod
-    def from_wavelength(cls, lambda_p_nm: float, fwhm_nm: float, power: float = 0.0):
-        """Build from carrier wavelength and amplitude FWHM, both in nm."""
-        return cls(
-            omega_p=omega_from_wavelength(lambda_p_nm),
-            sigma=pump_sigma_from_fwhm(fwhm_nm, lambda_p_nm),
-            power=power,
-        )
-
     def amplitude(self, omega):
         om = np.asarray(omega, dtype=float)
         return np.exp(-(((om - self.omega_p) / self.sigma) ** 2))
@@ -153,6 +146,11 @@ class JsaGrid:
                 f"amplitude shape {self.amplitude.shape} does not match axes "
                 f"({self.signal_axis.size}, {self.idler_axis.size})"
             )
+        for name, axis in (("signal", self.signal_axis), ("idler", self.idler_axis)):
+            steps = np.diff(axis)
+            mean = steps.mean() if steps.size else 0.0
+            if np.any(np.abs(steps - mean) > _AXIS_STEP_RTOL * abs(mean)):
+                raise ConfigError(f"JSA {name} axis is not equally spaced")
 
     @property
     def d_signal(self) -> float:
@@ -175,11 +173,6 @@ class JsaGrid:
             amplitude=self.amplitude / norm,
             normalized=True,
         )
-
-    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Singles spectra: intensity integrated over the other photon."""
-        inten = self.intensity()
-        return inten.sum(axis=1) * self.d_idler, inten.sum(axis=0) * self.d_signal
 
 
 def _check_working_point(tau: TauSet, pump: PumpSpec):

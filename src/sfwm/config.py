@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .biphoton import PumpSpec
 from .dispersion import DispersionProfile, FgvmPoint, build_profile, find_fgvm_points
 from .errors import ConfigError, EvaluationError
 from .materials import ConstantIndex, Material, SellmeierModel, get_material
 from .modes import FiberSpec
-from .phasematching import critical_power, delta_k_cw
+from .phasematching import critical_power, matched_detunings
 from .units import omega_from_wavelength, pump_sigma_from_fwhm, wavelength_from_omega
 
 # Checked in order; an empty or absent option fails naming the first gap.
@@ -467,10 +466,10 @@ def _matched_delta(config: RunConfig, profile, rp: ResolvedPump) -> float:
     """Half-separation of the exactly matched pair at the resolved pump.
 
     At the critical power of an auto-gvm pump the loop has shrunk to the
-    match itself, which a sign-change scan cannot see, so that case returns
-    the match directly.  Otherwise the outermost root of the mismatch on
-    (0, detuning_max] is used, preferring the root nearest the match when
-    one is known.
+    match itself, a double root, so that case returns the match directly.
+    Otherwise, of the sign changes of the mismatch on (0, detuning_max) (see
+    `matched_detunings`), the root nearest the match is used when one is
+    known, else the outermost.
     """
     if rp.gvm is not None and config.pump_wavelength.auto and config.gamma > 0:
         p_star = rp.p_star
@@ -478,32 +477,17 @@ def _matched_delta(config: RunConfig, profile, rp: ResolvedPump) -> float:
             p_star = critical_power(profile, rp.gvm.omega_p, rp.gvm.delta, config.gamma)
         if abs(rp.power - p_star) <= _CRITICAL_POWER_RTOL * abs(p_star):
             return rp.gvm.delta
-    # The mismatch vanishes identically at delta = 0, so near the axis its
-    # sign is fit noise; start the scan clear of that region.
-    floor = max(1e-4, config.detuning_max / 4000.0)
-    if floor >= config.detuning_max:
-        raise ConfigError("grids.detuning_max_rad_fs is too small to scan")
-    grid = np.linspace(floor, config.detuning_max, 4001)
-    vals = delta_k_cw(profile, rp.omega_p, grid, gamma=config.gamma, power=rp.power)
-    flips = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    if flips.size == 0:
+    roots = matched_detunings(
+        profile, rp.omega_p, config.detuning_max, gamma=config.gamma, power=rp.power
+    )
+    if roots.size == 0:
         raise EvaluationError(
             "no phase-matched signal/idler pair within grids.detuning_max_rad_fs "
             "at the resolved pump and power"
         )
-    roots = [
-        brentq(
-            lambda d: float(
-                delta_k_cw(profile, rp.omega_p, d, gamma=config.gamma, power=rp.power)
-            ),
-            grid[i],
-            grid[i + 1],
-        )
-        for i in flips
-    ]
     if rp.gvm is not None:
-        return min(roots, key=lambda d: abs(d - rp.gvm.delta))
-    return max(roots)
+        return float(min(roots, key=lambda d: abs(d - rp.gvm.delta)))
+    return float(roots.max())
 
 
 def working_point(config: RunConfig, profile: DispersionProfile) -> WorkingPoint:

@@ -6,7 +6,9 @@ window serves as that proxy: for the smooth effective-index curves produced
 by the solver the fit converges spectrally, so a moderate degree reproduces
 k to within solver noise and its derivatives are exact derivatives of the
 proxy.  All downstream quantities (zero-dispersion frequencies, matching
-points, Taylor coefficients) are defined on the proxy.
+points, Taylor coefficients) are defined on the proxy, and the roots among
+them are roots of its polynomials: zero dispersion from the companion matrix
+of k'', full group-velocity matches by bisection on the monotone pieces of k'.
 
 Frequencies are rad/fs, propagation constants rad/nm, so k' is fs/nm and
 k'' is fs^2/nm throughout.
@@ -15,18 +17,17 @@ k'' is fs^2/nm throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from numpy.polynomial import Chebyshev
-from scipy.optimize import brentq
 
 from .errors import ConfigError, EvaluationError, RangeError
-from .modes import FiberSpec, propagation_constant_from_omega
+from .modes import FiberSpec, bisect, propagation_constant_from_omega
 from .units import nonlinear_mismatch, omega_from_wavelength, wavelength_from_omega
 
 _QUERY_INSET = 0.02
-_ZDF_SCAN_POINTS = 4000
-_FGVM_DEDUPE = 1e-6  # rad/fs
+_BAND_SAMPLES = 65  # group-delay samples per band in the full-GVM search
 
 
 @dataclass(frozen=True)
@@ -110,34 +111,37 @@ def build_profile(
     return DispersionProfile.from_samples(omega, k, degree=degree)
 
 
-def find_zdfs(profile: DispersionProfile) -> np.ndarray:
-    """Zero-dispersion frequencies: roots of k''(omega) in the query window.
+def sign_change_roots(series, lo: float, hi: float) -> np.ndarray:
+    """Ascending points in (lo, hi) where a numpy polynomial series changes sign.
 
-    Returns an ascending array of frequencies in rad/fs (possibly empty).
+    The real parts of its companion-matrix roots are candidates.  Where the
+    series has opposite signs at the midpoints between a candidate and its
+    neighbours, the root is bisected between those midpoints, so its accuracy
+    does not depend on the conditioning of the eigenvalue problem; complex
+    pairs and roots of even multiplicity drop out.
+    """
+    cand = np.unique(series.roots().real)
+    cand = cand[(lo < cand) & (cand < hi)]
+    edges = np.concatenate(([lo], cand, [hi]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    side = np.sign(series(mids))
+    flip = side[:-1] != side[1:]
+    return bisect(series, mids[:-1][flip], mids[1:][flip])
+
+
+def find_zdfs(profile: DispersionProfile) -> np.ndarray:
+    """Zero-dispersion frequencies in rad/fs, ascending (possibly empty).
+
+    These are the sign changes of k'' in the query window, taken from the
+    roots of the proxy's second-derivative series.
     """
     lo, hi = profile.query_window
-    grid = np.linspace(lo, hi, _ZDF_SCAN_POINTS)
-    k2 = profile.k_derivative(grid, 2)
-    flips = np.nonzero(np.diff(np.sign(k2)) != 0)[0]
-    roots = []
-    for i in flips:
-        root = brentq(
-            lambda om: profile.k_derivative(om, 2),
-            grid[i],
-            grid[i + 1],
-            xtol=1e-15,
-            rtol=8.9e-16,
-        )
-        roots.append(root)
-    return np.array(sorted(roots))
+    return sign_change_roots(profile.fit.deriv(2), lo, hi)
 
 
 def zero_dispersion_wavelengths(profile: DispersionProfile) -> np.ndarray:
     """Zero-dispersion wavelengths in nm, ascending."""
-    omegas = find_zdfs(profile)
-    if omegas.size == 0:
-        return omegas
-    return np.sort(wavelength_from_omega(omegas))
+    return np.sort(wavelength_from_omega(find_zdfs(profile)))
 
 
 @dataclass(frozen=True)
@@ -166,110 +170,62 @@ class FgvmPoint:
         return self.omega_p - self.delta
 
 
-def _g1(profile, omega_p, delta):
-    """Signal-idler group-velocity mismatch k'(p + d) - k'(p - d)."""
-    return profile.k_derivative(omega_p + delta, 1) - profile.k_derivative(
-        omega_p - delta, 1
-    )
+def _bisect_matches(k1, r0, r1, v0, v1):
+    """Bisect group-delay brackets [v0, v1] to zeros of r_a + r_c - 2 r_b.
 
-
-def _g2(profile, omega_p, delta):
-    """Pump-pair group-velocity mismatch 2 k'(p) - k'(p + d) - k'(p - d)."""
-    return (
-        2.0 * profile.k_derivative(omega_p, 1)
-        - profile.k_derivative(omega_p + delta, 1)
-        - profile.k_derivative(omega_p - delta, 1)
-    )
-
-
-def _newton_polish(profile, op, d, lo, hi, d_floor, max_step):
-    for _ in range(80):
-        g = np.array([_g1(profile, op, d), _g2(profile, op, d)])
-        if np.hypot(*g) < 1e-15:
-            break
-        k2s = profile.k_derivative(op + d, 2)
-        k2i = profile.k_derivative(op - d, 2)
-        k2p = profile.k_derivative(op, 2)
-        jac = np.array(
-            [
-                [k2s - k2i, k2s + k2i],
-                [2.0 * k2p - k2s - k2i, -k2s + k2i],
-            ]
-        )
-        step, *_ = np.linalg.lstsq(jac, -g, rcond=None)
-        step = np.clip(step, -max_step, max_step)
-        op = op + step[0]
-        d = abs(d + step[1])
-        if not (lo < op - d and op + d < hi):
-            return None
-    if np.hypot(_g1(profile, op, d), _g2(profile, op, d)) > 1e-12 or d < d_floor:
-        return None
-    return (op, d)
-
-
-def _find_nondegenerate(profile):
-    """Locate nondegenerate matching points: g1 = g2 = 0 with delta > 0.
-
-    The whole delta = 0 axis solves both residuals identically (and so,
-    approximately, does its neighbourhood), so seeding minimises the
-    residual norm divided by delta^2, which stays away from the axis and
-    vanishes only at genuine nondegenerate solutions.  Damped Newton
-    iterations polish each candidate; results that slide back to the axis
-    are discarded.
+    r0 and r1 (3, n) are the roots of k' = v0 and k' = v1 on three monotone
+    pieces.  A root for any v in between lies between them, so each new
+    root is bisected inside that shrinking bracket.
     """
-    lo, hi = profile.query_window
-    span = hi - lo
-    d_floor = 0.004 * span
-    n_op, n_d = 241, 121
-    ops = np.linspace(lo + d_floor, hi - d_floor, n_op)
-    d_grid = np.linspace(d_floor, 0.499 * span, n_d)
-    metric = np.full((n_d, n_op), np.inf)
-    for i, d in enumerate(d_grid):
-        ok = (ops - d >= lo) & (ops + d <= hi)
-        if not np.any(ok):
-            continue
-        g1 = _g1(profile, ops[ok], d)
-        g2 = _g2(profile, ops[ok], d)
-        metric[i, ok] = (g1 * g1 + g2 * g2) / d**4
-
-    finite = np.isfinite(metric)
-    if not np.any(finite):
-        return []
-    order = np.argsort(metric, axis=None)
-    max_step = 2.0 * max(ops[1] - ops[0], d_grid[1] - d_grid[0])
-    solutions = []
-    for flat in order[:12]:
-        i, j = np.unravel_index(flat, metric.shape)
-        if not np.isfinite(metric[i, j]):
-            break
-        sol = _newton_polish(
-            profile, ops[j], d_grid[i], lo, hi, d_floor, max_step
-        )
-        if sol is not None and not any(
-            abs(sol[0] - u[0]) < _FGVM_DEDUPE and abs(sol[1] - u[1]) < _FGVM_DEDUPE
-            for u in solutions
-        ):
-            solutions.append(sol)
-    return sorted(solutions)
+    s0 = np.sign(r0[0] + r0[2] - 2.0 * r0[1])
+    while True:
+        v = 0.5 * (v0 + v1)
+        if not np.any((v0 < v) & (v < v1)):
+            return r0
+        r = bisect(lambda om: k1(om) - v, r0, r1)
+        right = np.sign(r[0] + r[2] - 2.0 * r[1]) == s0
+        v0, r0 = np.where(right, v, v0), np.where(right, r, r0)
+        v1, r1 = np.where(right, v1, v), np.where(right, r1, r)
 
 
 def find_fgvm_points(profile: DispersionProfile) -> list[FgvmPoint]:
     """All full group-velocity matching points in the query window.
 
     Degenerate points (delta = 0) sit exactly at the zero-dispersion
-    frequencies.  A nondegenerate match, if present, is located by a coarse
-    scan plus damped Newton iteration on the pair of group-velocity
-    residuals, and contributes entries at +delta and -delta.  Points closer
-    than 1e-6 rad/fs are treated as duplicates.
+    frequencies.  A nondegenerate match is a group delay v at which three
+    roots r_a < r_b < r_c of k' = v satisfy r_b = (r_a + r_c) / 2, with the
+    pump at r_b.  The window ends and the zero-dispersion frequencies cut k'
+    into monotone pieces; between consecutive values of k' at the cuts each
+    piece holds at most one root, which moves smoothly with v.  Every band
+    of v is sampled, every triple of pieces checked for a sign change of
+    r_a + r_c - 2 r_b, and each change bisected in v.  A match contributes
+    entries at +delta and -delta.
     """
     zdfs = find_zdfs(profile)
     points = [FgvmPoint(omega_p=float(z), delta=0.0) for z in zdfs]
-    for op, d in _find_nondegenerate(profile):
-        dup = any(
-            abs(p.omega_p - op) < _FGVM_DEDUPE and abs(p.delta - d) < _FGVM_DEDUPE
-            for p in points
-        )
-        if not dup:
+    lo, hi = profile.query_window
+    k1 = profile.fit.deriv(1)
+    edges = np.concatenate(([lo], zdfs, [hi]))
+    ends = k1(edges)
+    v_lo, v_hi = np.sort([ends[:-1], ends[1:]], axis=0)
+    # Cosine spacing resolves the square-root behaviour of roots at band ends.
+    theta = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, _BAND_SAMPLES)))
+    levels = np.unique(ends)
+    found = []
+    for v0, v1 in zip(levels[:-1], levels[1:]):
+        live = np.nonzero((v_lo <= v0) & (v_hi >= v1))[0]
+        if live.size < 3:
+            continue
+        v = v0 + (v1 - v0) * theta
+        r = bisect(lambda om: k1(om) - v, edges[live, None], edges[live + 1, None])
+        for a, b, c in combinations(range(live.size), 3):
+            side = np.sign(r[a] + r[c] - 2.0 * r[b])
+            for m in np.nonzero(side[:-1] != side[1:])[0]:
+                found.append((r[[a, b, c], m], r[[a, b, c], m + 1], v[m], v[m + 1]))
+    if found:
+        r0, r1, v0, v1 = (np.array(x) for x in zip(*found))
+        r_a, r_b, r_c = _bisect_matches(k1, r0.T, r1.T, v0, v1)
+        for op, d in zip(r_b, 0.5 * (r_c - r_a)):
             points.append(FgvmPoint(omega_p=float(op), delta=float(d)))
             points.append(FgvmPoint(omega_p=float(op), delta=float(-d)))
     return sorted(points, key=lambda p: (p.omega_p, p.delta))

@@ -17,7 +17,9 @@ and the HE11 effective index is its largest root in (n_cl, n_co).  The
 residual is evaluated in a pole-free form (multiplied through by (u J1)^2)
 and the modified-Bessel ratio uses exponentially scaled functions, so the
 solver stays well conditioned from near-cutoff to the heavily multimode
-regime.
+regime.  Every wavelength's residual is scanned on 400 indices at once; the
+last sign change brackets the root, and all brackets are refined together
+by bisection to the last bit.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import jv, kve
 
 from .errors import ConfigError, ModeSolveError
@@ -53,18 +54,6 @@ class FiberSpec:
         return self.radius_um * 1000.0
 
 
-def v_number(fiber: FiberSpec, lambda_nm: float) -> float:
-    """Normalised frequency V = k a sqrt(n_co^2 - n_cl^2)."""
-    n_co = float(refractive_index(fiber.core, lambda_nm))
-    n_cl = float(refractive_index(fiber.cladding, lambda_nm))
-    if n_co <= n_cl:
-        raise ConfigError(
-            f"core index {n_co:.6f} does not exceed cladding index {n_cl:.6f} "
-            f"at {lambda_nm} nm"
-        )
-    return (2.0 * np.pi / lambda_nm) * fiber.radius_nm * np.sqrt(n_co**2 - n_cl**2)
-
-
 def _he11_residual(neff, n_co, n_cl, ka):
     """Pole-free residual of the order-1 vector eigenvalue equation.
 
@@ -84,68 +73,74 @@ def _he11_residual(neff, n_co, n_cl, ka):
     return (j1p + b * uj1) * (j1p + rho * b * uj1) - (r * uj1) ** 2
 
 
-def _solve_he11(n_co: float, n_cl: float, ka: float) -> float:
+def bisect(f, a, b):
+    """Elementwise root of a vectorised f between arrays a and b.
+
+    f(a) and f(b) differ in sign elementwise (zero counts as either sign).
+    Halving stops when no midpoint differs from its bracket ends, so each
+    bracket is closed to one ulp.
+    """
+    sign_a = np.sign(f(a))
+    while True:
+        m = 0.5 * (a + b)
+        if not np.any((m != a) & (m != b)):
+            return m
+        right = np.sign(f(m)) == sign_a
+        a, b = np.where(right, m, a), np.where(right, b, m)
+
+
+def _solve_he11(n_co, n_cl, ka):
+    """HE11 indices for arrays of core and cladding indices and of k a."""
     span = n_co - n_cl
-    lo = n_cl + _EDGE_INSET * span
-    hi = n_co - _EDGE_INSET * span
-    grid = np.linspace(lo, hi, _GRID_POINTS)
-    vals = _he11_residual(grid, n_co, n_cl, ka)
+    grid = np.linspace(
+        n_cl + _EDGE_INSET * span, n_co - _EDGE_INSET * span, _GRID_POINTS, axis=-1
+    )
+    vals = _he11_residual(grid, n_co[:, None], n_cl[:, None], ka[:, None])
     if not np.all(np.isfinite(vals)):
         raise ModeSolveError("characteristic function not finite on search grid")
-    sign_flip = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    if sign_flip.size == 0:
+    flips = np.diff(np.sign(vals), axis=1) != 0
+    if not np.all(np.any(flips, axis=1)):
         raise ModeSolveError(
             "no root of the HE11 characteristic equation found; geometry may "
             "not guide at this wavelength"
         )
-    # Fundamental mode: the root with the largest effective index.
-    i = sign_flip[-1]
-    return brentq(
-        _he11_residual,
-        grid[i],
-        grid[i + 1],
-        args=(n_co, n_cl, ka),
-        xtol=1e-15,
-        rtol=8.9e-16,
+    i = _GRID_POINTS - 2 - np.argmax(flips[:, ::-1], axis=1)
+    rows = np.arange(grid.shape[0])
+    return bisect(
+        lambda n: _he11_residual(n, n_co, n_cl, ka), grid[rows, i], grid[rows, i + 1]
     )
 
 
 def effective_index(fiber: FiberSpec, lambda_nm):
     """HE11 effective index at vacuum wavelength(s) in nm.
 
-    Accepts a scalar or array; each wavelength is solved independently to
-    machine precision.  Raises ModeSolveError if no guided root exists and
+    Accepts a scalar or array; each wavelength is solved to machine
+    precision.  Raises ModeSolveError if no guided root exists and
     ConfigError if the core index does not exceed the cladding index.
     """
     lam = np.asarray(lambda_nm, dtype=float)
     scalar = lam.ndim == 0
     lam = np.atleast_1d(lam)
-    out = np.empty_like(lam)
-    for idx, lam_i in enumerate(lam):
-        n_co = float(refractive_index(fiber.core, lam_i))
-        n_cl = float(refractive_index(fiber.cladding, lam_i))
-        if n_co == n_cl:
-            # Homogeneous medium: plane-wave propagation.
-            out[idx] = n_co
-            continue
-        if n_co < n_cl:
-            raise ConfigError(
-                f"core index {n_co:.6f} below cladding index {n_cl:.6f} at "
-                f"{lam_i} nm"
-            )
-        ka = (2.0 * np.pi / lam_i) * fiber.radius_nm
-        out[idx] = _solve_he11(n_co, n_cl, ka)
+    n_co = refractive_index(fiber.core, lam)
+    n_cl = refractive_index(fiber.cladding, lam)
+    inverted = np.nonzero(n_co < n_cl)[0]
+    if inverted.size:
+        j = inverted[0]
+        raise ConfigError(
+            f"core index {n_co[j]:.6f} below cladding index {n_cl[j]:.6f} at "
+            f"{lam[j]} nm"
+        )
+    # Equal indices mean a homogeneous medium: plane-wave propagation.
+    out = n_co.copy()
+    guided = n_co > n_cl
+    if np.any(guided):
+        ka = (2.0 * np.pi / lam[guided]) * fiber.radius_nm
+        out[guided] = _solve_he11(n_co[guided], n_cl[guided], ka)
     return out[0] if scalar else out
 
 
-def propagation_constant(fiber: FiberSpec, lambda_nm):
-    """HE11 propagation constant k = n_eff omega / c in rad/nm."""
-    lam = np.asarray(lambda_nm, dtype=float)
-    return effective_index(fiber, lambda_nm) * 2.0 * np.pi / lam
-
-
 def propagation_constant_from_omega(fiber: FiberSpec, omega):
-    """Same as propagation_constant but parametrised by omega in rad/fs."""
+    """HE11 propagation constant k = n_eff omega / c in rad/nm at omega in rad/fs."""
     om = np.asarray(omega, dtype=float)
     lam = 2.0 * np.pi * c_nm_fs / om
     return effective_index(fiber, lam) * om / c_nm_fs

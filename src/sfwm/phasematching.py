@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
-from .dispersion import DispersionProfile
-from .errors import ConfigError, EvaluationError
+from .dispersion import DispersionProfile, sign_change_roots
+from .errors import ConfigError, EvaluationError, RangeError
 from .units import nonlinear_mismatch
-
-_MAP_KINDS = ("mismatch", "spectrum")
 
 
 def sinc_phase(y):
@@ -55,19 +54,45 @@ def delta_k_cw(
     )
 
 
+def matched_detunings(
+    profile: DispersionProfile,
+    omega_p: float,
+    detuning_max: float,
+    gamma: float = 0.0,
+    power: float = 0.0,
+) -> np.ndarray:
+    """Half-separations in (0, detuning_max) where delta_k_cw changes sign.
+
+    With a_j the power coefficients of the proxy re-expanded in
+    u = (omega - omega_p) / h, the mismatch is exactly the polynomial
+    -2 gamma P - 2 sum_{m >= 1} a_{2m} s^m in s = (delta / h)^2, so its
+    roots come without a scan, a trivial root at delta = 0 or cancelling
+    k values.  Ascending, in rad/fs.  Both sidebands at detuning_max must
+    lie in the profile's query window.
+    """
+    lo, hi = profile.query_window
+    if omega_p - detuning_max < lo or omega_p + detuning_max > hi:
+        raise RangeError(
+            f"detunings up to {detuning_max:.6g} rad/fs leave the query window"
+        )
+    h = 0.5 * (profile.window[1] - profile.window[0])
+    taylor = profile.fit.convert(domain=(omega_p - h, omega_p + h), kind=Polynomial)
+    gp = nonlinear_mismatch(gamma, power)
+    mismatch = Polynomial(np.append(-2.0 * gp, -2.0 * taylor.coef[2::2]))
+    return h * np.sqrt(sign_change_roots(mismatch, 0.0, (detuning_max / h) ** 2))
+
+
 @dataclass(frozen=True)
 class PmMap:
-    """Sampled map over pump frequency (columns) and half-separation (rows).
+    """Mismatch delta_k (rad/nm) over pump frequency and half-separation.
 
-    values[i, j] belongs to pump_axis[j], detuning_axis[i].  kind is
-    "mismatch" (delta_k in rad/nm) or "spectrum" (sinc^2(L delta_k / 2),
-    dimensionless in [0, 1]).
+    values[i, j] belongs to pump_axis[j] (columns) and detuning_axis[i]
+    (rows).
     """
 
     pump_axis: np.ndarray
     detuning_axis: np.ndarray
     values: np.ndarray
-    kind: str
 
     def __post_init__(self):
         if self.values.shape != (self.detuning_axis.size, self.pump_axis.size):
@@ -75,8 +100,6 @@ class PmMap:
                 f"map shape {self.values.shape} does not match axes "
                 f"({self.detuning_axis.size}, {self.pump_axis.size})"
             )
-        if self.kind not in _MAP_KINDS:
-            raise ConfigError(f"map kind must be one of {_MAP_KINDS}")
 
 
 def pm_map(
@@ -85,26 +108,18 @@ def pm_map(
     detuning_axis,
     gamma: float = 0.0,
     power: float = 0.0,
-    kind: str = "mismatch",
-    length_nm: float | None = None,
 ) -> PmMap:
-    """Evaluate the mismatch (or its sinc^2 spectrum) on a rectangular grid.
+    """Evaluate the mismatch on a rectangular grid.
 
     Every sampled sideband omega_p +/- delta must lie inside the profile's
     query window; choose the axes accordingly.
     """
     pump_axis = np.asarray(pump_axis, dtype=float)
     detuning_axis = np.asarray(detuning_axis, dtype=float)
-    if kind not in _MAP_KINDS:
-        raise ConfigError(f"map kind must be one of {_MAP_KINDS}")
     op = pump_axis[np.newaxis, :]
     dd = detuning_axis[:, np.newaxis]
     values = delta_k_cw(profile, op, dd, gamma=gamma, power=power)
-    if kind == "spectrum":
-        if length_nm is None or length_nm <= 0:
-            raise ConfigError("spectrum maps need a positive fibre length")
-        values = np.abs(sinc_phase(length_nm * values)) ** 2
-    return PmMap(pump_axis=pump_axis, detuning_axis=detuning_axis, values=values, kind=kind)
+    return PmMap(pump_axis=pump_axis, detuning_axis=detuning_axis, values=values)
 
 
 @dataclass(frozen=True)

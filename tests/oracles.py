@@ -3,7 +3,8 @@
 Everything here is written against textbook formulas with none of the
 package's numerics shared, so agreement is meaningful: a scalar weak-guidance
 mode solver, a brute-force quadrature for the pair-generation pump integral,
-and a symbolic zero-dispersion solve for bulk silica.
+a symbolic zero-dispersion solve for bulk silica and a 50-digit root of the
+phase mismatch on a Chebyshev proxy.
 """
 
 import math
@@ -88,3 +89,31 @@ def bulk_silica_zdw_sympy():
     d2 = sp.diff(n, lam, 2)
     root = sp.nsolve(d2, lam, sp.Rational("1.27"), prec=30)
     return float(root) * 1000.0  # nm
+
+
+def proxy_mismatch_root(fit, omega_p, gamma_p, delta0):
+    """Root near delta0 of 2 k(w_p) - k(w_p + d) - k(w_p - d) - 2 gamma P.
+
+    k is the Chebyshev series `fit` (numpy coefficients and domain), summed
+    by Clenshaw's recurrence in 50-digit arithmetic, so the cancellation of
+    the k values costs nothing.  gamma_p is gamma P in rad/nm.
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        a, b = (mp.mpf(float(x)) for x in fit.domain)
+        coef = [mp.mpf(float(c)) for c in fit.coef]
+
+        def k(omega):
+            x = (2 * omega - (a + b)) / (b - a)
+            b1 = b2 = mp.mpf(0)
+            for c in coef[:0:-1]:
+                b1, b2 = 2 * x * b1 - b2 + c, b1
+            return x * b1 - b2 + coef[0]
+
+        op = mp.mpf(float(omega_p))
+
+        def mismatch(d):
+            return 2 * k(op) - k(op + d) - k(op - d) - 2 * mp.mpf(float(gamma_p))
+
+        return float(mp.findroot(mismatch, mp.mpf(float(delta0))))

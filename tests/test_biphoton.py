@@ -12,6 +12,7 @@ from sfwm.biphoton import (
 from sfwm.dispersion import TauSet, tau_coefficients
 from sfwm.errors import ConfigError, EvaluationError
 from sfwm.phasematching import delta_k_cw, sinc_phase
+from sfwm.units import omega_from_wavelength, pump_sigma_from_fwhm
 
 from oracles import pair_integral_quadrature
 from synthetic import hermite_polynomial_profile, quadratic_profile
@@ -70,7 +71,11 @@ def test_phi_vectorized_matches_scalar():
 
 
 def test_pump_spec():
-    pump = PumpSpec.from_wavelength(628.5, 6.29, power=9.0)
+    pump = PumpSpec(
+        omega_p=omega_from_wavelength(628.5),
+        sigma=pump_sigma_from_fwhm(6.29, 628.5),
+        power=9.0,
+    )
     assert pump.power == 9.0
     assert pump.sigma == pytest.approx(0.018013, rel=1e-4)
     assert pump.amplitude(pump.omega_p) == 1.0
@@ -83,7 +88,7 @@ def test_pump_spec():
 # -------------------------------------------------------------------- JsaGrid
 
 
-def test_jsa_grid_normalize_and_marginals():
+def test_jsa_grid_normalize():
     s_axis = np.linspace(-1.0, 1.0, 101)
     i_axis = np.linspace(-1.0, 1.0, 101)
     amp = np.exp(-(s_axis[:, None] ** 2) - i_axis[None, :] ** 2).astype(complex)
@@ -92,11 +97,23 @@ def test_jsa_grid_normalize_and_marginals():
     assert norm.normalized
     total = np.sum(norm.intensity()) * norm.d_signal * norm.d_idler
     assert total == pytest.approx(1.0, rel=1e-12)
-    ms, mi = norm.marginals()
-    assert np.sum(ms) * norm.d_signal == pytest.approx(1.0, rel=1e-12)
-    assert np.sum(mi) * norm.d_idler == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ConfigError):
         JsaGrid(signal_axis=s_axis, idler_axis=i_axis, amplitude=amp[:50])
+
+
+def test_jsa_grid_rejects_unequal_steps():
+    # Cell areas use the mean step, so a stretched axis would bias the norm
+    # and the Schmidt weights without any error.
+    axis = np.linspace(-1.0, 1.0, 101)
+    amp = np.exp(-(axis[:, None] ** 2) - axis[None, :] ** 2).astype(complex)
+    stretched = np.sinh(axis)
+    with pytest.raises(ConfigError, match="signal axis is not equally spaced"):
+        JsaGrid(signal_axis=stretched, idler_axis=axis, amplitude=amp)
+    with pytest.raises(ConfigError, match="idler axis is not equally spaced"):
+        JsaGrid(signal_axis=axis, idler_axis=stretched, amplitude=amp)
+    nudged = axis.copy()
+    nudged[50] += 1e-9 * (axis[1] - axis[0])  # far below the 1e-6 bound
+    JsaGrid(signal_axis=nudged, idler_axis=nudged[::-1], amplitude=amp)
 
 
 # ----------------------------------------------------------------- analytic JSA

@@ -1,8 +1,11 @@
 """End-to-end runs of the command-line interface on small grids."""
 
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,3 +198,34 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "sfwm" in result.stdout
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # Every root search runs on numpy polynomials or by bisection, so a CLI
+    # process never pays for importing scipy.optimize.
+    src = os.path.dirname(os.path.dirname(sfwm.__file__))
+    code = "import sys, sfwm.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_benchmark_hooks_find_every_target():
+    # perfbench/trace_cmd.py patches library names given as strings; one that
+    # no longer resolves reads as a missing per-layer metric.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_cmd.py"
+    spec = importlib.util.spec_from_file_location("trace_cmd", path)
+    trace_cmd = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_cmd)
+    undo, missing = trace_cmd.install(trace_cmd.Recorder())
+    try:
+        assert missing == []
+    finally:
+        for ns, key, original in undo:
+            setattr(ns, key, original)
+    assert "nodes" in inspect.signature(sfwm.biphoton.jsa_numeric).parameters

@@ -17,6 +17,9 @@ from sfwm.config import (
 from sfwm.errors import ConfigError, EvaluationError
 from sfwm.materials import ConstantIndex, ScaledIndex, SellmeierModel
 from sfwm.phasematching import delta_k_cw
+from sfwm.units import nonlinear_mismatch
+
+from oracles import proxy_mismatch_root
 
 MINIMAL = """
 [fiber]
@@ -289,7 +292,7 @@ def _mismatch(config, profile, wp, delta):
 
 
 def _scan_roots(config, profile, wp):
-    """Sign changes of the mismatch on a grid five times finer than the search's."""
+    """Sign changes of the mismatch on a fine grid, independent of the search."""
     grid = np.linspace(1e-3, config.detuning_max, 20001)
     vals = delta_k_cw(profile, wp.pump.omega_p, grid, gamma=config.gamma, power=wp.pump.power)
     return grid[np.nonzero(np.diff(np.sign(vals)) != 0)[0]]
@@ -320,8 +323,8 @@ def test_working_point_below_critical_takes_root_nearest_match(profile_1644, mon
     assert roots.size == 2  # the loop crosses the pump line twice
     nearest = min(roots, key=lambda d: abs(d - wp.pump.gvm.delta))
     assert wp.delta == pytest.approx(nearest, abs=1e-5)
-    # Root precision: brentq's 2e-12 rad/fs bracket times the slope, plus the
-    # roundoff of forming 2 k_p - k_s - k_i from k values of ~6e-3 rad/nm.
+    # Root precision: 1e-11 rad/fs times the slope, plus the roundoff of
+    # forming 2 k_p - k_s - k_i here from k values of ~6e-3 rad/nm.
     h = 1e-6
     slope = (
         _mismatch(config, profile_1644, wp, wp.delta + h)
@@ -353,7 +356,26 @@ def test_working_point_without_sign_change_raises(profile_1644):
 
 
 def test_working_point_detuning_below_scan_floor(profile_1644):
+    # A window far smaller than the scan step needs no special case: it ends
+    # before the loop like any other window without a root.
     text = MINIMAL.replace("auto-gvm", "1540").replace("auto-critical", "0.7")
     config = parse_config(text + "detuning_max_rad_fs = 1e-4\n")
-    with pytest.raises(ConfigError, match="too small to scan"):
+    with pytest.raises(EvaluationError, match="no phase-matched"):
         working_point(config, profile_1644)
+
+
+@pytest.mark.parametrize(
+    "wavelength, power",
+    [
+        ("auto-gvm", "auto-critical:0.5"),
+        ("auto-gvm", "auto-critical:0.9"),
+        ("1540", "0.7"),
+    ],
+)
+def test_working_point_matches_oracle_root(profile_1644, wavelength, power):
+    text = MINIMAL.replace("auto-gvm", wavelength).replace("auto-critical", power)
+    config = parse_config(text)
+    wp = working_point(config, profile_1644)
+    gp = nonlinear_mismatch(config.gamma, wp.pump.power)
+    root = proxy_mismatch_root(profile_1644.fit, wp.pump.omega_p, gp, wp.delta)
+    assert wp.delta == pytest.approx(root, rel=1e-12)

@@ -121,6 +121,21 @@ def test_fgvm_group_velocities_equal(profile_1644):
     assert k1(p.omega_i, 1) == pytest.approx(k1(p.omega_p, 1), abs=1e-12)
 
 
+def test_fgvm_three_matches_frozen(profile_1652):
+    # The 1.652 um strand matches at three pumps.  The middle match puts its
+    # idler below the first zero-dispersion frequency and its signal above
+    # the third, so it pairs non-adjacent monotone pieces of k'.
+    pts = [p for p in find_fgvm_points(profile_1652) if p.delta > 0]
+    expected = [(0.99581, 0.21449), (1.10500, 0.32930), (1.20067, 0.19999)]
+    assert len(pts) == len(expected)
+    k1 = profile_1652.k_derivative
+    for p, (omega_p, delta) in zip(pts, expected):
+        assert p.omega_p == pytest.approx(omega_p, abs=1e-5)
+        assert p.delta == pytest.approx(delta, abs=1e-5)
+        assert k1(p.omega_s, 1) == pytest.approx(k1(p.omega_p, 1), rel=0, abs=1e-12)
+        assert k1(p.omega_i, 1) == pytest.approx(k1(p.omega_p, 1), rel=0, abs=1e-12)
+
+
 def test_fgvm_bismuth_frozen(profile_bismuth):
     pts = [p for p in find_fgvm_points(profile_bismuth) if p.delta > 0]
     assert len(pts) == 1

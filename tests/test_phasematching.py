@@ -3,19 +3,22 @@ import pytest
 from scipy.optimize import brentq
 
 from sfwm.dispersion import find_fgvm_points
-from sfwm.errors import ConfigError, EvaluationError
+from sfwm.errors import ConfigError, EvaluationError, RangeError
 from sfwm.phasematching import (
     PmMap,
     critical_power,
     delta_k_cw,
     fwhm,
     half_max_crossings,
+    matched_detunings,
     mi_sideband_detuning,
     pm_map,
     sinc_phase,
     singles_spectrum,
     trace_contours,
 )
+
+from synthetic import quadratic_profile
 
 GAMMA = 70.0
 
@@ -58,20 +61,14 @@ def test_delta_k_power_linearity(profile_1644):
     assert base - shifted == pytest.approx(2.0 * GAMMA * 0.5 * 1e-12, rel=1e-12)
 
 
-def test_map_shape_and_kinds(profile_1644):
+def test_map_shape(profile_1644):
     pump = np.linspace(1.19, 1.23, 11)
     det = np.linspace(-0.08, 0.08, 7)
     m = pm_map(profile_1644, pump, det)
     assert m.values.shape == (7, 11)
-    assert m.kind == "mismatch"
-    s = pm_map(profile_1644, pump, det, kind="spectrum", length_nm=5e8)
-    assert np.all(s.values >= 0.0) and np.all(s.values <= 1.0)
+    assert m.values[3, 5] == delta_k_cw(profile_1644, pump[5], det[3])
     with pytest.raises(ConfigError):
-        pm_map(profile_1644, pump, det, kind="spectrum")
-    with pytest.raises(ConfigError):
-        pm_map(profile_1644, pump, det, kind="nonsense")
-    with pytest.raises(ConfigError):
-        PmMap(pump_axis=pump, detuning_axis=det, values=np.zeros((3, 3)), kind="mismatch")
+        PmMap(pump_axis=pump, detuning_axis=det, values=np.zeros((3, 3)))
 
 
 def test_circle_contour_accuracy():
@@ -81,7 +78,7 @@ def test_circle_contour_accuracy():
     y = np.linspace(-2.0, 2.0, 101)
     xx, yy = np.meshgrid(x, y)
     values = 1.0 - (xx**2 + yy**2)  # level 0 is the unit circle
-    m = PmMap(pump_axis=x, detuning_axis=y, values=values, kind="mismatch")
+    m = PmMap(pump_axis=x, detuning_axis=y, values=values)
     contours = trace_contours(m)
     assert len(contours) == 1
     c = contours[0]
@@ -96,7 +93,7 @@ def test_open_contour_hits_boundary():
     x = np.linspace(0.0, 1.0, 21)
     y = np.linspace(0.0, 1.0, 21)
     xx, yy = np.meshgrid(x, y)
-    m = PmMap(pump_axis=x, detuning_axis=y, values=yy - xx, kind="mismatch")
+    m = PmMap(pump_axis=x, detuning_axis=y, values=yy - xx)
     contours = trace_contours(m)
     assert len(contours) == 1
     c = contours[0]
@@ -113,7 +110,7 @@ def test_saddle_disambiguation():
     x = np.array([0.0, 1.0])
     y = np.array([0.0, 1.0])
     values = np.array([[1.0, -0.8], [-0.8, 1.0]])
-    m = PmMap(pump_axis=x, detuning_axis=y, values=values, kind="mismatch")
+    m = PmMap(pump_axis=x, detuning_axis=y, values=values)
     contours = trace_contours(m)
     assert len(contours) == 2
     assert all(not c.closed and len(c.points) == 2 for c in contours)
@@ -184,6 +181,30 @@ def test_mi_detuning_against_matched_sideband(profile_1644, gvm_point):
     assert mi == pytest.approx(d_match, rel=0.10)
 
 
+def test_matched_detunings_quadratic_exact():
+    # Constant anomalous curvature: delta_k = -k'' delta^2 - 2 gamma P has the
+    # single root sqrt(2 gamma P / |k''|), the modulation-instability detuning.
+    prof, _ = quadratic_profile(1.2, 0.06, 1e6, tau_p2=-60.0)
+    expected = mi_sideband_detuning(prof, 1.2, GAMMA, 0.5)
+    assert matched_detunings(prof, 1.2, 0.08, GAMMA, 0.5) == pytest.approx(
+        [expected], rel=1e-12
+    )
+    assert matched_detunings(prof, 1.2, 0.5 * expected, GAMMA, 0.5).size == 0
+    with pytest.raises(RangeError):
+        matched_detunings(prof, 1.2, 0.09, GAMMA, 0.5)
+
+
+def test_matched_detunings_cross_the_loop(profile_1644, gvm_point, p_star):
+    # Half the critical power: the pump line crosses the closed loop twice.
+    power = 0.5 * p_star
+    roots = matched_detunings(profile_1644, gvm_point.omega_p, 0.12, GAMMA, power)
+    grid = np.linspace(1e-3, 0.12, 20001)
+    vals = delta_k_cw(profile_1644, gvm_point.omega_p, grid, GAMMA, power)
+    flips = grid[np.nonzero(np.diff(np.sign(vals)) != 0)[0]]
+    assert roots == pytest.approx(flips, abs=1e-5)
+    assert roots[0] < gvm_point.delta < roots[1]
+
+
 def test_mi_detuning_requires_anomalous(profile_1644, profile_1652):
     # Normal-dispersion pump: no MI sidebands.
     with pytest.raises(EvaluationError):
@@ -211,9 +232,10 @@ def test_singles_peak_at_matched_detuning(profile_1644, gvm_point, p_star):
 def test_singles_matches_spectrum_map(profile_1644):
     op = 1.2136
     det = np.linspace(0.01, 0.1, 50)
-    m = pm_map(profile_1644, np.array([op]), det, GAMMA, 0.5, kind="spectrum", length_nm=5e8)
+    m = pm_map(profile_1644, np.array([op]), det, GAMMA, 0.5)
     s = singles_spectrum(profile_1644, op, op + det, 5e8, GAMMA, 0.5)
-    assert np.allclose(m.values[:, 0], s, rtol=0, atol=1e-14)
+    expected = np.abs(sinc_phase(5e8 * m.values[:, 0])) ** 2
+    assert np.allclose(expected, s, rtol=0, atol=1e-14)
 
 
 def test_fwhm_gaussian():
