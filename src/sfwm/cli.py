@@ -232,13 +232,7 @@ def _working_point_echo(wp: WorkingPoint) -> list[tuple[str, str]]:
 def _numeric_jsa(config: RunConfig, profile, wp: WorkingPoint, points: int):
     s_axis, i_axis = wp.axes(config.jsa_span, points)
     return jsa_numeric(
-        profile,
-        wp.pump_spec(),
-        s_axis,
-        i_axis,
-        config.length_nm,
-        gamma=config.gamma,
-        nodes=config.jsa_nodes,
+        profile, wp.pump_spec(), s_axis, i_axis, config.length_nm, gamma=config.gamma
     )
 
 
@@ -248,12 +242,9 @@ def _cmd_jsa(args, config: RunConfig, profile) -> int:
 
     lines = _header("jsa", args, config, _working_point_echo(wp))
     lines.append("omega_s_rad_fs,omega_i_rad_fs,re_amplitude,im_amplitude")
-    for m, om_s in enumerate(jsa.signal_axis):
-        row = jsa.amplitude[m]
-        for n, om_i in enumerate(jsa.idler_axis):
-            lines.append(
-                ",".join([_f(om_s), _f(om_i), _f(row[n].real), _f(row[n].imag)])
-            )
+    om_s, om_i = np.meshgrid(jsa.signal_axis, jsa.idler_axis, indexing="ij")
+    rows = zip(*(c.ravel() for c in (om_s, om_i, jsa.amplitude.real, jsa.amplitude.imag)))
+    lines.extend("%.9g,%.9g,%.9g,%.9g" % row for row in rows)
     _write(args, config, "jsa.csv", lines)
 
     peak = np.unravel_index(np.argmax(jsa.intensity()), jsa.amplitude.shape)

@@ -24,20 +24,18 @@ from .modes import FiberSpec
 from .phasematching import critical_power, matched_detunings
 from .units import omega_from_wavelength, pump_sigma_from_fwhm, wavelength_from_omega
 
+# The (required, optional) options of each section; [material NAME] sections
+# share the "material" entry.  Any other option is rejected.
+_OPTIONS = {
+    "fiber": ("core cladding radius_um length_m gamma_w_km", ""),
+    "pump": ("wavelength_nm fwhm_nm power_w", "powers_w"),
+    "grids": ("window_nm", "samples degree map_points detuning_max_rad_fs "
+              "spectrum_points jsa_points jsa_span_rad_fs purity_points"),
+    "outputs": ("", "directory"),
+    "material": ("", "kind value b c range_nm approximate"),
+}
 # Checked in order; an empty or absent option fails naming the first gap.
-_REQUIRED = (
-    ("fiber", "core"),
-    ("fiber", "cladding"),
-    ("fiber", "radius_um"),
-    ("fiber", "length_m"),
-    ("fiber", "gamma_w_km"),
-    ("pump", "wavelength_nm"),
-    ("pump", "fwhm_nm"),
-    ("pump", "power_w"),
-    ("grids", "window_nm"),
-)
-
-_KNOWN_SECTIONS = ("fiber", "pump", "grids", "outputs")
+_REQUIRED = [(sec, opt) for sec, (req, _) in _OPTIONS.items() for opt in req.split()]
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,6 @@ class RunConfig:
     spectrum_points: int = 2001
     jsa_points: int = 256
     jsa_span: float = 0.03
-    jsa_nodes: int = 201
     purity_points: int = 512
     out_dir: str = "."
     materials: dict[str, Material] = field(default_factory=dict)
@@ -153,7 +150,6 @@ class RunConfig:
             ("grids.spectrum_points", str(self.spectrum_points)),
             ("grids.jsa_points", str(self.jsa_points)),
             ("grids.jsa_span_rad_fs", f"{self.jsa_span:.9g}"),
-            ("grids.jsa_nodes", str(self.jsa_nodes)),
             ("grids.purity_points", str(self.purity_points)),
         ]
         for name in sorted(self.materials):
@@ -230,7 +226,7 @@ def _int_opt(cp, section: str, option: str, default: int, minimum: int = 2) -> i
     return value
 
 
-def _float_opt(cp, section: str, option: str, default: float) -> float:
+def _positive(cp, section: str, option: str, default: float | None = None) -> float:
     if not cp.has_option(section, option):
         return default
     value = _float(cp, section, option)
@@ -239,12 +235,22 @@ def _float_opt(cp, section: str, option: str, default: float) -> float:
     return value
 
 
+def _check_names(cp):
+    """Reject unknown sections and options, so a typo never falls back silently."""
+    for section in cp.sections():
+        key = "material" if section.startswith("material") else section
+        if key not in _OPTIONS:
+            raise ConfigError(f"unknown config section [{section}]")
+        known = " ".join(_OPTIONS[key]).split()
+        for option in cp.options(section):
+            if option not in known:
+                raise ConfigError(f"unknown config option {section}.{option}")
+
+
 def _custom_materials(cp) -> dict[str, Material]:
     out: dict[str, Material] = {}
     for section in cp.sections():
         if not section.startswith("material"):
-            if section not in _KNOWN_SECTIONS:
-                raise ConfigError(f"unknown config section [{section}]")
             continue
         parts = section.split(None, 1)
         if len(parts) != 2 or not parts[1].strip():
@@ -294,25 +300,20 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
 
+    _check_names(cp)
     for section, option in _REQUIRED:
         if not cp.has_option(section, option) or not cp.get(section, option).strip():
             raise ConfigError(f"config missing required field {section}.{option}")
 
     materials = _custom_materials(cp)
 
-    radius_um = _float(cp, "fiber", "radius_um")
-    if radius_um <= 0:
-        raise ConfigError(f"fiber.radius_um must be positive, got {radius_um}")
-    length_m = _float(cp, "fiber", "length_m")
-    if length_m <= 0:
-        raise ConfigError(f"fiber.length_m must be positive, got {length_m}")
+    radius_um = _positive(cp, "fiber", "radius_um")
+    length_m = _positive(cp, "fiber", "length_m")
     gamma = _float(cp, "fiber", "gamma_w_km")
     if gamma < 0:
         raise ConfigError(f"fiber.gamma_w_km must be nonnegative, got {gamma}")
 
-    fwhm_nm = _float(cp, "pump", "fwhm_nm")
-    if fwhm_nm <= 0:
-        raise ConfigError(f"pump.fwhm_nm must be positive, got {fwhm_nm}")
+    fwhm_nm = _positive(cp, "pump", "fwhm_nm")
     power = _parse_power(cp.get("pump", "power_w"))
     if cp.has_option("pump", "powers_w"):
         tokens = cp.get("pump", "powers_w").split()
@@ -340,11 +341,10 @@ def parse_config(text: str) -> RunConfig:
         samples=_int_opt(cp, "grids", "samples", 200, minimum=20),
         degree=_int_opt(cp, "grids", "degree", 16, minimum=4),
         map_points=_int_opt(cp, "grids", "map_points", 256),
-        detuning_max=_float_opt(cp, "grids", "detuning_max_rad_fs", 0.1),
+        detuning_max=_positive(cp, "grids", "detuning_max_rad_fs", 0.1),
         spectrum_points=_int_opt(cp, "grids", "spectrum_points", 2001),
         jsa_points=_int_opt(cp, "grids", "jsa_points", 256),
-        jsa_span=_float_opt(cp, "grids", "jsa_span_rad_fs", 0.03),
-        jsa_nodes=_int_opt(cp, "grids", "jsa_nodes", 201, minimum=9),
+        jsa_span=_positive(cp, "grids", "jsa_span_rad_fs", 0.03),
         purity_points=_int_opt(cp, "grids", "purity_points", 512),
         out_dir=cp.get("outputs", "directory", fallback=".").strip() or ".",
         materials=materials,

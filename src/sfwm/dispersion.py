@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from numpy.polynomial import Chebyshev
+from numpy.polynomial import Chebyshev, Polynomial
 
 from .errors import ConfigError, EvaluationError, RangeError
 from .modes import FiberSpec, bisect, propagation_constant_from_omega
@@ -68,7 +68,8 @@ class DispersionProfile:
         inset = _QUERY_INSET * (hi - lo)
         return (lo + inset, hi - inset)
 
-    def _check(self, omega):
+    def check_window(self, omega):
+        """Raise RangeError unless every omega lies in query_window."""
         lo, hi = self.query_window
         slack = 1e-9 * (hi - lo)
         if np.any(omega < lo - slack) or np.any(omega > hi + slack):
@@ -81,7 +82,7 @@ class DispersionProfile:
         if not 0 <= order <= 3:
             raise ConfigError(f"derivative order must be 0..3, got {order}")
         om = np.asarray(omega, dtype=float)
-        self._check(om)
+        self.check_window(om)
         val = self._derivs[order](om)
         return float(val) if om.ndim == 0 else val
 
@@ -109,6 +110,34 @@ def build_profile(
     omega = np.linspace(om_lo, om_hi, samples)
     k = propagation_constant_from_omega(fiber, omega)
     return DispersionProfile.from_samples(omega, k, degree=degree)
+
+
+def pump_taylor(profile: DispersionProfile, omega_p: float) -> tuple[Polynomial, float]:
+    """Power series p and scale h with k(omega) = k(omega_p) + p((omega - omega_p) / h).
+
+    The proxy re-expanded exactly about the pump over its half window h, so
+    differences of k formed from p never subtract the ~1e-2 rad/nm of k.
+    """
+    h = 0.5 * (profile.window[1] - profile.window[0])
+    taylor = profile.fit.convert(domain=(omega_p - h, omega_p + h), kind=Polynomial)
+    return Polynomial(np.append(0.0, taylor.coef[1:])), h
+
+
+def pair_mismatch(
+    profile: DispersionProfile, omega_p: float, detuning: float, gp: float = 0.0
+) -> tuple[Polynomial, float]:
+    """The CW mismatch at omega_p as a polynomial in s = (delta / h)^2, and h.
+
+    2 k(omega_p) - k(omega_p + delta) - k(omega_p - delta) - 2 gp is exactly
+    -2 gp - 2 sum_{m >= 1} a_{2m} s^m, with a_j the coefficients of
+    `pump_taylor` and gp = gamma P in rad/nm.  Both sidebands at `detuning`
+    must lie in the query window.
+    """
+    lo, hi = profile.query_window
+    if omega_p - abs(detuning) < lo or omega_p + abs(detuning) > hi:
+        raise RangeError(f"detunings up to {detuning:.6g} rad/fs leave the query window")
+    p, h = pump_taylor(profile, omega_p)
+    return Polynomial(np.append(-2.0 * gp, -2.0 * p.coef[2::2])), h
 
 
 def sign_change_roots(series, lo: float, hi: float) -> np.ndarray:
@@ -244,9 +273,11 @@ class TauSet:
 
     (same for the idler) plus the constant mismatch
 
-        delta_k0 = L [2 k(omega_p) - k(omega_s0) - k(omega_i0) - 2 gamma P]
+        delta_k0 = L [2 k(omega_p) - k(omega_p + d) - k(omega_p - d) - 2 gamma P]
 
-    in radians.  Together these determine the low-order phase mismatch
+    in radians, with d = (omega_s0 - omega_i0) / 2 (energy conservation puts
+    the pair symmetrically about the pump).  Together these determine the
+    low-order phase mismatch
 
         beta(nu_s, nu_i) = delta_k0 + tau_s1 nu_s + tau_i1 nu_i
                            + tau_s2 nu_s^2 + tau_i2 nu_i^2 + tau_p2 nu_s nu_i
@@ -296,12 +327,9 @@ def tau_coefficients(
     if length_nm <= 0:
         raise ConfigError(f"fibre length must be positive, got {length_nm}")
     k = profile.k_derivative
-    dk0 = length_nm * (
-        2.0 * k(omega_p)
-        - k(omega_s0)
-        - k(omega_i0)
-        - 2.0 * nonlinear_mismatch(gamma, power)
-    )
+    half = 0.5 * (omega_s0 - omega_i0)
+    mismatch, h = pair_mismatch(profile, omega_p, half, nonlinear_mismatch(gamma, power))
+    dk0 = length_nm * mismatch((half / h) ** 2)
     return TauSet(
         omega_p=omega_p,
         omega_s0=omega_s0,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .dispersion import DispersionProfile, sign_change_roots
+from .dispersion import DispersionProfile, pair_mismatch, sign_change_roots
 from .errors import ConfigError, EvaluationError, RangeError
 from .units import nonlinear_mismatch
 
@@ -63,22 +63,11 @@ def matched_detunings(
 ) -> np.ndarray:
     """Half-separations in (0, detuning_max) where delta_k_cw changes sign.
 
-    With a_j the power coefficients of the proxy re-expanded in
-    u = (omega - omega_p) / h, the mismatch is exactly the polynomial
-    -2 gamma P - 2 sum_{m >= 1} a_{2m} s^m in s = (delta / h)^2, so its
-    roots come without a scan, a trivial root at delta = 0 or cancelling
-    k values.  Ascending, in rad/fs.  Both sidebands at detuning_max must
-    lie in the profile's query window.
+    Roots of the polynomial of `pair_mismatch`: no scan, no trivial root at
+    delta = 0 and no cancelling k values.  Ascending, in rad/fs.
     """
-    lo, hi = profile.query_window
-    if omega_p - detuning_max < lo or omega_p + detuning_max > hi:
-        raise RangeError(
-            f"detunings up to {detuning_max:.6g} rad/fs leave the query window"
-        )
-    h = 0.5 * (profile.window[1] - profile.window[0])
-    taylor = profile.fit.convert(domain=(omega_p - h, omega_p + h), kind=Polynomial)
     gp = nonlinear_mismatch(gamma, power)
-    mismatch = Polynomial(np.append(-2.0 * gp, -2.0 * taylor.coef[2::2]))
+    mismatch, h = pair_mismatch(profile, omega_p, detuning_max, gp)
     return h * np.sqrt(sign_change_roots(mismatch, 0.0, (detuning_max / h) ** 2))
 
 
@@ -274,8 +263,8 @@ def critical_power(
     """
     if gamma <= 0:
         raise ConfigError(f"nonlinear parameter must be positive, got {gamma}")
-    dk_lin = float(delta_k_cw(profile, omega_p, delta))
-    return dk_lin / (2.0 * gamma * 1e-12)
+    mismatch, h = pair_mismatch(profile, omega_p, delta)
+    return float(mismatch((delta / h) ** 2)) / (2.0 * gamma * 1e-12)
 
 
 def mi_sideband_detuning(

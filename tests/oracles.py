@@ -91,29 +91,41 @@ def bulk_silica_zdw_sympy():
     return float(root) * 1000.0  # nm
 
 
-def proxy_mismatch_root(fit, omega_p, gamma_p, delta0):
-    """Root near delta0 of 2 k(w_p) - k(w_p + d) - k(w_p - d) - 2 gamma P.
+def _mp_mismatch(fit, omega_p, gamma_p):
+    """d -> 2 k(w_p) - k(w_p + d) - k(w_p - d) - 2 gamma P at the working precision.
 
     k is the Chebyshev series `fit` (numpy coefficients and domain), summed
-    by Clenshaw's recurrence in 50-digit arithmetic, so the cancellation of
+    by Clenshaw's recurrence in mpmath, so at 50 digits the cancellation of
     the k values costs nothing.  gamma_p is gamma P in rad/nm.
     """
     import mpmath as mp
 
+    a, b = (mp.mpf(float(x)) for x in fit.domain)
+    coef = [mp.mpf(float(c)) for c in fit.coef]
+
+    def k(omega):
+        x = (2 * omega - (a + b)) / (b - a)
+        b1 = b2 = mp.mpf(0)
+        for c in coef[:0:-1]:
+            b1, b2 = 2 * x * b1 - b2 + c, b1
+        return x * b1 - b2 + coef[0]
+
+    op = mp.mpf(float(omega_p))
+    return lambda d: 2 * k(op) - k(op + d) - k(op - d) - 2 * mp.mpf(float(gamma_p))
+
+
+def proxy_mismatch(fit, omega_p, gamma_p, delta):
+    """The mismatch of `_mp_mismatch` at half-separation delta, from 50 digits."""
+    import mpmath as mp
+
     with mp.workdps(50):
-        a, b = (mp.mpf(float(x)) for x in fit.domain)
-        coef = [mp.mpf(float(c)) for c in fit.coef]
+        return float(_mp_mismatch(fit, omega_p, gamma_p)(mp.mpf(float(delta))))
 
-        def k(omega):
-            x = (2 * omega - (a + b)) / (b - a)
-            b1 = b2 = mp.mpf(0)
-            for c in coef[:0:-1]:
-                b1, b2 = 2 * x * b1 - b2 + c, b1
-            return x * b1 - b2 + coef[0]
 
-        op = mp.mpf(float(omega_p))
+def proxy_mismatch_root(fit, omega_p, gamma_p, delta0):
+    """Root near delta0 of the mismatch of `_mp_mismatch`, found at 50 digits."""
+    import mpmath as mp
 
-        def mismatch(d):
-            return 2 * k(op) - k(op + d) - k(op - d) - 2 * mp.mpf(float(gamma_p))
-
+    with mp.workdps(50):
+        mismatch = _mp_mismatch(fit, omega_p, gamma_p)
         return float(mp.findroot(mismatch, mp.mpf(float(delta0))))

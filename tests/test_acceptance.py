@@ -133,7 +133,7 @@ def test_criterion_4_broadband_spectrum_across_pump_tuning(profile_1644):
     assert abs(crossing(1775.0, 1725.0) - 1750.0) <= 15.0
 
 
-def _model_vs_numeric(profile, expected, sigma, span, points=64, nodes=201):
+def _model_vs_numeric(profile, expected, sigma, span, points=64):
     tau = tau_coefficients(
         profile,
         expected["omega_p"],
@@ -149,9 +149,7 @@ def _model_vs_numeric(profile, expected, sigma, span, points=64, nodes=201):
         expected["omega_i0"] - span, expected["omega_i0"] + span, points
     )
     analytic = jsa_analytic(tau, pump, s_axis, i_axis)
-    numeric = jsa_numeric(
-        profile, pump, s_axis, i_axis, expected["length_nm"], nodes=nodes
-    )
+    numeric = jsa_numeric(profile, pump, s_axis, i_axis, expected["length_nm"])
     scale = np.abs(analytic.amplitude).max()
     return np.abs(analytic.amplitude - numeric.amplitude).max() / scale
 
@@ -163,9 +161,7 @@ def test_criterion_5_closed_form_matches_quadrature():
     # Globally quadratic k: the model is exact, and the long fibre puts the
     # pump-chirp parameter at order one so the Faddeeva branch is exercised.
     profile, expected = quadratic_profile(1.2, 0.06, 1.0e8, 2.0e4)
-    err_quadratic = _model_vs_numeric(
-        profile, expected, sigma=0.008, span=0.010, nodes=401
-    )
+    err_quadratic = _model_vs_numeric(profile, expected, sigma=0.008, span=0.010)
     assert err_quadratic < 0.05
 
     # Nine-condition interpolant with a mutually consistent walk-off set
@@ -236,9 +232,7 @@ def test_criterion_7_nanowire_heralded_purity_and_peak(profile_bismuth):
     span, points = 0.03, 256
     s_axis = np.linspace(gvm.omega_s - span, gvm.omega_s + span, points)
     i_axis = np.linspace(gvm.omega_i - span, gvm.omega_i + span, points)
-    jsa = jsa_numeric(
-        profile_bismuth, pump, s_axis, i_axis, 1.0e11, gamma=550.0, nodes=1601
-    )
+    jsa = jsa_numeric(profile_bismuth, pump, s_axis, i_axis, 1.0e11, gamma=550.0)
     result = schmidt_metrics(jsa)
     assert 0.83 <= result.purity <= 0.93
 

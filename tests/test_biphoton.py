@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
 
+from sfwm import biphoton
 from sfwm.biphoton import (
     JsaGrid,
     PumpSpec,
@@ -9,9 +11,9 @@ from sfwm.biphoton import (
     phi_function,
     schmidt_metrics,
 )
-from sfwm.dispersion import TauSet, tau_coefficients
+from sfwm.dispersion import DispersionProfile, TauSet, pump_taylor, tau_coefficients
 from sfwm.errors import ConfigError, EvaluationError
-from sfwm.phasematching import delta_k_cw, sinc_phase
+from sfwm.phasematching import sinc_phase
 from sfwm.units import omega_from_wavelength, pump_sigma_from_fwhm
 
 from oracles import pair_integral_quadrature
@@ -78,7 +80,6 @@ def test_pump_spec():
     )
     assert pump.power == 9.0
     assert pump.sigma == pytest.approx(0.018013, rel=1e-4)
-    assert pump.amplitude(pump.omega_p) == 1.0
     with pytest.raises(ConfigError):
         PumpSpec(omega_p=1.0, sigma=0.0)
     with pytest.raises(ConfigError):
@@ -211,8 +212,15 @@ def _cw_setup():
 
 
 def _cw_line(prof, signal):
-    """Monochromatic-pump amplitude along the energy-conservation line."""
-    return sinc_phase(1e6 * delta_k_cw(prof, 1.2, signal - 1.2))
+    """Monochromatic-pump amplitude along the energy-conservation line.
+
+    The mismatch comes from the proxy's Taylor series about the pump:
+    delta_k_cw cancels k values of ~5e-3 rad/nm, which leaves ~1e-12 rad of
+    noise in L delta_k, as much as the single-node test allows.
+    """
+    p, h = pump_taylor(prof, 1.2)
+    t = (signal - 1.2) / h
+    return sinc_phase(-1e6 * (p(t) + p(-t)))
 
 
 def test_jsa_numeric_single_node_equals_cw():
@@ -237,13 +245,66 @@ def test_jsa_numeric_cw_limit():
     assert np.max(np.abs(a - b)) < 0.01
 
 
-def test_jsa_numeric_convergence_guard():
-    # One node cannot represent a structured pump integral; the doubled-node
-    # check must catch it.
+def test_jsa_numeric_convergence_guard(monkeypatch):
+    # From one node the check grows the rule until the subgrid settles, and
+    # the result is the well-resolved integral.  Below what the case needs,
+    # the ceiling stops the growth with an error instead.
     prof, signal, idler = _cw_setup()
     pump = PumpSpec(omega_p=1.2, sigma=0.004)
-    with pytest.raises(EvaluationError):
+    grown = jsa_numeric(prof, pump, signal, idler, 1e6, nodes=1, check=True)
+    fine = jsa_numeric(prof, pump, signal, idler, 1e6, nodes=255, check=False)
+    assert np.max(np.abs(grown.amplitude - fine.amplitude)) < 1e-6 * np.max(
+        np.abs(fine.amplitude)
+    )
+    monkeypatch.setattr(biphoton, "_MAX_NODES", 3)
+    with pytest.raises(EvaluationError, match="not converged"):
         jsa_numeric(prof, pump, signal, idler, 1e6, nodes=1, check=True)
+
+
+def test_jsa_numeric_ignores_affine_part_of_k():
+    # Energy conservation cancels any A + B omega added to k.  With
+    # L A ~ 1e9 rad, forming L delta_k from k values would leave ~1e-7 rad
+    # of roundoff; dropping the tangent line from the proxy's Taylor
+    # coefficients about the pump leaves none of it.
+    prof, exp = quadratic_profile(1.2, 0.06, 1e8, tau_p2=-2.0e4)
+    line = 10.0 + 3.0 * Chebyshev.identity(domain=prof.fit.domain)
+    shifted = DispersionProfile(fit=prof.fit + line, window=prof.window, residual=0.0)
+    pump = PumpSpec(omega_p=1.2, sigma=0.004)
+    nu = np.linspace(-0.008, 0.008, 17)
+    args = (pump, exp["omega_s0"] + nu, exp["omega_i0"] + nu, 1e8)
+    base = jsa_numeric(prof, *args, normalize=False)
+    moved = jsa_numeric(shifted, *args, normalize=False)
+    peak = np.max(np.abs(base.amplitude))
+    assert np.max(np.abs(moved.amplitude - base.amplitude)) < 1e-9 * peak
+
+
+def _shared_rule_jsa(prof, pump, signal, idler, length_nm, nodes):
+    """Brute-force pump integral: one Gauss-Legendre rule in omega for all
+    cells, spanning every sum-frequency midpoint padded by five pump widths."""
+    t_lo = 0.5 * (signal.min() + idler.min()) - pump.omega_p - 5.0 * pump.sigma
+    t_hi = 0.5 * (signal.max() + idler.max()) - pump.omega_p + 5.0 * pump.sigma
+    q, w = np.polynomial.legendre.leggauss(nodes)
+    om = pump.omega_p + 0.5 * (t_lo + t_hi) + 0.5 * (t_hi - t_lo) * q
+    conj = signal[:, None, None] + idler[None, :, None] - om
+    dk = (prof.k(om) + prof.k(conj) - prof.k(signal)[:, None, None]
+          - prof.k(idler)[None, :, None])
+    envelope = np.exp(-(((om - pump.omega_p) ** 2 + (conj - pump.omega_p) ** 2) / pump.sigma**2))
+    integrand = envelope * sinc_phase(length_nm * dk)
+    return integrand @ (0.5 * (t_hi - t_lo) * w)
+
+
+def test_jsa_numeric_unequal_axes_match_shared_rule():
+    # Different steps, spans and offsets: few sum frequencies repeat.
+    prof, exp = hermite_polynomial_profile(
+        1.2, 0.06, 1e7, tau_s1=400.0, tau_i1=-250.0, tau_s2=8000.0,
+        tau_i2=5000.0, tau_p2=1e3, window_factor=1.5,
+    )
+    pump = PumpSpec(omega_p=1.2, sigma=0.004)
+    signal = exp["omega_s0"] + np.linspace(-0.010, 0.012, 13)
+    idler = exp["omega_i0"] + np.linspace(-0.015, 0.009, 17)
+    got = jsa_numeric(prof, pump, signal, idler, 1e7, normalize=False)
+    want = _shared_rule_jsa(prof, pump, signal, idler, 1e7, 1601)
+    assert np.max(np.abs(got.amplitude - want)) < 1e-6 * np.max(np.abs(want))
 
 
 def test_jsa_numeric_validation():

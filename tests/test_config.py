@@ -60,7 +60,6 @@ def test_defaults_applied():
     assert config.spectrum_points == 2001
     assert config.jsa_points == 256
     assert config.jsa_span == 0.03
-    assert config.jsa_nodes == 201
     assert config.purity_points == 512
     assert config.out_dir == "."
 
@@ -120,6 +119,25 @@ def test_bad_values_rejected(field, bad):
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match="unknown config section"):
         parse_config(MINIMAL + "\n[typo]\nx = 1\n")
+
+
+@pytest.mark.parametrize(
+    "section,line",
+    [
+        ("fiber", "lenght_m = 2"),
+        ("pump", "power = 1.0"),
+        ("grids", "jsa_point = 64"),
+        ("grids", "jsa_nodes = 201"),
+        ("outputs", "dir = out"),
+    ],
+)
+def test_unknown_option_rejected(section, line):
+    text = MINIMAL.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    if f"[{section}]" not in MINIMAL:
+        text += f"\n[{section}]\n{line}\n"
+    option = line.split()[0]
+    with pytest.raises(ConfigError, match=rf"unknown config option {section}\.{option}"):
+        parse_config(text)
 
 
 def test_power_setting_forms():
@@ -212,6 +230,11 @@ def test_bad_material_sections(old, new):
         parse_config(CUSTOM_MATERIALS.replace(old, new))
 
 
+def test_unknown_material_option_rejected():
+    with pytest.raises(ConfigError, match=r"unknown config option material glass2\.rang_nm"):
+        parse_config(CUSTOM_MATERIALS.replace("range_nm = 400 2200", "rang_nm = 400 2200"))
+
+
 def test_unknown_core_material_fails_at_parse():
     with pytest.raises(ConfigError, match="unknown material"):
         parse_config(MINIMAL.replace("scaled:silica:0.0274", "unobtainium"))
@@ -238,7 +261,8 @@ def test_echo_items_ordered_and_complete():
     keys = [k for k, _ in items]
     assert keys[0] == "fiber.core"
     assert "pump.power_w" in keys
-    assert "grids.jsa_nodes" in keys
+    assert "grids.jsa_span_rad_fs" in keys
+    assert "grids.jsa_nodes" not in keys
     assert len(keys) == len(set(keys))
 
 

@@ -18,6 +18,9 @@ from sfwm.phasematching import (
     trace_contours,
 )
 
+from sfwm.units import nonlinear_mismatch
+
+from oracles import proxy_mismatch
 from synthetic import quadratic_profile
 
 GAMMA = 70.0
@@ -155,7 +158,11 @@ def test_mismatch_sign_at_matching_point(profile_1644, gvm_point, p_star):
     op, d = gvm_point.omega_p, gvm_point.delta
     assert delta_k_cw(profile_1644, op, d, GAMMA, 0.9 * p_star) > 0
     assert delta_k_cw(profile_1644, op, d, GAMMA, 1.1 * p_star) < 0
-    assert delta_k_cw(profile_1644, op, d, GAMMA, p_star) == pytest.approx(0.0, abs=1e-18)
+    # At P* the mismatch vanishes to the precision of P* itself: 2 gamma P* is
+    # ~1.3e-10 rad/nm, so 1e-22 is ~1e-12 relative.  delta_k_cw cancels
+    # k values of ~6e-3 rad/nm and reads ~3e-18 here, hence the 50-digit sum.
+    gp = nonlinear_mismatch(GAMMA, p_star)
+    assert abs(proxy_mismatch(profile_1644.fit, op, gp, d)) < 1e-22
 
 
 def test_critical_power_frozen(p_star):
