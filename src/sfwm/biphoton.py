@@ -21,7 +21,11 @@ with a the pump-chirp-like parameter tau_p2 sigma^2 / 2 and x the scaled
 distance from perfect matching; x is real or purely imaginary for real
 quadratic mismatch.  phi_function evaluates this through the Faddeeva
 function in a form that never forms the catastrophically cancelling
-difference of exponentially large terms.
+difference of exponentially large terms.  The Faddeeva function itself is
+Weideman's rational expansion with N = 40 terms (SIAM J. Numer. Anal. 31
+(1994) 1497), whose coefficients come from one FFT at import; on the closed
+upper half-plane, the only one phi_function needs, its relative error stays
+below 5e-14.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import wofz
 
 from .dispersion import DispersionProfile, TauSet, pump_taylor
 from .errors import ConfigError, EvaluationError
@@ -47,6 +50,38 @@ _PUMP_SPAN = 4.0
 _DRIFT_TOL = 1e-6
 _MAX_NODES = 4095
 _BLOCK_POINTS = 1 << 18
+
+
+def _weideman_coefficients(n):
+    """Scale L and Horner coefficients (highest power first) of the expansion."""
+    m = 2 * n
+    scale = math.sqrt(n / math.sqrt(2.0))
+    t = scale * np.tan(0.5 * np.pi * np.arange(1 - m, m) / m)
+    f = np.append(0.0, np.exp(-t * t) * (scale * scale + t * t))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return scale, a[n:0:-1]
+
+
+_WEIDEMAN_L, _WEIDEMAN_A = _weideman_coefficients(40)
+
+
+def _faddeeva(z):
+    """Faddeeva function w(z) = e^{-z^2} erfc(-i z), valid only for Im z >= 0.
+
+    Weideman's expansion w(z) = 2 p(Z) / (L - i z)^2 + 1 / (sqrt(pi) (L - i z))
+    with Z = (L + i z) / (L - i z) and p a polynomial of degree 39; its
+    relative error is below 5e-14 on the closed upper half-plane.  Below it
+    the expansion is wrong; each of phi_function's four branches passes an
+    argument with Im >= 0 (x, u or their negatives, by the half-plane of
+    each), which is the precondition here.
+    """
+    lz = _WEIDEMAN_L - 1j * z
+    zz = (_WEIDEMAN_L + 1j * z) / lz
+    p = np.full_like(zz, _WEIDEMAN_A[0])
+    for a in _WEIDEMAN_A[1:]:
+        p *= zz
+        p += a
+    return 2.0 * p / (lz * lz) + 1.0 / (math.sqrt(math.pi) * lz)
 
 
 def phi_function(a: float, x):
@@ -98,15 +133,19 @@ def phi_function(a: float, x):
         # Same half-plane: the e^{-x^2} constants cancel exactly in the
         # difference of scaled Faddeeva values.
         bb = upx & upu
-        diff[bb] = ph[bb] * wofz(ul[bb]) - wofz(xl[bb])
+        diff[bb] = ph[bb] * _faddeeva(ul[bb]) - _faddeeva(xl[bb])
         ll = ~upx & ~upu
-        diff[ll] = wofz(-xl[ll]) - ph[ll] * wofz(-ul[ll])
+        diff[ll] = _faddeeva(-xl[ll]) - ph[ll] * _faddeeva(-ul[ll])
         # Mixed half-planes only occur near the real axis, where the
         # remaining 2 e^{-x^2} term is bounded.
         m1 = upx & ~upu
-        diff[m1] = 2.0 * np.exp(-xl[m1] ** 2) - ph[m1] * wofz(-ul[m1]) - wofz(xl[m1])
+        diff[m1] = (
+            2.0 * np.exp(-xl[m1] ** 2) - ph[m1] * _faddeeva(-ul[m1]) - _faddeeva(xl[m1])
+        )
         m2_ = ~upx & upu
-        diff[m2_] = ph[m2_] * wofz(ul[m2_]) + wofz(-xl[m2_]) - 2.0 * np.exp(-xl[m2_] ** 2)
+        diff[m2_] = (
+            ph[m2_] * _faddeeva(ul[m2_]) + _faddeeva(-xl[m2_]) - 2.0 * np.exp(-xl[m2_] ** 2)
+        )
         out[rest] = diff / (a * xl)
 
     if not np.all(np.isfinite(out)):
@@ -228,13 +267,21 @@ def jsa_analytic(
     return grid.normalize() if normalize else grid
 
 
-def _jsa_numeric_raw(profile, pump, signal_axis, idler_axis, length_nm, gp, nodes):
-    # leggauss on |u| <= 4 sigma folded onto u >= 0 (the node u = 0 of an odd
-    # rule is its own mirror); the weights carry exp(-2 u^2 / sigma^2).
+def _pump_rule(nodes, sigma):
+    """Nodes u >= 0 and weights of the pump integral over |u| <= 4 sigma.
+
+    leggauss folded onto u >= 0 (the node u = 0 of an odd rule is its own
+    mirror); the weights carry exp(-2 u^2 / sigma^2).
+    """
+    half = nodes // 2
     q, w = leggauss(nodes)
-    q, w = q[nodes // 2 :], w[nodes // 2 :] * np.where(q[nodes // 2 :] > 0, 2.0, 1.0)
-    u = _PUMP_SPAN * pump.sigma * q
-    w = _PUMP_SPAN * pump.sigma * w * np.exp(-2.0 * (_PUMP_SPAN * q) ** 2)
+    q, w = q[half:], w[half:] * np.where(q[half:] > 0, 2.0, 1.0)
+    span = _PUMP_SPAN * sigma
+    return span * q, span * w * np.exp(-2.0 * (_PUMP_SPAN * q) ** 2)
+
+
+def _jsa_numeric_raw(profile, pump, signal_axis, idler_axis, length_nm, gp, rule):
+    u, w = rule
     p, h = pump_taylor(profile, pump.omega_p)
     p.coef[1] = 0.0  # k minus its tangent at the pump, whose part cancels
 
@@ -296,14 +343,14 @@ def jsa_numeric(
     signal_axis = np.asarray(signal_axis, dtype=float)
     idler_axis = np.asarray(idler_axis, dtype=float)
     gp = nonlinear_mismatch(gamma, pump.power)
+    rule = _pump_rule(nodes, pump.sigma)
     if check and signal_axis.size >= 2 and idler_axis.size >= 2:
         sub_s = signal_axis[:: max(1, signal_axis.size // 8)]
         sub_i = idler_axis[:: max(1, idler_axis.size // 8)]
-        coarse = _jsa_numeric_raw(profile, pump, sub_s, sub_i, length_nm, gp, nodes)
+        coarse = _jsa_numeric_raw(profile, pump, sub_s, sub_i, length_nm, gp, rule)
         while True:
-            fine = _jsa_numeric_raw(
-                profile, pump, sub_s, sub_i, length_nm, gp, 2 * nodes + 1
-            )
+            fine_rule = _pump_rule(2 * nodes + 1, pump.sigma)
+            fine = _jsa_numeric_raw(profile, pump, sub_s, sub_i, length_nm, gp, fine_rule)
             peak, drift = np.max(np.abs(fine)), np.max(np.abs(coarse - fine))
             if drift <= _DRIFT_TOL * peak:
                 break
@@ -312,8 +359,8 @@ def jsa_numeric(
                     f"pump integral not converged: subgrid drift {drift / peak:.2e} at "
                     f"{nodes} nodes, and the rule stops at {_MAX_NODES}"
                 )
-            nodes, coarse = 2 * nodes + 1, fine
-    amp = _jsa_numeric_raw(profile, pump, signal_axis, idler_axis, length_nm, gp, nodes)
+            nodes, rule, coarse = 2 * nodes + 1, fine_rule, fine
+    amp = _jsa_numeric_raw(profile, pump, signal_axis, idler_axis, length_nm, gp, rule)
     grid = JsaGrid(signal_axis=signal_axis, idler_axis=idler_axis, amplitude=amp)
     return grid.normalize() if normalize else grid
 

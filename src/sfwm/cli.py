@@ -37,6 +37,7 @@ from .dispersion import (
     zero_dispersion_wavelengths,
 )
 from .errors import ConfigError, EvaluationError, NumericsError
+from .materials import approximate_models
 from .phasematching import (
     critical_power,
     fwhm,
@@ -66,6 +67,12 @@ def _header(command: str, args, config: RunConfig, resolved=()) -> list[str]:
     for key, value in resolved:
         lines.append(f"# resolved.{key} = {value}")
     return lines
+
+
+def _approximate(config: RunConfig) -> str:
+    """The approximate material models the fibre uses, or 'none'."""
+    fiber = config.fiber()
+    return " ".join(approximate_models(fiber.core, fiber.cladding)) or "none"
 
 
 def _write(args, config: RunConfig, name: str, lines: list[str]):
@@ -100,10 +107,12 @@ def _cmd_dispersion(args, config: RunConfig, profile) -> int:
     zdws = zero_dispersion_wavelengths(profile)
     points = find_fgvm_points(profile)
 
+    approximate = _approximate(config)
     lo, hi = profile.query_window
     omega = np.linspace(lo, hi, config.map_points)
     lines = _header("dispersion", args, config)
     lines.append(f"# fit_residual_rad_nm = {_f(profile.residual)}")
+    lines.append(f"# approximate_materials = {approximate}")
     lines.append(
         "omega_rad_fs,wavelength_nm,k_rad_nm,k1_fs_nm,k2_fs2_nm,k3_fs3_nm"
     )
@@ -113,6 +122,7 @@ def _cmd_dispersion(args, config: RunConfig, profile) -> int:
     _write(args, config, "dispersion.csv", lines)
 
     lines = _header("dispersion", args, config)
+    lines.append(f"# approximate_materials = {approximate}")
     lines.append(
         "omega_p_rad_fs,delta_rad_fs,pump_nm,signal_nm,idler_nm,degenerate"
     )
@@ -132,6 +142,8 @@ def _cmd_dispersion(args, config: RunConfig, profile) -> int:
     _write(args, config, "fgvm_points.csv", lines)
 
     print(f"zero-dispersion wavelengths (nm): {' '.join(_f(z) for z in zdws)}")
+    if approximate != "none":
+        print(f"approximate material models: {approximate}")
     for p in points:
         if p.degenerate or p.delta < 0:
             continue
@@ -291,6 +303,7 @@ def _cmd_design_report(args, config: RunConfig, profile) -> int:
     body.append(f"  radius_um = {_f(config.radius_um)}")
     body.append(f"  length_m = {_f(config.length_m)}")
     body.append(f"  gamma_w_km = {_f(config.gamma)}")
+    body.append(f"  approximate_materials = {_approximate(config)}")
     body.append(f"  fit_residual_rad_nm = {_f(profile.residual)}")
     body.append("dispersion")
     body.append(

@@ -16,11 +16,13 @@ k'' is fs^2/nm throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
+from numpy.polynomial.chebyshev import chebval
 
 from .errors import ConfigError, EvaluationError, RangeError
 from .modes import FiberSpec, bisect, propagation_constant_from_omega
@@ -45,8 +47,14 @@ class DispersionProfile:
     residual: float
 
     def __post_init__(self):
-        derivs = (self.fit, self.fit.deriv(1), self.fit.deriv(2), self.fit.deriv(3))
-        object.__setattr__(self, "_derivs", derivs)
+        n = self.fit.degree() + 1
+        derivs = [self.fit.deriv(j) for j in range(max(n, 4))]
+        object.__setattr__(self, "_derivs", tuple(derivs[:4]))
+        # Column j: the Chebyshev coefficients of d^j k / d omega^j.
+        table = np.zeros((n, n))
+        for j, d in enumerate(derivs[:n]):
+            table[: d.coef.size, j] = d.coef
+        object.__setattr__(self, "_deriv_table", table)
 
     @classmethod
     def from_samples(cls, omega, k, degree: int = 16) -> "DispersionProfile":
@@ -89,6 +97,22 @@ class DispersionProfile:
     def k(self, omega):
         return self.k_derivative(omega, 0)
 
+    def taylor(self, omega_p):
+        """Taylor coefficients of the proxy about omega_p, and their scale h.
+
+        a[j] = k^(j)(omega_p) h^j / j! for j = 0..degree, so that
+        k(omega) = sum_j a[j] ((omega - omega_p) / h)^j exactly, with h half
+        the fitted window.  omega_p may be an array; a then has shape
+        (degree + 1,) + omega_p.shape.
+        """
+        h = 0.5 * (self.window[1] - self.window[0])
+        off, scl = self.fit.mapparms()
+        om = np.asarray(omega_p, dtype=float)
+        derivs = chebval(off + scl * om, self._deriv_table)
+        n = derivs.shape[0]
+        scale = np.array([h**j / math.factorial(j) for j in range(n)])
+        return derivs * scale.reshape((n,) + (1,) * om.ndim), h
+
 
 def build_profile(
     fiber: FiberSpec,
@@ -115,29 +139,40 @@ def build_profile(
 def pump_taylor(profile: DispersionProfile, omega_p: float) -> tuple[Polynomial, float]:
     """Power series p and scale h with k(omega) = k(omega_p) + p((omega - omega_p) / h).
 
-    The proxy re-expanded exactly about the pump over its half window h, so
-    differences of k formed from p never subtract the ~1e-2 rad/nm of k.
+    The proxy re-expanded exactly about the pump over its half window h
+    (`DispersionProfile.taylor`), so differences of k formed from p never
+    subtract the ~1e-2 rad/nm of k.
     """
-    h = 0.5 * (profile.window[1] - profile.window[0])
-    taylor = profile.fit.convert(domain=(omega_p - h, omega_p + h), kind=Polynomial)
-    return Polynomial(np.append(0.0, taylor.coef[1:])), h
+    a, h = profile.taylor(omega_p)
+    return Polynomial(np.append(0.0, a[1:])), h
+
+
+def mismatch_coefficients(profile: DispersionProfile, omega_p, gp: float = 0.0):
+    """Coefficients c and scale h of the CW mismatch as a polynomial in s = (delta / h)^2.
+
+    2 k(omega_p) - k(omega_p + delta) - k(omega_p - delta) - 2 gp is exactly
+    -2 gp - 2 sum_{m >= 1} a_{2m} s^m, with a_j the Taylor coefficients of
+    `DispersionProfile.taylor` and gp = gamma P in rad/nm; c holds these
+    coefficients, lowest power first, with one trailing axis per axis of
+    omega_p.
+    """
+    a, h = profile.taylor(omega_p)
+    return np.concatenate((np.full((1,) + a.shape[1:], -2.0 * gp), -2.0 * a[2::2])), h
 
 
 def pair_mismatch(
     profile: DispersionProfile, omega_p: float, detuning: float, gp: float = 0.0
 ) -> tuple[Polynomial, float]:
-    """The CW mismatch at omega_p as a polynomial in s = (delta / h)^2, and h.
+    """The CW mismatch at omega_p as a Polynomial in s = (delta / h)^2, and h.
 
-    2 k(omega_p) - k(omega_p + delta) - k(omega_p - delta) - 2 gp is exactly
-    -2 gp - 2 sum_{m >= 1} a_{2m} s^m, with a_j the coefficients of
-    `pump_taylor` and gp = gamma P in rad/nm.  Both sidebands at `detuning`
+    The polynomial of `mismatch_coefficients`.  Both sidebands at `detuning`
     must lie in the query window.
     """
     lo, hi = profile.query_window
     if omega_p - abs(detuning) < lo or omega_p + abs(detuning) > hi:
         raise RangeError(f"detunings up to {detuning:.6g} rad/fs leave the query window")
-    p, h = pump_taylor(profile, omega_p)
-    return Polynomial(np.append(-2.0 * gp, -2.0 * p.coef[2::2])), h
+    coef, h = mismatch_coefficients(profile, omega_p, gp)
+    return Polynomial(coef), h
 
 
 def sign_change_roots(series, lo: float, hi: float) -> np.ndarray:
@@ -322,25 +357,33 @@ def tau_coefficients(
     """Taylor coefficients of the phase mismatch for a chosen working point.
 
     gamma is the nonlinear parameter in 1/(W km) and power the peak pump
-    power in W; they only shift the constant term.
+    power in W; they only shift the constant term.  The walk-offs come from
+    the proxy's Taylor series about the pump with its terms up to first
+    (tau_s1, tau_i1) or second order (tau_s2, tau_i2) dropped, so they never
+    subtract values of k' or k'' at two frequencies.
     """
     if length_nm <= 0:
         raise ConfigError(f"fibre length must be positive, got {length_nm}")
-    k = profile.k_derivative
     half = 0.5 * (omega_s0 - omega_i0)
     mismatch, h = pair_mismatch(profile, omega_p, half, nonlinear_mismatch(gamma, power))
     dk0 = length_nm * mismatch((half / h) ** 2)
+    a, _ = profile.taylor(omega_p)
+    # h (k'(omega) - k'(omega_p)) and h^2 (k''(omega) - k''(omega_p)) at
+    # x = (omega - omega_p) / h.
+    d1 = Polynomial(np.append([0.0, 0.0], a[2:])).deriv(1)
+    d2 = Polynomial(np.append([0.0, 0.0, 0.0], a[3:])).deriv(2)
+    x_s, x_i = (omega_s0 - omega_p) / h, (omega_i0 - omega_p) / h
     return TauSet(
         omega_p=omega_p,
         omega_s0=omega_s0,
         omega_i0=omega_i0,
         length_nm=length_nm,
         delta_k0=float(dk0),
-        tau_s1=float(length_nm * (k(omega_p, 1) - k(omega_s0, 1))),
-        tau_i1=float(length_nm * (k(omega_p, 1) - k(omega_i0, 1))),
-        tau_s2=float(length_nm * (k(omega_p, 2) - k(omega_s0, 2)) / 2.0),
-        tau_i2=float(length_nm * (k(omega_p, 2) - k(omega_i0, 2)) / 2.0),
-        tau_p2=float(length_nm * k(omega_p, 2)),
+        tau_s1=float(-length_nm * d1(x_s) / h),
+        tau_i1=float(-length_nm * d1(x_i) / h),
+        tau_s2=float(-length_nm * d2(x_s) / (2.0 * h * h)),
+        tau_i2=float(-length_nm * d2(x_i) / (2.0 * h * h)),
+        tau_p2=float(length_nm * profile.k_derivative(omega_p, 2)),
     )
 
 

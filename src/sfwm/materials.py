@@ -109,6 +109,21 @@ def refractive_index(material: Material, lambda_nm):
     return material.index(lambda_nm)
 
 
+def approximate_models(*materials: Material) -> list[str]:
+    """Names of the models flagged approximate that `materials` rest on.
+
+    A scaled medium rests on its base model.  Each name is listed once, in
+    the order of first use.
+    """
+    names = []
+    for material in materials:
+        while isinstance(material, ScaledIndex):
+            material = material.base
+        if getattr(material, "approximate", False) and material.name not in names:
+            names.append(material.name)
+    return names
+
+
 # Fused silica, Malitson's three-term fit.  Validity per the original fit.
 FUSED_SILICA = SellmeierModel(
     name="silica",

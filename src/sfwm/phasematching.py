@@ -8,9 +8,11 @@ mismatch
     delta_k = 2 k(omega_p) - k(omega_p + delta) - k(omega_p - delta)
               - 2 gamma P.
 
-Matched pairs live on the delta_k = 0 level set; `trace_contours` extracts
-it from a sampled map by marching squares (linear interpolation on cell
-edges, saddles resolved by the cell-centre value).
+It is evaluated as the even Taylor polynomial in delta about each pump
+frequency (`dispersion.mismatch_coefficients`), so the k values never
+cancel.  Matched pairs live on the delta_k = 0 level set; `trace_contours`
+extracts it from a sampled map by marching squares (linear interpolation on
+cell edges, saddles resolved by the cell-centre value).
 """
 
 from __future__ import annotations
@@ -18,10 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyval
 
-from .dispersion import DispersionProfile, pair_mismatch, sign_change_roots
-from .errors import ConfigError, EvaluationError, RangeError
+from .dispersion import (
+    DispersionProfile,
+    mismatch_coefficients,
+    pair_mismatch,
+    sign_change_roots,
+)
+from .errors import ConfigError, EvaluationError
 from .units import nonlinear_mismatch
 
 
@@ -42,16 +49,19 @@ def delta_k_cw(
     gamma: float = 0.0,
     power: float = 0.0,
 ):
-    """Degenerate-pump phase mismatch in rad/nm, broadcasting over inputs."""
+    """Degenerate-pump phase mismatch in rad/nm, broadcasting over inputs.
+
+    The even polynomial in delta of `mismatch_coefficients`, expanded about
+    each pump frequency, so no k values are subtracted; at a scalar pump it
+    equals `pair_mismatch` exactly.  Every sideband omega_p +/- delta must
+    lie in the profile's query window.
+    """
     omega_p = np.asarray(omega_p, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    k = profile.k_derivative
-    return (
-        2.0 * k(omega_p)
-        - k(omega_p + delta)
-        - k(omega_p - delta)
-        - 2.0 * nonlinear_mismatch(gamma, power)
-    )
+    delta = np.abs(np.asarray(delta, dtype=float))
+    profile.check_window(omega_p - delta)
+    profile.check_window(omega_p + delta)
+    coef, h = mismatch_coefficients(profile, omega_p, nonlinear_mismatch(gamma, power))
+    return polyval((delta / h) ** 2, coef, tensor=False)
 
 
 def matched_detunings(

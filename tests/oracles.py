@@ -2,16 +2,17 @@
 
 Everything here is written against textbook formulas with none of the
 package's numerics shared, so agreement is meaningful: a scalar weak-guidance
-mode solver, a brute-force quadrature for the pair-generation pump integral,
-a symbolic zero-dispersion solve for bulk silica and a 50-digit root of the
-phase mismatch on a Chebyshev proxy.
+mode solver, the vector HE11 residual on scipy's Bessel functions, a 30-digit
+Faddeeva function, a brute-force quadrature for the pair-generation pump
+integral, a symbolic zero-dispersion solve for bulk silica and a 50-digit
+root of the phase mismatch on a Chebyshev proxy.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import j0, j1, k0, k1
+from scipy.special import j0, j1, jv, k0, k1, kve
 
 
 def lp01_effective_index(n_co, n_cl, radius_nm, lambda_nm):
@@ -44,6 +45,31 @@ def lp01_effective_index(n_co, n_cl, radius_nm, lambda_nm):
         if b - a < 1e-15:
             break
     return 0.5 * (a + b)
+
+
+def he11_residual_scipy(neff, n_co, n_cl, ka):
+    """The HE11 residual of `sfwm.modes` with scipy's J0-J2 and scaled K0-K2.
+
+    J1' = (J0 - J2)/2 and K1'/(w K1) = -(K0 + K2)/(2 w K1).
+    """
+    neff = np.asarray(neff, dtype=float)
+    u = ka * np.sqrt(n_co**2 - neff**2)
+    w = ka * np.sqrt(neff**2 - n_cl**2)
+    j1p = 0.5 * (jv(0, u) - jv(2, u))
+    b = -(kve(0, w) + kve(2, w)) / (2.0 * w * kve(1, w))
+    rho = (n_cl / n_co) ** 2
+    r = (neff / n_co) * (1.0 / u**2 + 1.0 / w**2)
+    uj1 = u * jv(1, u)
+    return (j1p + b * uj1) * (j1p + rho * b * uj1) - (r * uj1) ** 2
+
+
+def faddeeva_mp(z):
+    """w(z) = e^{-z^2} erfc(-i z) at 30 digits."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        z = mp.mpc(z.real, z.imag)
+        return complex(mp.exp(-z * z) * mp.erfc(-1j * z))
 
 
 def pair_integral_quadrature(a, x, limit=400):

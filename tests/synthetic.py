@@ -9,7 +9,7 @@ checked to machine precision.
 """
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial import Chebyshev, Polynomial
 
 from sfwm.dispersion import DispersionProfile
 
@@ -117,3 +117,15 @@ def quadratic_profile(omega_p, delta, length_nm, tau_p2, k0=5.0e-3, g0=4.9e-3):
         "delta_k0": -tau_p2 * delta**2,
     }
     return profile, expected
+
+
+def with_line(profile):
+    """profile with 10 + 3 omega added to k.
+
+    Energy conservation cancels any affine part of k exactly, so every
+    mismatch and walk-off must come out unchanged.  The line is ~1e3 times
+    k' and ~2e3 times k of a fibre, so forming them from differences of k or
+    k' values would show its roundoff.
+    """
+    line = 10.0 + 3.0 * Chebyshev.identity(domain=profile.fit.domain)
+    return DispersionProfile(fit=profile.fit + line, window=profile.window, residual=0.0)

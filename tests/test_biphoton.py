@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from numpy.polynomial import Chebyshev
 
 from sfwm import biphoton
 from sfwm.biphoton import (
@@ -11,13 +10,13 @@ from sfwm.biphoton import (
     phi_function,
     schmidt_metrics,
 )
-from sfwm.dispersion import DispersionProfile, TauSet, pump_taylor, tau_coefficients
+from sfwm.dispersion import TauSet, pump_taylor, tau_coefficients
 from sfwm.errors import ConfigError, EvaluationError
 from sfwm.phasematching import sinc_phase
 from sfwm.units import omega_from_wavelength, pump_sigma_from_fwhm
 
-from oracles import pair_integral_quadrature
-from synthetic import hermite_polynomial_profile, quadratic_profile
+from oracles import faddeeva_mp, pair_integral_quadrature
+from synthetic import hermite_polynomial_profile, quadratic_profile, with_line
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -60,6 +59,22 @@ def test_phi_even_in_x():
     for a in (0.7, -4.0):
         for x in (0.8, 2.0j, 1.0 + 0j):
             assert phi_function(a, x) == pytest.approx(phi_function(a, -x), rel=1e-12)
+
+
+def test_faddeeva_against_mpmath():
+    # The closed upper half-plane phi_function uses: rays from the real axis
+    # to the imaginary one at moduli up to 1e4, the real axis itself and
+    # lines at Im z = 1e-6.
+    r = np.geomspace(1e-3, 1e4, 29)
+    theta = np.linspace(0.0, np.pi, 17)
+    x = np.geomspace(1e-3, 1e4, 29)
+    z = np.concatenate([
+        (r[:, None] * np.exp(1j * theta[None, :])).ravel(),
+        x + 1e-6j, -x + 1e-6j, np.linspace(-9.0, 9.0, 37) + 0j,
+    ])
+    z = z.real + 1j * np.abs(z.imag)
+    want = np.array([faddeeva_mp(v) for v in z])
+    assert np.max(np.abs(biphoton._faddeeva(z) / want - 1.0)) <= 5e-14
 
 
 def test_phi_vectorized_matches_scalar():
@@ -214,9 +229,8 @@ def _cw_setup():
 def _cw_line(prof, signal):
     """Monochromatic-pump amplitude along the energy-conservation line.
 
-    The mismatch comes from the proxy's Taylor series about the pump:
-    delta_k_cw cancels k values of ~5e-3 rad/nm, which leaves ~1e-12 rad of
-    noise in L delta_k, as much as the single-node test allows.
+    The mismatch comes from the proxy's Taylor series about the pump, so no
+    k values of ~5e-3 rad/nm cancel in L delta_k.
     """
     p, h = pump_taylor(prof, 1.2)
     t = (signal - 1.2) / h
@@ -261,14 +275,29 @@ def test_jsa_numeric_convergence_guard(monkeypatch):
         jsa_numeric(prof, pump, signal, idler, 1e6, nodes=1, check=True)
 
 
+def test_jsa_numeric_builds_each_rule_once(monkeypatch):
+    # The grid reuses the rule the check settled on.
+    prof, signal, idler = _cw_setup()
+    pump = PumpSpec(omega_p=1.2, sigma=0.004)
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return np.polynomial.legendre.leggauss(n)
+
+    monkeypatch.setattr(biphoton, "leggauss", counting)
+    jsa_numeric(prof, pump, signal, idler, 1e6, nodes=1, check=True)
+    assert len(calls) >= 3
+    assert calls == sorted(set(calls))
+
+
 def test_jsa_numeric_ignores_affine_part_of_k():
     # Energy conservation cancels any A + B omega added to k.  With
     # L A ~ 1e9 rad, forming L delta_k from k values would leave ~1e-7 rad
     # of roundoff; dropping the tangent line from the proxy's Taylor
     # coefficients about the pump leaves none of it.
     prof, exp = quadratic_profile(1.2, 0.06, 1e8, tau_p2=-2.0e4)
-    line = 10.0 + 3.0 * Chebyshev.identity(domain=prof.fit.domain)
-    shifted = DispersionProfile(fit=prof.fit + line, window=prof.window, residual=0.0)
+    shifted = with_line(prof)
     pump = PumpSpec(omega_p=1.2, sigma=0.004)
     nu = np.linspace(-0.008, 0.008, 17)
     args = (pump, exp["omega_s0"] + nu, exp["omega_i0"] + nu, 1e8)

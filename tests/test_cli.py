@@ -106,6 +106,18 @@ def test_design_report_outputs(tiny_cfg, tmp_path, capsys):
     for needle in ("fibre", "dispersion", "pump", "working point", "purity ="):
         assert needle in text
     assert "critical_power_w" in text
+    assert "  approximate_materials = none\n" in text
+
+
+def test_approximate_material_named(tmp_path, capsys):
+    # fig4's bismuth borate core is a reconstruction, not a measured fit.
+    assert _run(["dispersion", "--preset", "fig4", "--out", str(tmp_path)]) == 0
+    assert "approximate material models: bismuth_borate" in capsys.readouterr().out
+    for name in ("dispersion.csv", "fgvm_points.csv"):
+        assert "# approximate_materials = bismuth_borate\n" in (tmp_path / name).read_text()
+    assert _run(["design-report", "--preset", "fig4", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "design_report.txt").read_text()
+    assert "  approximate_materials = bismuth_borate\n" in text
 
 
 @pytest.mark.parametrize(
@@ -200,11 +212,15 @@ def test_console_entry_point():
     assert "sfwm" in result.stdout
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # Every root search runs on numpy polynomials or by bisection, so a CLI
-    # process never pays for importing scipy.optimize.
+def test_cli_import_leaves_out_scipy():
+    # Root searches run on numpy polynomials or by bisection and the Bessel
+    # and Faddeeva functions are numpy quadratures, so a CLI process loads
+    # no scipy module at all.
     src = os.path.dirname(os.path.dirname(sfwm.__file__))
-    code = "import sys, sfwm.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, sfwm.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -212,7 +228,7 @@ def test_cli_import_leaves_out_scipy_optimize():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 def test_benchmark_hooks_find_every_target():

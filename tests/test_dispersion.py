@@ -1,5 +1,9 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from sfwm.dispersion import (
     DispersionProfile,
@@ -16,7 +20,7 @@ from sfwm.modes import FiberSpec
 from sfwm.units import omega_from_wavelength, wavelength_from_omega
 
 from oracles import bulk_silica_zdw_sympy
-from synthetic import hermite_polynomial_profile, quadratic_profile
+from synthetic import hermite_polynomial_profile, quadratic_profile, with_line
 
 
 def test_fit_residual_tiny(profile_1652, profile_1644, profile_bismuth):
@@ -194,6 +198,37 @@ def test_tau_coefficients_against_construction():
     assert tau.tau_i2 == pytest.approx(exp["tau_i2"], rel=1e-8)
     assert tau.tau_p2 == pytest.approx(exp["tau_p2"], rel=1e-8)
     assert tau.delta_k0 == pytest.approx(exp["delta_k0"], rel=1e-6)
+
+
+def test_tau_coefficients_ignore_affine_part_of_k():
+    # Differences of k' values of ~3 fs/nm over L = 1e8 nm would leave
+    # ~1e-7 fs of roundoff in the walk-offs; the Taylor series about the pump
+    # with its tangent dropped never sees the line.
+    prof, exp = hermite_polynomial_profile(
+        1.2, 0.06, 1e8, tau_s1=20.0, tau_i1=35.0, tau_s2=1e3, tau_i2=2e3, tau_p2=4e3
+    )
+    args = (exp["omega_p"], exp["omega_s0"], exp["omega_i0"], exp["length_nm"])
+    base = tau_coefficients(prof, *args)
+    assert dataclasses.asdict(tau_coefficients(with_line(prof), *args)) == (
+        dataclasses.asdict(base)
+    )
+
+
+def test_taylor_reexpands_the_proxy(profile_1644):
+    pumps = np.array([1.1, 1.21, 1.3])
+    a, h = profile_1644.taylor(pumps)
+    assert a.shape == (profile_1644.fit.degree() + 1, 3)
+    for j, op in enumerate(pumps):
+        scalar, _ = profile_1644.taylor(op)
+        assert np.array_equal(scalar, a[:, j])
+        for order in range(4):
+            assert a[order, j] * math.factorial(order) / h**order == pytest.approx(
+                profile_1644.k_derivative(op, order), rel=1e-14
+            )
+        om = np.linspace(op - 0.1, op + 0.1, 11)
+        assert Polynomial(a[:, j])((om - op) / h) == pytest.approx(
+            profile_1644.k(om), rel=1e-14
+        )
 
 
 def test_tau_nonlinear_term():

@@ -11,6 +11,7 @@ from sfwm.materials import (
     ConstantIndex,
     ScaledIndex,
     SellmeierModel,
+    approximate_models,
     get_material,
     refractive_index,
 )
@@ -106,6 +107,13 @@ def test_bismuth_flagged_approximate():
     # Frozen values from the calibrated two-term fit.
     assert refractive_index(BISMUTH_BORATE, 630.0) == pytest.approx(1.76376, abs=2e-5)
     assert refractive_index(BISMUTH_BORATE, 1550.0) == pytest.approx(1.70956, abs=2e-5)
+
+
+def test_approximate_models_named_through_scaling():
+    scaled = ScaledIndex(base=BISMUTH_BORATE, contrast=0.01)
+    assert approximate_models(FUSED_SILICA, AIR) == []
+    assert approximate_models(BISMUTH_BORATE, AIR) == ["bismuth_borate"]
+    assert approximate_models(scaled, BISMUTH_BORATE) == ["bismuth_borate"]
 
 
 def test_get_material():

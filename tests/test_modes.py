@@ -1,7 +1,10 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
-from sfwm.errors import ConfigError
+from sfwm import modes
+from sfwm.config import load_preset
+from sfwm.errors import ConfigError, ModeSolveError
 from sfwm.materials import AIR, FUSED_SILICA, ConstantIndex, ScaledIndex
 from sfwm.modes import (
     FiberSpec,
@@ -10,7 +13,49 @@ from sfwm.modes import (
 )
 from sfwm.units import c
 
-from oracles import lp01_effective_index
+from oracles import he11_residual_scipy, lp01_effective_index
+
+
+def test_bessel_j01_against_mpmath():
+    # One array spanning [0, 60], as the mode scan passes it, and the upper
+    # end alone, where the node count is set by u itself.
+    u = np.linspace(0.0, 60.0, 601)
+    for part in (u, u[-50:]):
+        j0, j1 = modes._bessel_j01(part)
+        with mp.workdps(30):
+            want0 = np.array([float(mp.besselj(0, x)) for x in part])
+            want1 = np.array([float(mp.besselj(1, x)) for x in part])
+        assert np.max(np.abs(j0 - want0)) <= 2e-15
+        assert np.max(np.abs(j1 - want1)) <= 2e-15
+
+
+def test_bessel_k01e_against_mpmath():
+    # The node count grows with ln(1/min w): a fixed rule loses digits at
+    # w = 1e-12.  Whole range in one array, then the ends alone.
+    w = np.geomspace(1e-12, 1e4, 113)
+    with mp.workdps(30):
+        want0 = np.array([float(mp.besselk(0, x) * mp.exp(x)) for x in w])
+        want1 = np.array([float(mp.besselk(1, x) * mp.exp(x)) for x in w])
+    for part in (slice(None), slice(0, 10), slice(-10, None)):
+        k0, k1 = modes._bessel_k01e(w[part])
+        assert np.max(np.abs(k0 / want0[part] - 1.0)) <= 5e-15
+        assert np.max(np.abs(k1 / want1[part] - 1.0)) <= 5e-15
+
+
+@pytest.mark.parametrize("case", ["fig1", "fig4", "multimode"])
+def test_solver_matches_scipy_residual(monkeypatch, case):
+    if case == "multimode":
+        # V = 60-64 over the band: u reaches ~60 on the scan, w spans 2e-3 to 60.
+        core = ScaledIndex(base=FUSED_SILICA, contrast=0.0274)
+        fiber = FiberSpec(core=core, cladding=FUSED_SILICA, radius_um=44.0)
+        lam = np.linspace(1500.0, 1600.0, 21)
+    else:
+        config = load_preset(case)
+        fiber = config.fiber()
+        lam = np.linspace(*config.window_nm, 200)
+    ours = effective_index(fiber, lam)
+    monkeypatch.setattr(modes, "_he11_residual", he11_residual_scipy)
+    assert np.max(np.abs(ours - effective_index(fiber, lam))) <= 1e-15
 
 
 def test_bounds_and_monotony():
@@ -75,6 +120,15 @@ def test_inverted_profile_rejected():
     hi = ConstantIndex(name="hi", value=1.45)
     fiber = FiberSpec(core=lo, cladding=hi, radius_um=2.0)
     with pytest.raises(ConfigError):
+        effective_index(fiber, 1550.0)
+
+
+def test_unresolvable_contrast_rejected():
+    # n_co - n_cl of a few ulps: the search grid's lowest index rounds onto
+    # the cladding index, where K0 and K1 diverge.
+    core = ScaledIndex(base=FUSED_SILICA, contrast=1e-15)
+    fiber = FiberSpec(core=core, cladding=FUSED_SILICA, radius_um=4.0)
+    with pytest.raises(ModeSolveError):
         effective_index(fiber, 1550.0)
 
 

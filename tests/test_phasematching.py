@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from sfwm.dispersion import find_fgvm_points
+from sfwm.dispersion import find_fgvm_points, pair_mismatch
 from sfwm.errors import ConfigError, EvaluationError, RangeError
 from sfwm.phasematching import (
     PmMap,
@@ -21,7 +21,7 @@ from sfwm.phasematching import (
 from sfwm.units import nonlinear_mismatch
 
 from oracles import proxy_mismatch
-from synthetic import quadratic_profile
+from synthetic import quadratic_profile, with_line
 
 GAMMA = 70.0
 
@@ -62,6 +62,22 @@ def test_delta_k_power_linearity(profile_1644):
     base = delta_k_cw(profile_1644, op, d)
     shifted = delta_k_cw(profile_1644, op, d, gamma=GAMMA, power=0.5)
     assert base - shifted == pytest.approx(2.0 * GAMMA * 0.5 * 1e-12, rel=1e-12)
+
+
+def test_delta_k_ignores_affine_part_of_k():
+    # 10 + 3 omega added to k cancels exactly in the mismatch.
+    prof, _ = quadratic_profile(1.2, 0.06, 1e6, tau_p2=-60.0)
+    pump = np.linspace(1.19, 1.21, 9)
+    det = np.linspace(-0.04, 0.04, 11)
+    assert np.array_equal(pm_map(with_line(prof), pump, det).values, pm_map(prof, pump, det).values)
+    with pytest.raises(RangeError):
+        delta_k_cw(prof, 1.2, 0.09)
+
+
+def test_delta_k_equals_pair_mismatch(profile_1644):
+    mismatch, h = pair_mismatch(profile_1644, 1.21, 0.1, nonlinear_mismatch(GAMMA, 0.5))
+    d = np.linspace(-0.1, 0.1, 41)
+    assert np.array_equal(delta_k_cw(profile_1644, 1.21, d, GAMMA, 0.5), mismatch((d / h) ** 2))
 
 
 def test_map_shape(profile_1644):
@@ -159,10 +175,12 @@ def test_mismatch_sign_at_matching_point(profile_1644, gvm_point, p_star):
     assert delta_k_cw(profile_1644, op, d, GAMMA, 0.9 * p_star) > 0
     assert delta_k_cw(profile_1644, op, d, GAMMA, 1.1 * p_star) < 0
     # At P* the mismatch vanishes to the precision of P* itself: 2 gamma P* is
-    # ~1.3e-10 rad/nm, so 1e-22 is ~1e-12 relative.  delta_k_cw cancels
-    # k values of ~6e-3 rad/nm and reads ~3e-18 here, hence the 50-digit sum.
+    # ~1.3e-10 rad/nm, so 1e-22 is ~1e-12 relative.  Subtracting k values of
+    # ~6e-3 rad/nm would leave ~3e-18 here; the 50-digit sum and delta_k_cw's
+    # Taylor series about the pump both avoid that.
     gp = nonlinear_mismatch(GAMMA, p_star)
     assert abs(proxy_mismatch(profile_1644.fit, op, gp, d)) < 1e-22
+    assert abs(delta_k_cw(profile_1644, op, d, GAMMA, p_star)) < 1e-22
 
 
 def test_critical_power_frozen(p_star):
