@@ -305,6 +305,7 @@ def _cmd_design_report(args, config: RunConfig, profile) -> int:
     body.append(f"  gamma_w_km = {_f(config.gamma)}")
     body.append(f"  approximate_materials = {_approximate(config)}")
     body.append(f"  fit_residual_rad_nm = {_f(profile.residual)}")
+    body.append(f"  fit_phase_error_rad = {_f(profile.residual * config.length_nm)}")
     body.append("dispersion")
     body.append(
         "  zero_dispersion_nm = " + (" ".join(_f(z) for z in zdws) or "none")

@@ -11,6 +11,7 @@ power at that match.  Ready-made presets ship with the package.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -29,13 +30,16 @@ from .units import omega_from_wavelength, pump_sigma_from_fwhm, wavelength_from_
 _OPTIONS = {
     "fiber": ("core cladding radius_um length_m gamma_w_km", ""),
     "pump": ("wavelength_nm fwhm_nm power_w", "powers_w"),
-    "grids": ("window_nm", "samples degree map_points detuning_max_rad_fs "
-              "spectrum_points jsa_points jsa_span_rad_fs purity_points"),
+    "grids": ("window_nm", "map_points detuning_max_rad_fs spectrum_points "
+              "jsa_points jsa_span_rad_fs purity_points"),
     "outputs": ("", "directory"),
     "material": ("", "kind value b c range_nm approximate"),
 }
 # Checked in order; an empty or absent option fails naming the first gap.
 _REQUIRED = [(sec, opt) for sec, (req, _) in _OPTIONS.items() for opt in req.split()]
+# The most phase, in radians over the fibre, that the dispersion proxy's
+# chopped tail (residual x length) may put into L k.
+PHASE_BUDGET_RAD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,6 @@ class RunConfig:
     pump_power: PowerSetting
     pump_powers: tuple[PowerSetting, ...]
     window_nm: tuple[float, float]
-    samples: int = 200
-    degree: int = 16
     map_points: int = 256
     detuning_max: float = 0.1
     spectrum_points: int = 2001
@@ -115,10 +117,18 @@ class RunConfig:
         )
 
     def profile(self) -> DispersionProfile:
-        """Dispersion proxy of the fibre, fitted over the run's window."""
-        return build_profile(
-            self.fiber(), self.window_nm, samples=self.samples, degree=self.degree
-        )
+        """Dispersion proxy of the fibre over the run's window.
+
+        Raises EvaluationError when residual x length exceeds PHASE_BUDGET_RAD.
+        """
+        profile = build_profile(self.fiber(), self.window_nm)
+        phase = profile.residual * self.length_nm
+        if phase > PHASE_BUDGET_RAD:
+            raise EvaluationError(
+                f"dispersion proxy error {phase:.3g} rad over the fibre exceeds "
+                f"the phase budget of {PHASE_BUDGET_RAD:g} rad"
+            )
+        return profile
 
     def signal_axis(self, profile: DispersionProfile, omega_p: float) -> np.ndarray:
         """Signal frequencies whose energy-matched idler also stays in window."""
@@ -143,8 +153,6 @@ class RunConfig:
             ("pump.power_w", self.pump_power.describe()),
             ("pump.powers_w", " ".join(p.describe() for p in self.pump_powers)),
             ("grids.window_nm", f"{lo:.9g} {hi:.9g}"),
-            ("grids.samples", str(self.samples)),
-            ("grids.degree", str(self.degree)),
             ("grids.map_points", str(self.map_points)),
             ("grids.detuning_max_rad_fs", f"{self.detuning_max:.9g}"),
             ("grids.spectrum_points", str(self.spectrum_points)),
@@ -157,79 +165,64 @@ class RunConfig:
         return items
 
 
+def _number(text: str, key: str, what: str = "a number") -> float:
+    """text as a finite float, else a ConfigError naming key."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be {what}, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    return value
+
+
 def _parse_wavelength(text: str) -> WavelengthSetting:
     t = text.strip().lower()
     if t == "auto-gvm":
         return WavelengthSetting(nm=None)
-    try:
-        nm = float(t)
-    except ValueError as exc:
-        raise ConfigError(
-            f"pump wavelength must be a number in nm or 'auto-gvm', got {text!r}"
-        ) from exc
+    nm = _number(t, "pump.wavelength_nm", "a number in nm or 'auto-gvm'")
     if nm <= 0:
-        raise ConfigError(f"pump wavelength must be positive, got {nm}")
+        raise ConfigError(f"pump.wavelength_nm must be positive, got {nm}")
     return WavelengthSetting(nm=nm)
 
 
-def _parse_power(text: str) -> PowerSetting:
+def _parse_power(text: str, key: str) -> PowerSetting:
     t = text.strip().lower()
     if t == "auto-critical":
         return PowerSetting(critical_fraction=1.0)
     if t.startswith("auto-critical:"):
-        try:
-            frac = float(t.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad critical-power fraction in {text!r}") from exc
+        frac = _number(t.split(":", 1)[1], key, "a number after 'auto-critical:'")
         if frac <= 0:
-            raise ConfigError(f"critical-power fraction must be positive, got {frac}")
+            raise ConfigError(f"{key} fraction must be positive, got {frac}")
         return PowerSetting(critical_fraction=frac)
-    try:
-        watts = float(t)
-    except ValueError as exc:
-        raise ConfigError(
-            f"pump power must be watts, 'auto-critical' or "
-            f"'auto-critical:<fraction>', got {text!r}"
-        ) from exc
+    watts = _number(t, key, "watts, 'auto-critical' or 'auto-critical:<fraction>'")
     if watts < 0:
-        raise ConfigError(f"pump power must be nonnegative, got {watts}")
+        raise ConfigError(f"{key} must be nonnegative, got {watts}")
     return PowerSetting(watts=watts)
 
 
 def _floats(text: str, key: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a list of numbers, got {text!r}") from exc
+    tokens = text.replace(",", " ").split()
+    return [_number(tok, key, "a list of numbers") for tok in tokens]
 
 
-def _float(cp, section: str, option: str) -> float:
-    raw = cp.get(section, option)
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{option} must be a number, got {raw!r}") from exc
-
-
-def _int_opt(cp, section: str, option: str, default: int, minimum: int = 2) -> int:
+def _int_opt(cp, section: str, option: str, default: int) -> int:
     if not cp.has_option(section, option):
         return default
     raw = cp.get(section, option)
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ConfigError(
-            f"{section}.{option} must be an integer, got {raw!r}"
-        ) from exc
-    if value < minimum:
-        raise ConfigError(f"{section}.{option} must be >= {minimum}, got {value}")
+        raise ConfigError(f"{section}.{option} must be an integer, got {raw!r}") from exc
+    if value < 2:
+        raise ConfigError(f"{section}.{option} must be >= 2, got {value}")
     return value
 
 
 def _positive(cp, section: str, option: str, default: float | None = None) -> float:
     if not cp.has_option(section, option):
         return default
-    value = _float(cp, section, option)
+    value = _number(cp.get(section, option), f"{section}.{option}")
     if value <= 0:
         raise ConfigError(f"{section}.{option} must be positive, got {value}")
     return value
@@ -258,11 +251,9 @@ def _custom_materials(cp) -> dict[str, Material]:
         name = parts[1].strip()
         kind = cp.get(section, "kind", fallback="sellmeier").strip().lower()
         if kind == "constant":
-            if not cp.has_option(section, "value"):
+            value = _positive(cp, section, "value")
+            if value is None:
                 raise ConfigError(f"material {name!r} needs a 'value' field")
-            value = _float(cp, section, "value")
-            if value <= 0:
-                raise ConfigError(f"material {name!r} index must be positive")
             out[name] = ConstantIndex(name=name, value=value)
             continue
         if kind != "sellmeier":
@@ -272,13 +263,13 @@ def _custom_materials(cp) -> dict[str, Material]:
         for opt in ("b", "c", "range_nm"):
             if not cp.has_option(section, opt):
                 raise ConfigError(f"material {name!r} needs a {opt!r} field")
-        b = _floats(cp.get(section, "b"), f"material {name}: b")
-        c = _floats(cp.get(section, "c"), f"material {name}: c")
+        b = _floats(cp.get(section, "b"), f"{section}.b")
+        c = _floats(cp.get(section, "c"), f"{section}.c")
         if not b or len(b) != len(c):
             raise ConfigError(
                 f"material {name!r}: b and c need the same nonzero length"
             )
-        rng = _floats(cp.get(section, "range_nm"), f"material {name}: range_nm")
+        rng = _floats(cp.get(section, "range_nm"), f"{section}.range_nm")
         if len(rng) != 2 or not 0 < rng[0] < rng[1]:
             raise ConfigError(f"material {name!r}: range_nm must be 'lo hi' in nm")
         approx = cp.getboolean(section, "approximate", fallback=False)
@@ -309,17 +300,17 @@ def parse_config(text: str) -> RunConfig:
 
     radius_um = _positive(cp, "fiber", "radius_um")
     length_m = _positive(cp, "fiber", "length_m")
-    gamma = _float(cp, "fiber", "gamma_w_km")
+    gamma = _number(cp.get("fiber", "gamma_w_km"), "fiber.gamma_w_km")
     if gamma < 0:
         raise ConfigError(f"fiber.gamma_w_km must be nonnegative, got {gamma}")
 
     fwhm_nm = _positive(cp, "pump", "fwhm_nm")
-    power = _parse_power(cp.get("pump", "power_w"))
+    power = _parse_power(cp.get("pump", "power_w"), "pump.power_w")
     if cp.has_option("pump", "powers_w"):
         tokens = cp.get("pump", "powers_w").split()
         if not tokens:
             raise ConfigError("pump.powers_w must list at least one power")
-        powers = tuple(_parse_power(tok) for tok in tokens)
+        powers = tuple(_parse_power(tok, "pump.powers_w") for tok in tokens)
     else:
         powers = (power,)
 
@@ -338,8 +329,6 @@ def parse_config(text: str) -> RunConfig:
         pump_power=power,
         pump_powers=powers,
         window_nm=(window[0], window[1]),
-        samples=_int_opt(cp, "grids", "samples", 200, minimum=20),
-        degree=_int_opt(cp, "grids", "degree", 16, minimum=4),
         map_points=_int_opt(cp, "grids", "map_points", 256),
         detuning_max=_positive(cp, "grids", "detuning_max_rad_fs", 0.1),
         spectrum_points=_int_opt(cp, "grids", "spectrum_points", 2001),

@@ -1,14 +1,15 @@
 """Dispersion proxies, zero-dispersion finding and group-velocity matching.
 
 The mode solver gives k(omega) pointwise but root-finding on derivatives
-needs a smooth, cheap representation.  A Chebyshev fit over the working
-window serves as that proxy: for the smooth effective-index curves produced
-by the solver the fit converges spectrally, so a moderate degree reproduces
-k to within solver noise and its derivatives are exact derivatives of the
-proxy.  All downstream quantities (zero-dispersion frequencies, matching
-points, Taylor coefficients) are defined on the proxy, and the roots among
-them are roots of its polynomials: zero dispersion from the companion matrix
-of k'', full group-velocity matches by bisection on the monotone pieces of k'.
+needs a smooth, cheap representation.  A Chebyshev interpolant over the
+working window is that proxy: the solver's Chebyshev coefficients decay
+spectrally to a roundoff plateau, so the degree doubles until the plateau
+shows and the series is chopped where it starts (Aurentz & Trefethen, ACM
+TOMS 43 (2017)).  All downstream quantities (zero-dispersion frequencies,
+matching points, Taylor coefficients) are defined on the exact derivatives
+of the proxy, and the roots among them are roots of its polynomials: zero
+dispersion from the companion matrix of k'', full group-velocity matches by
+bisection on the monotone pieces of k'.
 
 Frequencies are rad/fs, propagation constants rad/nm, so k' is fs/nm and
 k'' is fs^2/nm throughout.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -29,6 +31,12 @@ from .modes import FiberSpec, bisect, propagation_constant_from_omega
 from .units import nonlinear_mismatch, omega_from_wavelength, wavelength_from_omega
 
 _QUERY_INSET = 0.02
+# Interpolation degrees tried, the chopping floor relative to the largest
+# coefficient (above the mode solver's roundoff plateau of ~1e-15), and how
+# many trailing coefficients must sit below it.
+_DEGREES = (16, 32, 64, 128)
+_CHOP_TOL = 1e-14
+_PLATEAU = 8
 _BAND_SAMPLES = 65  # group-delay samples per band in the full-GVM search
 
 
@@ -36,10 +44,10 @@ _BAND_SAMPLES = 65  # group-delay samples per band in the full-GVM search
 class DispersionProfile:
     """Chebyshev proxy for k(omega) with analytic derivatives.
 
-    `window` is the fitted frequency interval; queries are restricted to
-    `query_window`, the fitted interval shrunk by 2% per edge, because a
-    Chebyshev fit is least trustworthy right at its endpoints.  `residual`
-    is the max abs misfit against the build samples in rad/nm.
+    `window` is the interpolated frequency interval; queries are restricted
+    to `query_window`, the interval shrunk by 2% per edge.  `residual` is the
+    sum of the magnitudes of the chopped Chebyshev coefficients in rad/nm,
+    which bounds how far the proxy departs from the full interpolant.
     """
 
     fit: Chebyshev
@@ -57,18 +65,25 @@ class DispersionProfile:
         object.__setattr__(self, "_deriv_table", table)
 
     @classmethod
-    def from_samples(cls, omega, k, degree: int = 16) -> "DispersionProfile":
-        omega = np.asarray(omega, dtype=float)
-        k = np.asarray(k, dtype=float)
-        if omega.ndim != 1 or omega.size != k.size:
-            raise ConfigError("omega and k samples must be 1-d and equally long")
-        if omega.size < degree + 1:
-            raise ConfigError(
-                f"{omega.size} samples cannot support a degree-{degree} fit"
-            )
-        fit = Chebyshev.fit(omega, k, degree)
-        residual = float(np.max(np.abs(fit(omega) - k)))
-        return cls(fit=fit, window=(float(omega.min()), float(omega.max())), residual=residual)
+    def interpolate(cls, func, window: tuple[float, float]) -> "DispersionProfile":
+        """Chopped Chebyshev interpolant of the vectorised func over window.
+
+        func is interpolated at degree 16, 32, ... until at least 8 trailing
+        coefficients lie below 1e-14 of the largest; the series is chopped
+        after the last coefficient above that floor.  Raises EvaluationError
+        when degree 128 does not get there.
+        """
+        for degree in _DEGREES:
+            fit = Chebyshev.interpolate(func, degree, domain=window)
+            mag = np.abs(fit.coef)
+            keep = 1 + max(np.flatnonzero(mag > _CHOP_TOL * mag.max()), default=0)
+            if mag.size - keep >= _PLATEAU:
+                residual = float(mag[keep:].sum())
+                return cls(fit=fit.truncate(keep), window=window, residual=residual)
+        raise EvaluationError(
+            f"dispersion proxy not converged to {_CHOP_TOL:g} of its largest "
+            f"Chebyshev coefficient by degree {_DEGREES[-1]}"
+        )
 
     @property
     def query_window(self) -> tuple[float, float]:
@@ -102,7 +117,7 @@ class DispersionProfile:
 
         a[j] = k^(j)(omega_p) h^j / j! for j = 0..degree, so that
         k(omega) = sum_j a[j] ((omega - omega_p) / h)^j exactly, with h half
-        the fitted window.  omega_p may be an array; a then has shape
+        the interpolated window.  omega_p may be an array; a then has shape
         (degree + 1,) + omega_p.shape.
         """
         h = 0.5 * (self.window[1] - self.window[0])
@@ -114,26 +129,20 @@ class DispersionProfile:
         return derivs * scale.reshape((n,) + (1,) * om.ndim), h
 
 
-def build_profile(
-    fiber: FiberSpec,
-    window_nm: tuple[float, float],
-    samples: int = 200,
-    degree: int = 16,
-) -> DispersionProfile:
-    """Fit a dispersion proxy for `fiber` over a vacuum-wavelength window.
+def build_profile(fiber: FiberSpec, window_nm: tuple[float, float]) -> DispersionProfile:
+    """Dispersion proxy for `fiber` over a vacuum-wavelength window.
 
-    Samples the exact mode solver at `samples` equally spaced frequencies
-    spanning the window and fits a degree-`degree` Chebyshev.  The defaults
-    put the fit residual at solver precision for any realistic glass window.
+    The mode solver's k(omega) interpolated at Chebyshev points of the
+    frequency window and chopped at its roundoff plateau
+    (`DispersionProfile.interpolate`).
     """
     lo_nm, hi_nm = window_nm
     if not 0 < lo_nm < hi_nm:
         raise ConfigError(f"bad wavelength window {window_nm}")
-    om_lo = omega_from_wavelength(hi_nm)
-    om_hi = omega_from_wavelength(lo_nm)
-    omega = np.linspace(om_lo, om_hi, samples)
-    k = propagation_constant_from_omega(fiber, omega)
-    return DispersionProfile.from_samples(omega, k, degree=degree)
+    window = (omega_from_wavelength(hi_nm), omega_from_wavelength(lo_nm))
+    return DispersionProfile.interpolate(
+        partial(propagation_constant_from_omega, fiber), window
+    )
 
 
 def pump_taylor(profile: DispersionProfile, omega_p: float) -> tuple[Polynomial, float]:

@@ -4,8 +4,8 @@ A degree-8 polynomial k(omega) is uniquely fixed by value, slope and
 curvature at the pump and at the two central sideband frequencies (nine
 Hermite conditions).  Prescribing those from a target set of walk-off
 coefficients gives a profile whose exact Taylor data is known in advance,
-independent of any fitting, against which the package's coefficients can be
-checked to machine precision.
+independent of the mode solver, against which the package's coefficients
+can be checked to machine precision.
 """
 
 import numpy as np
@@ -28,8 +28,6 @@ def hermite_polynomial_profile(
     d_value=0.0,
     d_skew=0.0,
     window_factor=1.3,
-    samples=241,
-    degree=10,
 ):
     """Profile matching the requested walk-off set at omega_p +/- delta.
 
@@ -71,10 +69,8 @@ def hermite_polynomial_profile(
     coef = np.linalg.solve(np.array(rows), np.array(rhs))
     poly = Polynomial(coef)
 
-    u_lo, u_hi = -window_factor, window_factor
-    omega = omega_p + scale * np.linspace(u_lo, u_hi, samples)
-    k = poly((omega - omega_p) / scale)
-    profile = DispersionProfile.from_samples(omega, k, degree=degree)
+    window = (omega_p - window_factor * scale, omega_p + window_factor * scale)
+    profile = DispersionProfile.interpolate(lambda om: poly((om - omega_p) / scale), window)
 
     expected = {
         "omega_p": omega_p,
@@ -100,10 +96,10 @@ def quadratic_profile(omega_p, delta, length_nm, tau_p2, k0=5.0e-3, g0=4.9e-3):
     """
     length = float(length_nm)
     k2 = tau_p2 / length
-    omega = omega_p + delta * np.linspace(-1.4, 1.4, 121)
-    dw = omega - omega_p
-    k = k0 + g0 * dw + 0.5 * k2 * dw**2
-    profile = DispersionProfile.from_samples(omega, k, degree=6)
+    window = (omega_p - 1.4 * delta, omega_p + 1.4 * delta)
+    profile = DispersionProfile.interpolate(
+        lambda om: k0 + g0 * (om - omega_p) + 0.5 * k2 * (om - omega_p) ** 2, window
+    )
     expected = {
         "omega_p": omega_p,
         "omega_s0": omega_p + delta,

@@ -291,8 +291,6 @@ power_w = auto-critical
 
 [grids]
 window_nm = 1400 1700
-samples = 60
-degree = 10
 spectrum_points = 301
 """
 

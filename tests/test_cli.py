@@ -27,8 +27,6 @@ power_w = auto-critical:0.5
 
 [grids]
 window_nm = 1400 1700
-samples = 60
-degree = 10
 map_points = 64
 detuning_max_rad_fs = 0.08
 spectrum_points = 301
@@ -107,6 +105,7 @@ def test_design_report_outputs(tiny_cfg, tmp_path, capsys):
         assert needle in text
     assert "critical_power_w" in text
     assert "  approximate_materials = none\n" in text
+    assert "  fit_phase_error_rad = " in text
 
 
 def test_approximate_material_named(tmp_path, capsys):
@@ -190,6 +189,35 @@ def test_unmatched_pump_exits_3(tiny_cfg, tmp_path, capsys):
     cfg.write_text(text)
     assert _run(["jsa", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "no phase-matched" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        ("length_m = 0.5", "length_m = nan", "fiber.length_m"),
+        ("gamma_w_km = 70.0", "gamma_w_km = nan", "fiber.gamma_w_km"),
+        ("power_w = auto-critical:0.5", "power_w = inf", "pump.power_w"),
+        ("power_w = auto-critical:0.5", "power_w = auto-critical:nan", "pump.power_w"),
+        ("wavelength_nm = auto-gvm", "wavelength_nm = inf", "pump.wavelength_nm"),
+        ("fwhm_nm = 2.0", "fwhm_nm = inf", "pump.fwhm_nm"),
+        ("jsa_span_rad_fs = 0.01", "jsa_span_rad_fs = nan", "grids.jsa_span_rad_fs"),
+        ("window_nm = 1400 1700", "window_nm = 450 inf", "grids.window_nm"),
+    ],
+)
+def test_non_finite_numbers_exit_2(old, new, key, tmp_path, capsys):
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(TINY.replace(old, new))
+    assert _run(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+
+
+def test_proxy_over_phase_budget_exits_3(tmp_path, capsys):
+    # The chopped tail of the proxy is ~1e-17 rad/nm; over 1e9 m it is more
+    # phase than the budget allows.
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(TINY.replace("length_m = 0.5", "length_m = 1e9"))
+    assert _run(["dispersion", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "phase budget of 0.001 rad" in capsys.readouterr().err
 
 
 def test_config_and_preset_are_exclusive(tiny_cfg, tmp_path, capsys):

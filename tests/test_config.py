@@ -53,8 +53,6 @@ def test_minimal_round_trip():
 
 def test_defaults_applied():
     config = parse_config(MINIMAL)
-    assert config.samples == 200
-    assert config.degree == 16
     assert config.map_points == 256
     assert config.detuning_max == 0.1
     assert config.spectrum_points == 2001
@@ -128,6 +126,8 @@ def test_unknown_section_rejected():
         ("pump", "power = 1.0"),
         ("grids", "jsa_point = 64"),
         ("grids", "jsa_nodes = 201"),
+        ("grids", "samples = 60"),
+        ("grids", "degree = 10"),
         ("outputs", "dir = out"),
     ],
 )
@@ -301,7 +301,7 @@ def test_resolve_pump_without_match_raises():
     config = parse_config(narrow)
     from sfwm.dispersion import build_profile
 
-    profile = build_profile(config.fiber(), (1500, 1600), samples=60, degree=10)
+    profile = build_profile(config.fiber(), (1500, 1600))
     with pytest.raises(EvaluationError, match="match"):
         resolve_pump(config, profile)
 

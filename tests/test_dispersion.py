@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from sfwm import dispersion
+from sfwm.config import PHASE_BUDGET_RAD
 from sfwm.dispersion import (
     DispersionProfile,
     build_profile,
@@ -16,23 +18,45 @@ from sfwm.dispersion import (
 )
 from sfwm.errors import ConfigError, EvaluationError, RangeError
 from sfwm.materials import FUSED_SILICA
-from sfwm.modes import FiberSpec
+from sfwm.modes import FiberSpec, propagation_constant_from_omega
 from sfwm.units import omega_from_wavelength, wavelength_from_omega
 
 from oracles import bulk_silica_zdw_sympy
 from synthetic import hermite_polynomial_profile, quadratic_profile, with_line
 
 
-def test_fit_residual_tiny(profile_1652, profile_1644, profile_bismuth):
-    for prof in (profile_1652, profile_1644, profile_bismuth):
-        assert prof.residual < 1e-9
+def test_fit_residual_bounds_error_between_nodes(
+    profile_1652, fiber_1652, profile_1644, fiber_1644, profile_bismuth, fiber_bismuth
+):
+    # The chopped tail bounds the error at frequencies that were never
+    # interpolation nodes, and for the 100 m nanowire it stays within the
+    # phase budget over the fibre.
+    for prof, fiber in (
+        (profile_1652, fiber_1652),
+        (profile_1644, fiber_1644),
+        (profile_bismuth, fiber_bismuth),
+    ):
+        omega = np.linspace(*prof.query_window, 100)
+        err = np.abs(prof.k(omega) - propagation_constant_from_omega(fiber, omega))
+        assert np.max(err) <= prof.residual
+    assert profile_bismuth.residual * 1e11 <= PHASE_BUDGET_RAD
+
+
+def test_interpolation_degree_ceiling(monkeypatch, fiber_bismuth):
+    # Below the degree the nanowire needs, the ceiling stops the doubling
+    # with an error instead of returning an unconverged proxy.
+    monkeypatch.setattr(dispersion, "_DEGREES", (16,))
+    with pytest.raises(EvaluationError, match="not converged"):
+        build_profile(fiber_bismuth, (450.0, 900.0))
 
 
 def test_profile_matches_quadratic_exactly():
-    omega = np.linspace(1.0, 1.4, 60)
-    k = 3e-3 + 4.9e-3 * (omega - 1.2) - 2e-5 * (omega - 1.2) ** 2
-    prof = DispersionProfile.from_samples(omega, k, degree=4)
-    assert prof.residual < 1e-17
+    prof = DispersionProfile.interpolate(
+        lambda om: 3e-3 + 4.9e-3 * (om - 1.2) - 2e-5 * (om - 1.2) ** 2, (1.0, 1.4)
+    )
+    # Chopped to the quadratic; the dropped tail is interpolation roundoff.
+    assert prof.fit.degree() == 2
+    assert prof.residual < 1e-16
     om = 1.17
     assert prof.k(om) == pytest.approx(
         3e-3 + 4.9e-3 * (om - 1.2) - 2e-5 * (om - 1.2) ** 2, rel=1e-12
@@ -44,8 +68,7 @@ def test_profile_matches_quadratic_exactly():
 
 
 def test_query_window_guard():
-    omega = np.linspace(1.0, 1.4, 60)
-    prof = DispersionProfile.from_samples(omega, 5e-3 + 1e-3 * omega, degree=4)
+    prof = DispersionProfile.interpolate(lambda om: 5e-3 + 1e-3 * om, (1.0, 1.4))
     lo, hi = prof.query_window
     assert lo == pytest.approx(1.0 + 0.02 * 0.4)
     assert hi == pytest.approx(1.4 - 0.02 * 0.4)
@@ -57,13 +80,6 @@ def test_query_window_guard():
         prof.k(1.5)
     with pytest.raises(ConfigError):
         prof.k_derivative(1.2, 4)
-
-
-def test_from_samples_validation():
-    with pytest.raises(ConfigError):
-        DispersionProfile.from_samples(np.linspace(0, 1, 5), np.zeros(5), degree=16)
-    with pytest.raises(ConfigError):
-        DispersionProfile.from_samples(np.linspace(0, 1, 9), np.zeros(8), degree=4)
 
 
 def test_bulk_silica_zero_dispersion(silica_core):
@@ -162,7 +178,7 @@ def test_zdw_pair_merges_below_critical_radius(silica_core):
 
     def n_zdws(radius):
         fiber = FiberSpec(core=silica_core, cladding=clad, radius_um=radius)
-        return find_zdfs(build_profile(fiber, (1300.0, 2000.0), samples=120)).size
+        return find_zdfs(build_profile(fiber, (1300.0, 2000.0))).size
 
     assert n_zdws(1.652) >= 2
     assert n_zdws(1.630) == 0
