@@ -34,9 +34,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 
-from .dispersion import DispersionProfile, TauSet, pump_taylor
+from .dispersion import DispersionProfile, TauSet
 from .errors import ConfigError, EvaluationError
 from .phasematching import sinc_phase
 from .units import nonlinear_mismatch
@@ -282,8 +283,8 @@ def _pump_rule(nodes, sigma):
 
 def _jsa_numeric_raw(profile, pump, signal_axis, idler_axis, length_nm, gp, rule):
     u, w = rule
-    p, h = pump_taylor(profile, pump.omega_p)
-    p.coef[1] = 0.0  # k minus its tangent at the pump, whose part cancels
+    a, h = profile.taylor(pump.omega_p)
+    p = Polynomial(np.append([0.0, 0.0], a[2:]))  # k minus its tangent at the pump
 
     def k(omega):
         profile.check_window(omega)
@@ -325,9 +326,9 @@ def jsa_numeric(
     and the mismatch is even in u, so a Gauss-Legendre rule of `nodes` nodes
     on |u| <= 4 sigma (e^-32 at the ends) is folded onto u >= 0, and k is
     evaluated once per distinct S.  k is the proxy's Taylor series about the
-    pump (`pump_taylor`) with its tangent line dropped from the coefficients;
-    energy conservation cancels that line exactly, so L times the mismatch
-    never subtracts terms of L k (~1e9 rad on 100 m of fibre).
+    pump (`DispersionProfile.taylor`) with its tangent line dropped from the
+    coefficients; energy conservation cancels that line exactly, so L times
+    the mismatch never subtracts terms of L k (~1e9 rad on 100 m of fibre).
 
     With check=True an 8x8 subgrid is evaluated at n and 2n + 1 nodes from
     n = nodes, n growing to 2n + 1 until the two agree to 1e-6 of the

@@ -153,7 +153,7 @@ def _cmd_dispersion(args, config: RunConfig, profile) -> int:
         )
         if config.gamma > 0:
             pc = critical_power(profile, p.omega_p, p.delta, config.gamma)
-            msg += f", critical power {_f(pc)} W"
+            msg += ", critical power " + (f"{_f(pc)} W" if pc > 0 else "none")
         print(msg)
     return 0
 
@@ -176,16 +176,9 @@ def _cmd_contours(args, config: RunConfig, profile) -> int:
         contours = trace_contours(pm)
         closed = sum(1 for c in contours if c.closed)
         for idx, contour in enumerate(contours):
-            for op, dd in contour.points:
-                lines.append(
-                    ",".join(
-                        [_f(power), str(idx), "1" if contour.closed else "0",
-                         _f(op), _f(dd)]
-                    )
-                )
-        print(
-            f"P = {_f(power)} W: {len(contours)} contour(s), {closed} closed"
-        )
+            head = f"{_f(power)},{idx},{int(contour.closed)}"
+            lines.extend(f"{head},{_f(op)},{_f(dd)}" for op, dd in contour.points)
+        print(f"P = {_f(power)} W: {len(contours)} contour(s), {closed} closed")
     _write(args, config, "contours.csv", lines)
     return 0
 

@@ -381,7 +381,8 @@ def resolve_pump(config: RunConfig, profile: DispersionProfile) -> ResolvedPump:
 
     auto-gvm selects the nondegenerate group-velocity match with the
     smallest half-separation; auto-critical powers are fractions of the
-    critical power at that match.
+    critical power at that match, which must be positive (EvaluationError
+    otherwise).
     """
     need_gvm = config.pump_wavelength.auto
     need_crit = config.pump_power.auto or any(p.auto for p in config.pump_powers)
@@ -401,6 +402,12 @@ def resolve_pump(config: RunConfig, profile: DispersionProfile) -> ResolvedPump:
                 "auto-critical powers need a positive fiber.gamma_w_km"
             )
         p_star = critical_power(profile, gvm.omega_p, gvm.delta, config.gamma)
+        if p_star <= 0:
+            raise EvaluationError(
+                f"critical power {p_star:.9g} W at the group-velocity match at "
+                f"{wavelength_from_omega(gvm.omega_p):.9g} nm (delta {gvm.delta:.9g} "
+                "rad/fs) is not positive; give pump.power_w in W"
+            )
     omega_p = (
         gvm.omega_p
         if config.pump_wavelength.auto

@@ -55,13 +55,12 @@ class DispersionProfile:
     residual: float
 
     def __post_init__(self):
+        # Column j: Chebyshev coefficients of d^j k / d omega^j, j = 0..3 at least.
         n = self.fit.degree() + 1
-        derivs = [self.fit.deriv(j) for j in range(max(n, 4))]
-        object.__setattr__(self, "_derivs", tuple(derivs[:4]))
-        # Column j: the Chebyshev coefficients of d^j k / d omega^j.
-        table = np.zeros((n, n))
-        for j, d in enumerate(derivs[:n]):
-            table[: d.coef.size, j] = d.coef
+        table = np.zeros((n, max(n, 4)))
+        for j in range(table.shape[1]):
+            d = self.fit.deriv(j).coef
+            table[: d.size, j] = d
         object.__setattr__(self, "_deriv_table", table)
 
     @classmethod
@@ -106,7 +105,8 @@ class DispersionProfile:
             raise ConfigError(f"derivative order must be 0..3, got {order}")
         om = np.asarray(omega, dtype=float)
         self.check_window(om)
-        val = self._derivs[order](om)
+        off, scl = self.fit.mapparms()
+        val = chebval(off + scl * om, self._deriv_table[:, order])
         return float(val) if om.ndim == 0 else val
 
     def k(self, omega):
@@ -115,10 +115,10 @@ class DispersionProfile:
     def taylor(self, omega_p):
         """Taylor coefficients of the proxy about omega_p, and their scale h.
 
-        a[j] = k^(j)(omega_p) h^j / j! for j = 0..degree, so that
+        a[j] = k^(j)(omega_p) h^j / j! for j = 0..max(degree, 3), so that
         k(omega) = sum_j a[j] ((omega - omega_p) / h)^j exactly, with h half
         the interpolated window.  omega_p may be an array; a then has shape
-        (degree + 1,) + omega_p.shape.
+        (max(degree, 3) + 1,) + omega_p.shape.
         """
         h = 0.5 * (self.window[1] - self.window[0])
         off, scl = self.fit.mapparms()
@@ -143,17 +143,6 @@ def build_profile(fiber: FiberSpec, window_nm: tuple[float, float]) -> Dispersio
     return DispersionProfile.interpolate(
         partial(propagation_constant_from_omega, fiber), window
     )
-
-
-def pump_taylor(profile: DispersionProfile, omega_p: float) -> tuple[Polynomial, float]:
-    """Power series p and scale h with k(omega) = k(omega_p) + p((omega - omega_p) / h).
-
-    The proxy re-expanded exactly about the pump over its half window h
-    (`DispersionProfile.taylor`), so differences of k formed from p never
-    subtract the ~1e-2 rad/nm of k.
-    """
-    a, h = profile.taylor(omega_p)
-    return Polynomial(np.append(0.0, a[1:])), h
 
 
 def mismatch_coefficients(profile: DispersionProfile, omega_p, gp: float = 0.0):

@@ -12,7 +12,9 @@ It is evaluated as the even Taylor polynomial in delta about each pump
 frequency (`dispersion.mismatch_coefficients`), so the k values never
 cancel.  Matched pairs live on the delta_k = 0 level set; `trace_contours`
 extracts it from a sampled map by marching squares (linear interpolation on
-cell edges, saddles resolved by the cell-centre value).
+cell edges, saddles resolved by the cell-centre value).  Classifying the
+cells, looking up their segments and interpolating the crossings are array
+operations; only chaining the segments into polylines runs in Python.
 """
 
 from __future__ import annotations
@@ -129,43 +131,28 @@ class Contour:
     closed: bool
 
 
-def _edge_point(kind, i, j, axes, values, level):
-    """Crossing position on grid edge ('h': V[i,j]-V[i,j+1], 'v': V[i,j]-V[i+1,j])."""
-    x, y = axes
-    if kind == "h":
-        va, vb = values[i, j], values[i, j + 1]
-        pa = (x[j], y[i])
-        pb = (x[j + 1], y[i])
-    else:
-        va, vb = values[i, j], values[i + 1, j]
-        pa = (x[j], y[i])
-        pb = (x[j], y[i + 1])
-    t = (level - va) / (vb - va)
-    return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+# Segments of each cell case between the edges b(ottom), l(eft), t(op) and
+# r(ight).  Bit 0 of the case is the lower-left corner, bits 1-3 follow
+# counter-clockwise; the saddles 5 and 10 list their pairing for a cell
+# centre below the level, then "|" and the pairing for one at or above it.
+_CASES = (
+    "", "lb", "br", "lr", "rt", "bl rt|br tl", "bt", "lt",
+    "lt", "bt", "br tl|lb rt", "rt", "lr", "br", "lb", "",
+)
 
 
-_SEGMENT_TABLE = {
-    1: [("l", "b")],
-    2: [("b", "r")],
-    3: [("l", "r")],
-    4: [("r", "t")],
-    6: [("b", "t")],
-    7: [("l", "t")],
-    8: [("l", "t")],
-    9: [("b", "t")],
-    11: [("r", "t")],
-    12: [("l", "r")],
-    13: [("b", "r")],
-    14: [("l", "b")],
-}
+def _segment_table() -> np.ndarray:
+    """Edges by [case, centre >= level, segment, end], padded with -1."""
+    table = np.full((16, 2, 2, 2), -1)
+    for case, spec in enumerate(_CASES):
+        below, _, above = spec.partition("|")
+        for centre, segments in enumerate((below, above or below)):
+            for s, pair in enumerate(segments.split()):
+                table[case, centre, s] = ["bltr".index(e) for e in pair]
+    return table
 
 
-def _cell_segments(case, center_inside):
-    if case == 5:
-        return [("b", "r"), ("t", "l")] if center_inside else [("b", "l"), ("r", "t")]
-    if case == 10:
-        return [("l", "b"), ("r", "t")] if center_inside else [("b", "r"), ("t", "l")]
-    return _SEGMENT_TABLE.get(case, [])
+_SEGMENTS = _segment_table()
 
 
 def trace_contours(pm: PmMap, level: float = 0.0) -> list[Contour]:
@@ -174,90 +161,61 @@ def trace_contours(pm: PmMap, level: float = 0.0) -> list[Contour]:
     Returns contours as (N, 2) point arrays in (pump, detuning) coordinates.
     Open paths terminate on the map boundary; closed ones are loops (first
     point not repeated).  A corner exactly at `level` counts as inside.
+
+    Cell cases, segments and edge crossings are array operations; an edge is
+    named 2 c + vertical, c the flat index of its lower-left grid point, so
+    both cells sharing it agree.  Only the chaining runs in Python: open paths
+    from edges used once, in order of first use, then loops in segment order.
     """
     v = pm.values
     x, y = pm.pump_axis, pm.detuning_axis
-    ny, nx = v.shape
-    inside = v >= level
+    nx = v.shape[1]
+    inside = (v >= level).astype(np.uint8)
+    case = inside[:-1, :-1] | inside[:-1, 1:] << 1
+    case |= inside[1:, 1:] << 2 | inside[1:, :-1] << 3
+    i, j = np.nonzero((case > 0) & (case < 15))
+    centre = 0.25 * (v[i, j] + v[i, j + 1] + v[i + 1, j] + v[i + 1, j + 1])
+    segments = _SEGMENTS[case[i, j], (centre >= level).astype(np.uint8)]
+    offsets = np.array([0, 1, 2 * nx, 3])  # ids of edges b, l, t, r minus 2 c
+    ends = (2 * (i * nx + j))[:, np.newaxis, np.newaxis] + offsets[segments]
+    ends = ends[segments[:, :, 0] >= 0].ravel()
 
-    # Edge name -> global edge id for a given cell (i, j): bottom/top are
-    # horizontal edges at rows i / i+1, left/right vertical edges at cols
-    # j / j+1.  Shared ids make segment endpoints match across cells exactly.
-    def edge_id(name, i, j):
-        if name == "b":
-            return ("h", i, j)
-        if name == "t":
-            return ("h", i + 1, j)
-        if name == "l":
-            return ("v", i, j)
-        return ("v", i, j + 1)
+    edges, inv = np.unique(ends, return_inverse=True)
+    c, vertical = np.divmod(edges, 2)
+    ia, ja = np.divmod(c, nx)
+    ib, jb = ia + vertical, ja + 1 - vertical
+    t = (level - v[ia, ja]) / (v[ib, jb] - v[ia, ja])
+    xy = np.column_stack((x[ja] + t * (x[jb] - x[ja]), y[ia] + t * (y[ib] - y[ia])))
 
-    segments = []
-    for i in range(ny - 1):
-        for j in range(nx - 1):
-            case = (
-                int(inside[i, j])
-                | (int(inside[i, j + 1]) << 1)
-                | (int(inside[i + 1, j + 1]) << 2)
-                | (int(inside[i + 1, j]) << 3)
-            )
-            if case in (0, 15):
-                continue
-            center = 0.25 * (v[i, j] + v[i, j + 1] + v[i + 1, j] + v[i + 1, j + 1])
-            for ea, eb in _cell_segments(case, center >= level):
-                segments.append((edge_id(ea, i, j), edge_id(eb, i, j)))
+    seg_edges = inv.reshape(-1, 2).tolist()
+    adj = [[] for _ in range(edges.size)]  # segments at each edge, ascending
+    for s, (a, b) in enumerate(seg_edges):
+        adj[a].append(s)
+        adj[b].append(s)
+    used = [False] * len(seg_edges)
 
-    if not segments:
-        return []
-
-    points = {}
-    for ea, eb in segments:
-        for kind, i, j in (ea, eb):
-            if (kind, i, j) not in points:
-                points[(kind, i, j)] = _edge_point(kind, i, j, (x, y), v, level)
-
-    adj: dict[tuple, list[int]] = {}
-    for idx, (ea, eb) in enumerate(segments):
-        adj.setdefault(ea, []).append(idx)
-        adj.setdefault(eb, []).append(idx)
-
-    used = [False] * len(segments)
-
-    def walk(start_edge):
-        """Consume unused segments from start_edge; True when a loop closes."""
-        chain = [start_edge]
-        current = start_edge
+    def walk(start):
+        """Consume unused segments from edge start; True when a loop closes."""
+        chain = [start]
+        current = start
         while True:
-            nxt = None
-            for idx in adj[current]:
-                if not used[idx]:
-                    nxt = idx
-                    break
-            if nxt is None:
+            s = next((s for s in adj[current] if not used[s]), None)
+            if s is None:
                 return chain, False
-            used[nxt] = True
-            ea, eb = segments[nxt]
-            current = eb if ea == current else ea
-            if current == start_edge:
+            used[s] = True
+            a, b = seg_edges[s]
+            current = b if a == current else a
+            if current == start:
                 return chain, True
             chain.append(current)
 
-    contours = []
-    # Open paths first: their ends are edges used by exactly one segment.
-    for edge, seg_ids in adj.items():
-        if len(seg_ids) == 1 and not used[seg_ids[0]]:
-            contours.append(walk(edge))
+    # Open paths first, from the edges used once, in order of first use.
+    first_use = dict.fromkeys(inv.tolist())
+    walks = [walk(e) for e in first_use if len(adj[e]) == 1 and not used[adj[e][0]]]
     # Whatever remains sits on closed loops; walking any member edge of one
     # comes back around to it.
-    for idx in range(len(segments)):
-        if not used[idx]:
-            contours.append(walk(segments[idx][0]))
-
-    out = []
-    for chain, closed in contours:
-        pts = np.array([points[e] for e in chain], dtype=float)
-        out.append(Contour(points=pts, closed=bool(closed)))
-    return out
+    walks += [walk(seg_edges[s][0]) for s in range(len(used)) if not used[s]]
+    return [Contour(points=xy[chain], closed=closed) for chain, closed in walks]
 
 
 def critical_power(

@@ -4,8 +4,9 @@ Everything here is written against textbook formulas with none of the
 package's numerics shared, so agreement is meaningful: a scalar weak-guidance
 mode solver, the vector HE11 residual on scipy's Bessel functions, a 30-digit
 Faddeeva function, a brute-force quadrature for the pair-generation pump
-integral, a symbolic zero-dispersion solve for bulk silica and a 50-digit
-root of the phase mismatch on a Chebyshev proxy.
+integral, a symbolic zero-dispersion solve for bulk silica, a 50-digit root
+of the phase mismatch on a Chebyshev proxy and a marching-squares tracer
+that visits the map one cell at a time.
 """
 
 import math
@@ -13,6 +14,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import j0, j1, jv, k0, k1, kve
+
+from sfwm.phasematching import Contour
 
 
 def lp01_effective_index(n_co, n_cl, radius_nm, lambda_nm):
@@ -155,3 +158,137 @@ def proxy_mismatch_root(fit, omega_p, gamma_p, delta0):
     with mp.workdps(50):
         mismatch = _mp_mismatch(fit, omega_p, gamma_p)
         return float(mp.findroot(mismatch, mp.mpf(float(delta0))))
+
+
+def _edge_point(kind, i, j, axes, values, level):
+    """Crossing position on grid edge ('h': V[i,j]-V[i,j+1], 'v': V[i,j]-V[i+1,j])."""
+    x, y = axes
+    if kind == "h":
+        va, vb = values[i, j], values[i, j + 1]
+        pa = (x[j], y[i])
+        pb = (x[j + 1], y[i])
+    else:
+        va, vb = values[i, j], values[i + 1, j]
+        pa = (x[j], y[i])
+        pb = (x[j], y[i + 1])
+    t = (level - va) / (vb - va)
+    return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+
+
+_SEGMENT_TABLE = {
+    1: [("l", "b")],
+    2: [("b", "r")],
+    3: [("l", "r")],
+    4: [("r", "t")],
+    6: [("b", "t")],
+    7: [("l", "t")],
+    8: [("l", "t")],
+    9: [("b", "t")],
+    11: [("r", "t")],
+    12: [("l", "r")],
+    13: [("b", "r")],
+    14: [("l", "b")],
+}
+
+
+def _cell_segments(case, center_inside):
+    if case == 5:
+        return [("b", "r"), ("t", "l")] if center_inside else [("b", "l"), ("r", "t")]
+    if case == 10:
+        return [("l", "b"), ("r", "t")] if center_inside else [("b", "r"), ("t", "l")]
+    return _SEGMENT_TABLE.get(case, [])
+
+
+def trace_contours_per_cell(pm, level=0.0):
+    """`trace_contours` one cell at a time, with tuple-named edges.
+
+    The package's array tracer must reproduce these contours exactly: count,
+    order, closed flags and every point.
+
+    Returns contours as (N, 2) point arrays in (pump, detuning) coordinates.
+    Open paths terminate on the map boundary; closed ones are loops (first
+    point not repeated).  A corner exactly at `level` counts as inside.
+    """
+    v = pm.values
+    x, y = pm.pump_axis, pm.detuning_axis
+    ny, nx = v.shape
+    inside = v >= level
+
+    # Edge name -> global edge id for a given cell (i, j): bottom/top are
+    # horizontal edges at rows i / i+1, left/right vertical edges at cols
+    # j / j+1.  Shared ids make segment endpoints match across cells exactly.
+    def edge_id(name, i, j):
+        if name == "b":
+            return ("h", i, j)
+        if name == "t":
+            return ("h", i + 1, j)
+        if name == "l":
+            return ("v", i, j)
+        return ("v", i, j + 1)
+
+    segments = []
+    for i in range(ny - 1):
+        for j in range(nx - 1):
+            case = (
+                int(inside[i, j])
+                | (int(inside[i, j + 1]) << 1)
+                | (int(inside[i + 1, j + 1]) << 2)
+                | (int(inside[i + 1, j]) << 3)
+            )
+            if case in (0, 15):
+                continue
+            center = 0.25 * (v[i, j] + v[i, j + 1] + v[i + 1, j] + v[i + 1, j + 1])
+            for ea, eb in _cell_segments(case, center >= level):
+                segments.append((edge_id(ea, i, j), edge_id(eb, i, j)))
+
+    if not segments:
+        return []
+
+    points = {}
+    for ea, eb in segments:
+        for kind, i, j in (ea, eb):
+            if (kind, i, j) not in points:
+                points[(kind, i, j)] = _edge_point(kind, i, j, (x, y), v, level)
+
+    adj: dict[tuple, list[int]] = {}
+    for idx, (ea, eb) in enumerate(segments):
+        adj.setdefault(ea, []).append(idx)
+        adj.setdefault(eb, []).append(idx)
+
+    used = [False] * len(segments)
+
+    def walk(start_edge):
+        """Consume unused segments from start_edge; True when a loop closes."""
+        chain = [start_edge]
+        current = start_edge
+        while True:
+            nxt = None
+            for idx in adj[current]:
+                if not used[idx]:
+                    nxt = idx
+                    break
+            if nxt is None:
+                return chain, False
+            used[nxt] = True
+            ea, eb = segments[nxt]
+            current = eb if ea == current else ea
+            if current == start_edge:
+                return chain, True
+            chain.append(current)
+
+    contours = []
+    # Open paths first: their ends are edges used by exactly one segment.
+    for edge, seg_ids in adj.items():
+        if len(seg_ids) == 1 and not used[seg_ids[0]]:
+            contours.append(walk(edge))
+    # Whatever remains sits on closed loops; walking any member edge of one
+    # comes back around to it.
+    for idx in range(len(segments)):
+        if not used[idx]:
+            contours.append(walk(segments[idx][0]))
+
+    out = []
+    for chain, closed in contours:
+        pts = np.array([points[e] for e in chain], dtype=float)
+        out.append(Contour(points=pts, closed=bool(closed)))
+    return out

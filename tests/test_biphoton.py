@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from sfwm import biphoton
 from sfwm.biphoton import (
@@ -10,7 +11,7 @@ from sfwm.biphoton import (
     phi_function,
     schmidt_metrics,
 )
-from sfwm.dispersion import TauSet, pump_taylor, tau_coefficients
+from sfwm.dispersion import TauSet, tau_coefficients
 from sfwm.errors import ConfigError, EvaluationError
 from sfwm.phasematching import sinc_phase
 from sfwm.units import omega_from_wavelength, pump_sigma_from_fwhm
@@ -232,7 +233,8 @@ def _cw_line(prof, signal):
     The mismatch comes from the proxy's Taylor series about the pump, so no
     k values of ~5e-3 rad/nm cancel in L delta_k.
     """
-    p, h = pump_taylor(prof, 1.2)
+    a, h = prof.taylor(1.2)
+    p = Polynomial(np.append(0.0, a[1:]))
     t = (signal - 1.2) / h
     return sinc_phase(-1e6 * (p(t) + p(-t)))
 

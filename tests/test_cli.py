@@ -191,6 +191,20 @@ def test_unmatched_pump_exits_3(tiny_cfg, tmp_path, capsys):
     assert "no phase-matched" in capsys.readouterr().err
 
 
+def test_negative_critical_power_exits_3(tmp_path, capsys):
+    # A 1.66 um strand's only nondegenerate match has P* < 0: auto-critical
+    # runs stop with the value, and dispersion prints no negative power.
+    preset = Path(sfwm.__file__).parent / "presets" / "fig1.cfg"
+    cfg = tmp_path / "r166.cfg"
+    cfg.write_text(preset.read_text().replace("radius_um = 1.652", "radius_um = 1.66"))
+    for command in ("spectrum", "jsa", "design-report"):
+        assert _run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "critical power -54.3957405 W" in capsys.readouterr().err
+    assert _run(["dispersion", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "critical power none" in out and "critical power -" not in out
+
+
 @pytest.mark.parametrize(
     "old,new,key",
     [

@@ -306,6 +306,25 @@ def test_resolve_pump_without_match_raises():
         resolve_pump(config, profile)
 
 
+def test_resolve_pump_negative_critical_power_raises():
+    # At 1.66 um the only nondegenerate match has a negative linear mismatch:
+    # no positive power closes its loop, so auto-critical must not resolve.
+    text = MINIMAL.replace("radius_um = 1.644", "radius_um = 1.66")
+    config = parse_config(text.replace("window_nm = 1300 2000", "window_nm = 1250 2500"))
+    from sfwm.dispersion import build_profile, find_fgvm_points
+    from sfwm.phasematching import critical_power
+
+    profile = build_profile(config.fiber(), config.window_nm)
+    (gvm,) = [p for p in find_fgvm_points(profile) if p.delta > 0]
+    p_star = critical_power(profile, gvm.omega_p, gvm.delta, config.gamma)
+    assert p_star == pytest.approx(-54.3957, rel=1e-5)
+    with pytest.raises(EvaluationError, match=r"critical power -54\.39\d+ W .* not positive"):
+        resolve_pump(config, profile)
+    watts = PowerSetting(watts=1.0)
+    fixed = replace(config, pump_power=watts, pump_powers=(watts,))
+    assert resolve_pump(fixed, profile).power == 1.0
+
+
 # ------------------------------------------------------------- working point
 
 

@@ -20,7 +20,7 @@ from sfwm.phasematching import (
 
 from sfwm.units import nonlinear_mismatch
 
-from oracles import proxy_mismatch
+from oracles import proxy_mismatch, trace_contours_per_cell
 from synthetic import quadratic_profile, with_line
 
 GAMMA = 70.0
@@ -133,6 +133,48 @@ def test_saddle_disambiguation():
     contours = trace_contours(m)
     assert len(contours) == 2
     assert all(not c.closed and len(c.points) == 2 for c in contours)
+
+
+def _random_map(rng, kind, ny, nx):
+    """Gaussian noise, small integers (corners exactly on the level) or a
+    smooth field of several loops, saddles and open paths."""
+    if kind == "noise":
+        return rng.standard_normal((ny, nx))
+    if kind == "integers":
+        return rng.integers(-2, 3, size=(ny, nx)).astype(float)
+    yy, xx = np.meshgrid(np.linspace(0, 1, ny), np.linspace(0, 1, nx), indexing="ij")
+    f = rng.uniform(2.0, 12.0, size=(3, 2))
+    phase = rng.uniform(0.0, 6.0, size=3)
+    return sum(np.sin(a * xx + p) * np.cos(b * yy) for (a, b), p in zip(f, phase))
+
+
+@pytest.mark.parametrize("kind", ["noise", "integers", "smooth"])
+@pytest.mark.parametrize("level", [0.0, 0.5])
+def test_trace_contours_matches_per_cell_oracle(kind, level):
+    # Same contours, order, closed flags and bitwise points as the per-cell
+    # tracer, on maps from 2x2 to 40x40 with uniform and sorted random axes.
+    rng = np.random.default_rng(7)
+    flags = set()
+    for n in range(60):
+        ny, nx = (2, 2) if n == 0 else rng.integers(2, 41, size=2)
+        if n % 2:
+            x, y = np.sort(rng.uniform(-3.0, 3.0, nx)), np.sort(rng.uniform(-3.0, 3.0, ny))
+        else:
+            x, y = np.linspace(-1.0, 1.0, nx), np.linspace(0.0, 2.0, ny)
+        m = PmMap(pump_axis=x, detuning_axis=y, values=_random_map(rng, kind, ny, nx))
+        got, want = trace_contours(m, level), trace_contours_per_cell(m, level)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.closed == b.closed
+            assert np.array_equal(a.points, b.points)
+            flags.add(a.closed)
+    assert flags == {False, True}  # both open paths and loops were compared
+
+
+def test_trace_contours_empty_and_flat_maps():
+    x, y = np.arange(3.0), np.arange(4.0)
+    for values in (np.ones((4, 3)), -np.ones((4, 3)), np.zeros((4, 3))):
+        assert trace_contours(PmMap(pump_axis=x, detuning_axis=y, values=values)) == []
 
 
 def test_two_loops_one_per_halfplane(profile_1644, p_star):
