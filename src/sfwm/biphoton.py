@@ -177,14 +177,14 @@ class PumpSpec:
 class JsaGrid:
     """Joint spectral amplitude sampled on a rectangular frequency grid.
 
-    amplitude[m, n] belongs to signal_axis[m], idler_axis[n] (rad/fs).  When
-    normalized, sum |F|^2 d_signal d_idler = 1.
+    amplitude[m, n] belongs to signal_axis[m], idler_axis[n] (rad/fs), both
+    equally spaced.  `normalize` keeps the rectangle norm
+    sum |F|^2 d_signal d_idler = 1, which readers recompute from jsa.csv.
     """
 
     signal_axis: np.ndarray
     idler_axis: np.ndarray
     amplitude: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         if self.amplitude.shape != (self.signal_axis.size, self.idler_axis.size):
@@ -217,8 +217,13 @@ class JsaGrid:
             signal_axis=self.signal_axis,
             idler_axis=self.idler_axis,
             amplitude=self.amplitude / norm,
-            normalized=True,
         )
+
+    def border_mass(self) -> float:
+        """Share of sum |F|^2 on the outermost rows and columns, each cell once."""
+        a = self.amplitude
+        edges = (a[0], a[-1], a[1:-1, 0], a[1:-1, -1])
+        return float(sum(np.vdot(e, e).real for e in edges) / np.vdot(a, a).real)
 
 
 def _check_working_point(tau: TauSet, pump: PumpSpec):
@@ -378,20 +383,19 @@ class SchmidtResult:
 def schmidt_metrics(jsa: JsaGrid) -> SchmidtResult:
     """Schmidt coefficients, heralded-state purity and Schmidt number.
 
-    Singular values of the amplitude grid, weighted by the cell area so the
-    result is discretisation-consistent, give weights lambda_n; purity is
-    sum lambda_n^2 and the Schmidt number its reciprocal.  Weights are
-    renormalised to sum to one, so the input need not be normalized.
+    Nystroem discretisation (Bornemann, Math. Comp. 79 (2010) 871): singular
+    values s_n of sqrt(w_s) F sqrt(w_i), w each axis' trapezoid weights, give
+    lambda_n = s_n^2 / sum s^2, spectrally accurate in the step for a JSA that
+    decays to the border; purity is sum lambda_n^2, the Schmidt number 1/purity.
     """
-    s = np.linalg.svd(jsa.amplitude, compute_uv=False)
-    lam = s**2 * jsa.d_signal * jsa.d_idler
-    total = lam.sum()
+    ws, wi = (
+        np.sqrt(np.convolve(np.abs(np.diff(x)), [0.5, 0.5]))
+        for x in (jsa.signal_axis, jsa.idler_axis)
+    )
+    s = np.linalg.svd(ws[:, np.newaxis] * jsa.amplitude * wi, compute_uv=False)
+    total = np.sum(s**2)
     if total == 0:
         raise EvaluationError("cannot decompose an identically zero amplitude")
-    lam = lam / total
+    lam = s**2 / total
     purity = float(np.sum(lam**2))
-    return SchmidtResult(
-        coefficients=lam,
-        purity=purity,
-        schmidt_number=1.0 / purity,
-    )
+    return SchmidtResult(coefficients=lam, purity=purity, schmidt_number=1.0 / purity)

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .biphoton import jsa_analytic, jsa_numeric, schmidt_metrics
+from .biphoton import JsaGrid, jsa_analytic, jsa_numeric, schmidt_metrics
 from .config import (
     ResolvedPump,
     RunConfig,
@@ -234,18 +234,19 @@ def _working_point_echo(wp: WorkingPoint) -> list[tuple[str, str]]:
     ]
 
 
-def _numeric_jsa(config: RunConfig, profile, wp: WorkingPoint, points: int):
-    s_axis, i_axis = wp.axes(config.jsa_span, points)
-    return jsa_numeric(
+def _numeric_jsa(config: RunConfig, profile) -> tuple[WorkingPoint, JsaGrid]:
+    wp = working_point(config, profile)
+    s_axis, i_axis = wp.axes(config.jsa_span, config.jsa_points)
+    return wp, jsa_numeric(
         profile, wp.pump_spec(), s_axis, i_axis, config.length_nm, gamma=config.gamma
     )
 
 
 def _cmd_jsa(args, config: RunConfig, profile) -> int:
-    wp = working_point(config, profile)
-    jsa = _numeric_jsa(config, profile, wp, config.jsa_points)
+    wp, jsa = _numeric_jsa(config, profile)
 
     lines = _header("jsa", args, config, _working_point_echo(wp))
+    lines.append(f"# border_mass = {_f(jsa.border_mass())}")
     lines.append("omega_s_rad_fs,omega_i_rad_fs,re_amplitude,im_amplitude")
     om_s, om_i = np.meshgrid(jsa.signal_axis, jsa.idler_axis, indexing="ij")
     rows = zip(*(c.ravel() for c in (om_s, om_i, jsa.amplitude.real, jsa.amplitude.imag)))
@@ -262,13 +263,14 @@ def _cmd_jsa(args, config: RunConfig, profile) -> int:
 
 
 def _cmd_purity(args, config: RunConfig, profile) -> int:
-    wp = working_point(config, profile)
-    result = schmidt_metrics(_numeric_jsa(config, profile, wp, config.purity_points))
+    wp, jsa = _numeric_jsa(config, profile)
+    result = schmidt_metrics(jsa)
 
     lines = _header("purity", args, config, _working_point_echo(wp))
     lines.append(f"purity = {_f(result.purity)}")
     lines.append(f"schmidt_number = {_f(result.schmidt_number)}")
-    lines.append(f"grid_points = {config.purity_points}")
+    lines.append(f"grid_points = {config.jsa_points}")
+    lines.append(f"border_mass = {_f(jsa.border_mass())}")
     for n, lam in enumerate(result.coefficients[:16]):
         lines.append(f"coefficient_{n:02d} = {_f(lam)}")
     _write(args, config, "purity.txt", lines)

@@ -31,7 +31,7 @@ _OPTIONS = {
     "fiber": ("core cladding radius_um length_m gamma_w_km", ""),
     "pump": ("wavelength_nm fwhm_nm power_w", "powers_w"),
     "grids": ("window_nm", "map_points detuning_max_rad_fs spectrum_points "
-              "jsa_points jsa_span_rad_fs purity_points"),
+              "jsa_points jsa_span_rad_fs"),
     "outputs": ("", "directory"),
     "material": ("", "kind value b c range_nm approximate"),
 }
@@ -101,7 +101,6 @@ class RunConfig:
     spectrum_points: int = 2001
     jsa_points: int = 256
     jsa_span: float = 0.03
-    purity_points: int = 512
     out_dir: str = "."
     materials: dict[str, Material] = field(default_factory=dict)
 
@@ -158,7 +157,6 @@ class RunConfig:
             ("grids.spectrum_points", str(self.spectrum_points)),
             ("grids.jsa_points", str(self.jsa_points)),
             ("grids.jsa_span_rad_fs", f"{self.jsa_span:.9g}"),
-            ("grids.purity_points", str(self.purity_points)),
         ]
         for name in sorted(self.materials):
             items.append((f"material.{name}", self.materials[name].name))
@@ -334,7 +332,6 @@ def parse_config(text: str) -> RunConfig:
         spectrum_points=_int_opt(cp, "grids", "spectrum_points", 2001),
         jsa_points=_int_opt(cp, "grids", "jsa_points", 256),
         jsa_span=_positive(cp, "grids", "jsa_span_rad_fs", 0.03),
-        purity_points=_int_opt(cp, "grids", "purity_points", 512),
         out_dir=cp.get("outputs", "directory", fallback=".").strip() or ".",
         materials=materials,
     )

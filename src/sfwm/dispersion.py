@@ -109,9 +109,6 @@ class DispersionProfile:
         val = chebval(off + scl * om, self._deriv_table[:, order])
         return float(val) if om.ndim == 0 else val
 
-    def k(self, omega):
-        return self.k_derivative(omega, 0)
-
     def taylor(self, omega_p):
         """Taylor coefficients of the proxy about omega_p, and their scale h.
 

@@ -11,6 +11,7 @@ from sfwm.biphoton import (
     phi_function,
     schmidt_metrics,
 )
+from sfwm.config import load_preset, working_point
 from sfwm.dispersion import TauSet, tau_coefficients
 from sfwm.errors import ConfigError, EvaluationError
 from sfwm.phasematching import sinc_phase
@@ -111,7 +112,6 @@ def test_jsa_grid_normalize():
     amp = np.exp(-(s_axis[:, None] ** 2) - i_axis[None, :] ** 2).astype(complex)
     grid = JsaGrid(signal_axis=s_axis, idler_axis=i_axis, amplitude=amp)
     norm = grid.normalize()
-    assert norm.normalized
     total = np.sum(norm.intensity()) * norm.d_signal * norm.d_idler
     assert total == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ConfigError):
@@ -317,8 +317,8 @@ def _shared_rule_jsa(prof, pump, signal, idler, length_nm, nodes):
     q, w = np.polynomial.legendre.leggauss(nodes)
     om = pump.omega_p + 0.5 * (t_lo + t_hi) + 0.5 * (t_hi - t_lo) * q
     conj = signal[:, None, None] + idler[None, :, None] - om
-    dk = (prof.k(om) + prof.k(conj) - prof.k(signal)[:, None, None]
-          - prof.k(idler)[None, :, None])
+    k = prof.k_derivative
+    dk = k(om, 0) + k(conj, 0) - k(signal, 0)[:, None, None] - k(idler, 0)[None, :, None]
     envelope = np.exp(-(((om - pump.omega_p) ** 2 + (conj - pump.omega_p) ** 2) / pump.sigma**2))
     integrand = envelope * sinc_phase(length_nm * dk)
     return integrand @ (0.5 * (t_hi - t_lo) * w)
@@ -403,6 +403,47 @@ def test_schmidt_gaussian_cross_term():
     grid = JsaGrid(signal_axis=x, idler_axis=x, amplitude=amp.astype(complex))
     res = schmidt_metrics(grid)
     assert res.purity == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-4)
+
+
+def test_schmidt_trapezoid_weights_exact_on_periodic_modes():
+    # 1 and cos are orthogonal under the trapezoid rule with both ends of
+    # [0, 2 pi], so the Nystroem weights see two equal Schmidt modes exactly;
+    # equal cell weights count the two end samples twice and do not.
+    x = np.linspace(0.0, 2.0 * np.pi, 33)
+    amp = 1.0 / (2.0 * np.pi) + np.outer(np.cos(x), np.cos(x)) / np.pi
+    grid = JsaGrid(signal_axis=x, idler_axis=x, amplitude=amp.astype(complex))
+    res = schmidt_metrics(grid)
+    assert res.purity == pytest.approx(0.5, abs=1e-12)
+    assert res.coefficients[:2] == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+def test_purity_converges_in_step(profile_bismuth):
+    # fig4's working point and span: halving the step must leave the
+    # purity unchanged to 1e-6 (the rectangle rule moves it by 1.9e-5).
+    config = load_preset("fig4")
+    wp = working_point(config, profile_bismuth)
+    tau = tau_coefficients(
+        profile_bismuth, wp.pump.omega_p, wp.omega_s, wp.omega_i, config.length_nm,
+        gamma=config.gamma, power=wp.pump.power,
+    )
+    coarse, fine = (
+        schmidt_metrics(
+            jsa_analytic(tau, wp.pump_spec(), *wp.axes(config.jsa_span, points))
+        ).purity
+        for points in (256, 511)
+    )
+    assert coarse == pytest.approx(fine, abs=1e-6)
+
+
+def test_border_mass_counts_each_edge_cell_once():
+    x = np.linspace(0.0, 1.0, 5)
+    y = np.linspace(0.0, 1.0, 4)
+    amp = np.ones((5, 4), dtype=complex)
+    amp[2, 1] = 3.0  # interior: 9 of a total 19 + 9 = 28
+    grid = JsaGrid(signal_axis=x, idler_axis=y, amplitude=amp)
+    # 2 * 4 + 2 * 3 = 14 border cells of 20, each |F|^2 = 1.
+    assert grid.border_mass() == pytest.approx(14.0 / 28.0, rel=1e-15)
+    assert grid.normalize().border_mass() == pytest.approx(14.0 / 28.0, rel=1e-15)
 
 
 def test_schmidt_scale_invariance():

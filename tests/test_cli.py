@@ -32,7 +32,6 @@ detuning_max_rad_fs = 0.08
 spectrum_points = 301
 jsa_points = 32
 jsa_span_rad_fs = 0.01
-purity_points = 32
 """
 
 
@@ -87,6 +86,7 @@ def test_jsa_outputs(tiny_cfg, tmp_path, capsys):
     csv = tmp_path / "jsa.csv"
     header = [ln for ln in csv.read_text().splitlines() if ln.startswith("#")]
     assert any("resolved.signal_center_nm" in ln for ln in header)
+    assert [ln for ln in header if ln.startswith("# border_mass = ")]
     assert len(_data_lines(csv)) == 1 + 32 * 32
 
 
@@ -96,6 +96,8 @@ def test_purity_outputs(tiny_cfg, tmp_path):
     purity = float(body[0].split("=")[1])
     assert 0.0 < purity <= 1.0
     assert body[1].startswith("schmidt_number =")
+    assert body[2] == "grid_points = 32"  # TINY's jsa_points
+    assert 0.0 <= float(body[3].removeprefix("border_mass = ")) < 1.0
 
 
 def test_design_report_outputs(tiny_cfg, tmp_path, capsys):

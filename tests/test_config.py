@@ -58,7 +58,6 @@ def test_defaults_applied():
     assert config.spectrum_points == 2001
     assert config.jsa_points == 256
     assert config.jsa_span == 0.03
-    assert config.purity_points == 512
     assert config.out_dir == "."
 
 
@@ -128,6 +127,7 @@ def test_unknown_section_rejected():
         ("grids", "jsa_nodes = 201"),
         ("grids", "samples = 60"),
         ("grids", "degree = 10"),
+        ("grids", "purity_points = 512"),
         ("outputs", "dir = out"),
     ],
 )
@@ -373,7 +373,7 @@ def test_working_point_below_critical_takes_root_nearest_match(profile_1644, mon
         _mismatch(config, profile_1644, wp, wp.delta + h)
         - _mismatch(config, profile_1644, wp, wp.delta - h)
     ) / (2 * h)
-    roundoff = 8 * np.finfo(float).eps * float(profile_1644.k(wp.pump.omega_p))
+    roundoff = 8 * np.finfo(float).eps * float(profile_1644.k_derivative(wp.pump.omega_p, 0))
     assert abs(_mismatch(config, profile_1644, wp, wp.delta)) <= abs(slope) * 1e-11 + roundoff
     # On this loop the outer root is also the nearer one.  Moving the match
     # next to the inner root shows that the choice follows the match.

@@ -37,7 +37,7 @@ def test_fit_residual_bounds_error_between_nodes(
         (profile_bismuth, fiber_bismuth),
     ):
         omega = np.linspace(*prof.query_window, 100)
-        err = np.abs(prof.k(omega) - propagation_constant_from_omega(fiber, omega))
+        err = np.abs(prof.k_derivative(omega, 0) - propagation_constant_from_omega(fiber, omega))
         assert np.max(err) <= prof.residual
     assert profile_bismuth.residual * 1e11 <= PHASE_BUDGET_RAD
 
@@ -58,7 +58,7 @@ def test_profile_matches_quadratic_exactly():
     assert prof.fit.degree() == 2
     assert prof.residual < 1e-16
     om = 1.17
-    assert prof.k(om) == pytest.approx(
+    assert prof.k_derivative(om, 0) == pytest.approx(
         3e-3 + 4.9e-3 * (om - 1.2) - 2e-5 * (om - 1.2) ** 2, rel=1e-12
     )
     assert prof.k_derivative(om, 1) == pytest.approx(
@@ -72,12 +72,12 @@ def test_query_window_guard():
     lo, hi = prof.query_window
     assert lo == pytest.approx(1.0 + 0.02 * 0.4)
     assert hi == pytest.approx(1.4 - 0.02 * 0.4)
-    prof.k(lo)
-    prof.k(hi)
+    prof.k_derivative(lo, 0)
+    prof.k_derivative(hi, 0)
     with pytest.raises(RangeError):
-        prof.k(1.0)
+        prof.k_derivative(1.0, 0)
     with pytest.raises(RangeError):
-        prof.k(1.5)
+        prof.k_derivative(1.5, 0)
     with pytest.raises(ConfigError):
         prof.k_derivative(1.2, 4)
 
@@ -243,7 +243,7 @@ def test_taylor_reexpands_the_proxy(profile_1644):
             )
         om = np.linspace(op - 0.1, op + 0.1, 11)
         assert Polynomial(a[:, j])((om - op) / h) == pytest.approx(
-            profile_1644.k(om), rel=1e-14
+            profile_1644.k_derivative(om, 0), rel=1e-14
         )
 
 
