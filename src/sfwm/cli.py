@@ -126,27 +126,17 @@ def _cmd_dispersion(args, config: RunConfig, profile) -> int:
     lines.append(
         "omega_p_rad_fs,delta_rad_fs,pump_nm,signal_nm,idler_nm,degenerate"
     )
-    for p in points:
-        lines.append(
-            ",".join(
-                [
-                    _f(p.omega_p),
-                    _f(p.delta),
-                    _nm(p.omega_p),
-                    _nm(p.omega_s),
-                    _nm(p.omega_i),
-                    "1" if p.degenerate else "0",
-                ]
-            )
-        )
+    lines.extend(
+        f"{_f(p.omega_p)},{_f(p.delta)},{_nm(p.omega_p)},{_nm(p.omega_s)},"
+        f"{_nm(p.omega_i)},{int(p.degenerate)}"
+        for p in points
+    )
     _write(args, config, "fgvm_points.csv", lines)
 
     print(f"zero-dispersion wavelengths (nm): {' '.join(_f(z) for z in zdws)}")
     if approximate != "none":
         print(f"approximate material models: {approximate}")
-    for p in points:
-        if p.degenerate or p.delta < 0:
-            continue
+    for p in (p for p in points if p.delta > 0):
         msg = (
             f"group-velocity match: pump {_nm(p.omega_p)} nm, "
             f"signal {_nm(p.omega_s)} nm, idler {_nm(p.omega_i)} nm"

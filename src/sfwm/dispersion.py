@@ -9,7 +9,8 @@ TOMS 43 (2017)).  All downstream quantities (zero-dispersion frequencies,
 matching points, Taylor coefficients) are defined on the exact derivatives
 of the proxy, and the roots among them are roots of its polynomials: zero
 dispersion from the companion matrix of k'', full group-velocity matches by
-bisection on the monotone pieces of k'.
+Newton on the pump-centred series of k' - k'(omega_p), started from samples
+of the monotone pieces of k'.
 
 Frequencies are rad/fs, propagation constants rad/nm, so k' is fs/nm and
 k'' is fs^2/nm throughout.
@@ -38,6 +39,8 @@ _DEGREES = (16, 32, 64, 128)
 _CHOP_TOL = 1e-14
 _PLATEAU = 8
 _BAND_SAMPLES = 65  # group-delay samples per band in the full-GVM search
+_POLISH_STEPS = 20  # Newton steps allowed per full-GVM match
+_ROUNDOFF = 1e-12  # largest non-shrinking Newton step, in units of h, taken as roundoff
 
 
 @dataclass(frozen=True)
@@ -229,36 +232,54 @@ class FgvmPoint:
         return self.omega_p - self.delta
 
 
-def _bisect_matches(k1, r0, r1, v0, v1):
-    """Bisect group-delay brackets [v0, v1] to zeros of r_a + r_c - 2 r_b.
+def _walk_off_series(profile: DispersionProfile, omega_p):
+    """Walk-off series about omega_p in x = (omega - omega_p) / h, and h.
 
-    r0 and r1 (3, n) are the roots of k' = v0 and k' = v1 on three monotone
-    pieces.  A root for any v in between lies between them, so each new
-    root is bisected inside that shrinking bracket.
+    d1 = h (k'(omega) - k'(omega_p)) and d2 = h^2 (k''(omega) - k''(omega_p)):
+    the series of `taylor` with terms up to first or second order dropped.
     """
-    s0 = np.sign(r0[0] + r0[2] - 2.0 * r0[1])
-    while True:
-        v = 0.5 * (v0 + v1)
-        if not np.any((v0 < v) & (v < v1)):
-            return r0
-        r = bisect(lambda om: k1(om) - v, r0, r1)
-        right = np.sign(r[0] + r[2] - 2.0 * r[1]) == s0
-        v0, r0 = np.where(right, v, v0), np.where(right, r, r0)
-        v1, r1 = np.where(right, v1, v), np.where(right, r1, r)
+    a, h = profile.taylor(omega_p)
+    d1 = Polynomial(np.append([0.0, 0.0], a[2:])).deriv(1)
+    d2 = Polynomial(np.append([0.0, 0.0, 0.0], a[3:])).deriv(2)
+    return d1, d2, h
+
+
+def _polish_match(profile: DispersionProfile, r0, r1) -> list[FgvmPoint]:
+    """Newton in (omega_p, delta) on d1(delta / h) = d1(-delta / h) = 0.
+
+    r0 and r1 hold r_a < r_b < r_c at the group-delay samples around a match;
+    Newton starts at r0 with d2 as the omega_p column of the Jacobian.  When
+    a step fails to shrink, the match is accepted if that step is at roundoff
+    and omega_p - delta, omega_p, omega_p + delta lie between r0 and r1.
+    """
+    omega_p, delta, last = r0[1], 0.5 * (r0[2] - r0[0]), math.inf
+    for _ in range(_POLISH_STEPS):
+        d1, d2, h = _walk_off_series(profile, omega_p)
+        x = np.array([delta, -delta]) / h
+        f, j_p, j_x = d1(x), d2(x), d1.deriv()(x) * [1.0, -1.0]
+        det = j_p[0] * j_x[1] - j_x[0] * j_p[1]
+        step = np.array([f[1] * j_x[0] - f[0] * j_x[1], f[0] * j_p[1] - f[1] * j_p[0]]) / det
+        size = np.abs(step).max()
+        if size >= last:
+            r = omega_p + np.array([-delta, 0.0, delta])
+            if size <= _ROUNDOFF and np.all((r - r0) * (r - r1) <= 0.0):
+                return [FgvmPoint(float(omega_p), float(d)) for d in (delta, -delta)]
+            break
+        omega_p, delta, last = omega_p + h * step[0], delta + h * step[1], size
+    raise EvaluationError(f"full group-velocity match near pump {omega_p:.9g} rad/fs did not converge")
 
 
 def find_fgvm_points(profile: DispersionProfile) -> list[FgvmPoint]:
     """All full group-velocity matching points in the query window.
 
     Degenerate points (delta = 0) sit exactly at the zero-dispersion
-    frequencies.  A nondegenerate match is a group delay v at which three
-    roots r_a < r_b < r_c of k' = v satisfy r_b = (r_a + r_c) / 2, with the
-    pump at r_b.  The window ends and the zero-dispersion frequencies cut k'
-    into monotone pieces; between consecutive values of k' at the cuts each
-    piece holds at most one root, which moves smoothly with v.  Every band
-    of v is sampled, every triple of pieces checked for a sign change of
-    r_a + r_c - 2 r_b, and each change bisected in v.  A match contributes
-    entries at +delta and -delta.
+    frequencies.  A nondegenerate match has k'(omega_p + delta) = k'(omega_p)
+    = k'(omega_p - delta).  The window ends and the zero-dispersion
+    frequencies cut k' into monotone pieces, each holding at most one root of
+    k' = v in a band of v between their end values.  Every band is sampled,
+    and where r_a + r_c - 2 r_b of three roots r_a < r_b < r_c changes sign
+    between samples, Newton polishes the match on the pump-centred walk-off
+    series.  A match contributes entries at +delta and -delta.
     """
     zdfs = find_zdfs(profile)
     points = [FgvmPoint(omega_p=float(z), delta=0.0) for z in zdfs]
@@ -270,7 +291,6 @@ def find_fgvm_points(profile: DispersionProfile) -> list[FgvmPoint]:
     # Cosine spacing resolves the square-root behaviour of roots at band ends.
     theta = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, _BAND_SAMPLES)))
     levels = np.unique(ends)
-    found = []
     for v0, v1 in zip(levels[:-1], levels[1:]):
         live = np.nonzero((v_lo <= v0) & (v_hi >= v1))[0]
         if live.size < 3:
@@ -280,13 +300,7 @@ def find_fgvm_points(profile: DispersionProfile) -> list[FgvmPoint]:
         for a, b, c in combinations(range(live.size), 3):
             side = np.sign(r[a] + r[c] - 2.0 * r[b])
             for m in np.nonzero(side[:-1] != side[1:])[0]:
-                found.append((r[[a, b, c], m], r[[a, b, c], m + 1], v[m], v[m + 1]))
-    if found:
-        r0, r1, v0, v1 = (np.array(x) for x in zip(*found))
-        r_a, r_b, r_c = _bisect_matches(k1, r0.T, r1.T, v0, v1)
-        for op, d in zip(r_b, 0.5 * (r_c - r_a)):
-            points.append(FgvmPoint(omega_p=float(op), delta=float(d)))
-            points.append(FgvmPoint(omega_p=float(op), delta=float(-d)))
+                points += _polish_match(profile, r[[a, b, c], m], r[[a, b, c], m + 1])
     return sorted(points, key=lambda p: (p.omega_p, p.delta))
 
 
@@ -362,11 +376,7 @@ def tau_coefficients(
     half = 0.5 * (omega_s0 - omega_i0)
     mismatch, h = pair_mismatch(profile, omega_p, half, nonlinear_mismatch(gamma, power))
     dk0 = length_nm * mismatch((half / h) ** 2)
-    a, _ = profile.taylor(omega_p)
-    # h (k'(omega) - k'(omega_p)) and h^2 (k''(omega) - k''(omega_p)) at
-    # x = (omega - omega_p) / h.
-    d1 = Polynomial(np.append([0.0, 0.0], a[2:])).deriv(1)
-    d2 = Polynomial(np.append([0.0, 0.0, 0.0], a[3:])).deriv(2)
+    d1, d2, _ = _walk_off_series(profile, omega_p)
     x_s, x_i = (omega_s0 - omega_p) / h, (omega_i0 - omega_p) / h
     return TauSet(
         omega_p=omega_p,

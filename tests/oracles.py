@@ -4,9 +4,9 @@ Everything here is written against textbook formulas with none of the
 package's numerics shared, so agreement is meaningful: a scalar weak-guidance
 mode solver, the vector HE11 residual on scipy's Bessel functions, a 30-digit
 Faddeeva function, a brute-force quadrature for the pair-generation pump
-integral, a symbolic zero-dispersion solve for bulk silica, a 50-digit root
-of the phase mismatch on a Chebyshev proxy and a marching-squares tracer
-that visits the map one cell at a time.
+integral, a symbolic zero-dispersion solve for bulk silica, 50-digit roots
+of the phase mismatch and of the full group-velocity match on a Chebyshev
+proxy and a marching-squares tracer that visits the map one cell at a time.
 """
 
 import math
@@ -120,25 +120,36 @@ def bulk_silica_zdw_sympy():
     return float(root) * 1000.0  # nm
 
 
-def _mp_mismatch(fit, omega_p, gamma_p):
-    """d -> 2 k(w_p) - k(w_p + d) - k(w_p - d) - 2 gamma P at the working precision.
+def _mp_chebyshev(series):
+    """omega -> the numpy Chebyshev series at omega, at the working precision.
 
-    k is the Chebyshev series `fit` (numpy coefficients and domain), summed
-    by Clenshaw's recurrence in mpmath, so at 50 digits the cancellation of
-    the k values costs nothing.  gamma_p is gamma P in rad/nm.
+    The coefficients and domain are taken exactly and summed by Clenshaw's
+    recurrence in mpmath.
     """
     import mpmath as mp
 
-    a, b = (mp.mpf(float(x)) for x in fit.domain)
-    coef = [mp.mpf(float(c)) for c in fit.coef]
+    a, b = (mp.mpf(float(x)) for x in series.domain)
+    coef = [mp.mpf(float(c)) for c in series.coef]
 
-    def k(omega):
+    def value(omega):
         x = (2 * omega - (a + b)) / (b - a)
         b1 = b2 = mp.mpf(0)
         for c in coef[:0:-1]:
             b1, b2 = 2 * x * b1 - b2 + c, b1
         return x * b1 - b2 + coef[0]
 
+    return value
+
+
+def _mp_mismatch(fit, omega_p, gamma_p):
+    """d -> 2 k(w_p) - k(w_p + d) - k(w_p - d) - 2 gamma P at the working precision.
+
+    k is the Chebyshev series `fit`, so at 50 digits the cancellation of the
+    k values costs nothing.  gamma_p is gamma P in rad/nm.
+    """
+    import mpmath as mp
+
+    k = _mp_chebyshev(fit)
     op = mp.mpf(float(omega_p))
     return lambda d: 2 * k(op) - k(op + d) - k(op - d) - 2 * mp.mpf(float(gamma_p))
 
@@ -158,6 +169,26 @@ def proxy_mismatch_root(fit, omega_p, gamma_p, delta0):
     with mp.workdps(50):
         mismatch = _mp_mismatch(fit, omega_p, gamma_p)
         return float(mp.findroot(mismatch, mp.mpf(float(delta0))))
+
+
+def proxy_fgvm_point(fit, omega_p, delta):
+    """Full group-velocity match of the Chebyshev proxy `fit` near (omega_p, delta).
+
+    Solves (k'(w + d) - k'(w - d)) / d = 0 and
+    (k'(w + d) + k'(w - d) - 2 k'(w)) / d^2 = 0 at 50 digits, with k' the
+    series `fit.deriv(1)`; the divisions remove the trivial root d = 0.
+    Returns (omega_p, delta) as floats.
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        k1 = _mp_chebyshev(fit.deriv(1))
+
+        def equations(w, d):
+            return [(k1(w + d) - k1(w - d)) / d, (k1(w + d) + k1(w - d) - 2 * k1(w)) / d**2]
+
+        w, d = mp.findroot(equations, (mp.mpf(float(omega_p)), mp.mpf(float(delta))))
+        return float(w), float(d)
 
 
 def _edge_point(kind, i, j, axes, values, level):

@@ -125,3 +125,17 @@ def with_line(profile):
     """
     line = 10.0 + 3.0 * Chebyshev.identity(domain=profile.fit.domain)
     return DispersionProfile(fit=profile.fit + line, window=profile.window, residual=0.0)
+
+
+def matched_quartic_profile(omega_p, delta, c, beta, k0=5.0e-3, g0=4.9e-3):
+    """Exact profile with k' - g0 = beta x (x^2 - delta^2) (x - c), x = omega - omega_p.
+
+    The group delay is g0 at omega_p and omega_p +/- delta, so (omega_p, delta)
+    is a full group-velocity match; with c outside the window it is the only
+    nondegenerate one.  k itself is the degree-5 antiderivative.
+    """
+    k = Polynomial(
+        [k0, g0, beta * c * delta**2 / 2, -beta * delta**2 / 3, -beta * c / 4, beta / 5]
+    )
+    window = (omega_p - 1.3 * delta, omega_p + 1.3 * delta)
+    return DispersionProfile.interpolate(lambda om: k(om - omega_p), window)

@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from sfwm import dispersion
-from sfwm.config import PHASE_BUDGET_RAD
+from sfwm.config import PHASE_BUDGET_RAD, load_preset, working_point
 from sfwm.dispersion import (
     DispersionProfile,
     build_profile,
@@ -21,8 +21,13 @@ from sfwm.materials import FUSED_SILICA
 from sfwm.modes import FiberSpec, propagation_constant_from_omega
 from sfwm.units import omega_from_wavelength, wavelength_from_omega
 
-from oracles import bulk_silica_zdw_sympy
-from synthetic import hermite_polynomial_profile, quadratic_profile, with_line
+from oracles import bulk_silica_zdw_sympy, proxy_fgvm_point
+from synthetic import (
+    hermite_polynomial_profile,
+    matched_quartic_profile,
+    quadratic_profile,
+    with_line,
+)
 
 
 def test_fit_residual_bounds_error_between_nodes(
@@ -48,6 +53,16 @@ def test_interpolation_degree_ceiling(monkeypatch, fiber_bismuth):
     monkeypatch.setattr(dispersion, "_DEGREES", (16,))
     with pytest.raises(EvaluationError, match="not converged"):
         build_profile(fiber_bismuth, (450.0, 900.0))
+
+
+def test_wide_window_settles_above_solver_noise(fiber_bismuth):
+    # The nanowire over nearly all of its core model's range keeps more
+    # coefficients than a degree-64 interpolant can with its 8-coefficient
+    # plateau, so only degree 128 settles; the mode solver's noise stays
+    # below the chopping floor there, and the tail within the phase budget.
+    prof = build_profile(fiber_bismuth, (405.0, 2450.0))
+    assert prof.fit.degree() + 1 > 65 - dispersion._PLATEAU
+    assert prof.residual * 1e11 <= PHASE_BUDGET_RAD
 
 
 def test_profile_matches_quadratic_exactly():
@@ -163,6 +178,60 @@ def test_fgvm_bismuth_frozen(profile_bismuth):
     assert wavelength_from_omega(p.omega_p) == pytest.approx(628.448, abs=0.05)
     assert wavelength_from_omega(p.omega_s) == pytest.approx(607.147, abs=0.05)
     assert wavelength_from_omega(p.omega_i) == pytest.approx(651.299, abs=0.05)
+
+
+def test_fgvm_points_match_50_digit_oracle(profile_1644, profile_1652, profile_bismuth):
+    # Newton on the pump-centred walk-off series lands on the proxy's match
+    # as a 50-digit solve of the same proxy finds it.
+    for prof in (profile_1644, profile_1652, profile_bismuth):
+        pts = [p for p in find_fgvm_points(prof) if p.delta > 0]
+        assert pts
+        for p in pts:
+            omega_p, delta = proxy_fgvm_point(prof.fit, p.omega_p, p.delta)
+            assert abs(p.omega_p - omega_p) <= 1e-14
+            assert abs(p.delta - delta) <= 1e-14
+
+
+def test_fgvm_points_ignore_affine_part_of_k():
+    # The walk-off series drop the line 10 + 3 omega, which is ~600 times k',
+    # so the match neither moves with it nor leaves its exact place.
+    prof = matched_quartic_profile(1.2, 0.06, c=0.2, beta=0.05)
+    base = [p for p in find_fgvm_points(prof) if p.delta > 0]
+    line = [p for p in find_fgvm_points(with_line(prof)) if p.delta > 0]
+    assert len(base) == len(line) == 1
+    assert abs(base[0].omega_p - line[0].omega_p) <= 1e-14
+    assert abs(base[0].delta - line[0].delta) <= 1e-14
+    assert abs(base[0].omega_p - 1.2) <= 1e-11
+    assert abs(base[0].delta - 0.06) <= 1e-11
+
+
+def test_walk_offs_vanish_at_the_nanowire_match():
+    # fig4 pumps at its match, where the proxy's walk-offs are zero; over
+    # L = 1e11 nm a few ulps of k' would read ~1e-7 fs.
+    config = load_preset("fig4")
+    profile = config.profile()
+    wp = working_point(config, profile)
+    tau = tau_coefficients(profile, wp.pump.omega_p, wp.omega_s, wp.omega_i, config.length_nm)
+    assert abs(tau.tau_s1) <= 1e-9
+    assert abs(tau.tau_i1) <= 1e-9
+
+
+@pytest.mark.parametrize("radius_um", [0.205, 0.20500000000000002, 0.21])
+def test_one_match_near_the_nanowire_radius(radius_um):
+    # Guards the polish's stopping rule: at these radii the last Newton steps
+    # sit at roundoff without shrinking further.
+    config = dataclasses.replace(load_preset("fig4"), radius_um=radius_um)
+    pts = [p for p in find_fgvm_points(config.profile()) if not p.degenerate]
+    assert len(pts) == 2
+    assert pts[0].omega_p == pts[1].omega_p and pts[0].delta == -pts[1].delta
+
+
+def test_fgvm_polish_step_ceiling(monkeypatch, profile_bismuth):
+    # One Newton step cannot show that the steps stopped shrinking, so the
+    # polish raises instead of returning an unconverged match.
+    monkeypatch.setattr(dispersion, "_POLISH_STEPS", 1)
+    with pytest.raises(EvaluationError, match="did not converge"):
+        find_fgvm_points(profile_bismuth)
 
 
 def test_no_nondegenerate_match_for_quadratic():
