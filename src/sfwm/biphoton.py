@@ -3,12 +3,8 @@
 Two routes to the JSA of a degenerate-pump pair source:
 
 * `jsa_numeric`: direct quadrature of the pump-envelope integral against the
-  full dispersion proxy; the reference, no expansion involved.  Each cell
-  integrates over u = omega - (omega_s + omega_i)/2 on |u| <= 4 sigma with a
-  folded Gauss-Legendre rule, grown n -> 2n + 1 until a check subgrid
-  settles and capped at _MAX_NODES; k is the proxy's Taylor series about the
-  pump with its tangent line dropped from the coefficients, so no phase
-  subtracts terms of L k.
+  full dispersion proxy; the reference, no expansion involved.  A nested
+  trapezoid rule on three pump widths halves its step until a check settles.
 * `jsa_analytic`: closed form for the quadratic (Taylor) phase mismatch of a
   `TauSet`, built on the pair-production profile function `phi_function`.
 
@@ -31,11 +27,12 @@ below 5e-14.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial.legendre import leggauss
+# Only perfbench's trace hooks read leggauss; it goes with ROADMAP item 2's library trace.
+from numpy.polynomial.legendre import leggauss  # noqa: F401
 
 from .dispersion import DispersionProfile, TauSet
 from .errors import ConfigError, EvaluationError
@@ -46,10 +43,11 @@ _PHI_TAYLOR_CUT = 1e-4
 _PHI_SERIES_CUT = 1e-4
 # Cell areas come from the mean axis step, so every step must match it.
 _AXIS_STEP_RTOL = 1e-6
-# Pump quadrature (see jsa_numeric); _BLOCK_POINTS bounds the points held.
-_PUMP_SPAN = 4.0
+# Pump quadrature (see jsa_numeric): the span is the fewest whole pump widths
+# s whose truncation bound erfc(sqrt(2) s) is below _DRIFT_TOL, i.e. 3.
 _DRIFT_TOL = 1e-6
-_MAX_NODES = 4095
+_PUMP_SPAN = next(s for s in range(1, 10) if math.erfc(math.sqrt(2.0) * s) < _DRIFT_TOL)
+_MAX_NODES = 2049
 _BLOCK_POINTS = 1 << 18
 
 
@@ -174,17 +172,27 @@ class PumpSpec:
 
 
 @dataclass(frozen=True)
+class PumpQuadrature:
+    """`jsa_numeric`'s pump rule: points, drift (None unchecked), truncation."""
+
+    points: int
+    drift: float | None
+    truncation: float = math.erfc(math.sqrt(2.0) * _PUMP_SPAN)
+
+
+@dataclass(frozen=True)
 class JsaGrid:
     """Joint spectral amplitude sampled on a rectangular frequency grid.
 
     amplitude[m, n] belongs to signal_axis[m], idler_axis[n] (rad/fs), both
-    equally spaced.  `normalize` keeps the rectangle norm
-    sum |F|^2 d_signal d_idler = 1, which readers recompute from jsa.csv.
+    equally spaced.  `normalize` keeps the rectangle norm sum |F|^2 ds di = 1
+    (ds, di the axis steps), which readers recompute from jsa.csv.
     """
 
     signal_axis: np.ndarray
     idler_axis: np.ndarray
     amplitude: np.ndarray
+    quadrature: PumpQuadrature | None = None
 
     def __post_init__(self):
         if self.amplitude.shape != (self.signal_axis.size, self.idler_axis.size):
@@ -198,26 +206,15 @@ class JsaGrid:
             if np.any(np.abs(steps - mean) > _AXIS_STEP_RTOL * abs(mean)):
                 raise ConfigError(f"JSA {name} axis is not equally spaced")
 
-    @property
-    def d_signal(self) -> float:
-        return float(np.mean(np.diff(self.signal_axis)))
-
-    @property
-    def d_idler(self) -> float:
-        return float(np.mean(np.diff(self.idler_axis)))
-
     def intensity(self) -> np.ndarray:
         return np.abs(self.amplitude) ** 2
 
     def normalize(self) -> "JsaGrid":
-        norm = np.sqrt(np.sum(self.intensity()) * self.d_signal * self.d_idler)
+        ds, di = (np.mean(np.diff(x)) for x in (self.signal_axis, self.idler_axis))
+        norm = np.sqrt(np.sum(self.intensity()) * ds * di)
         if norm == 0:
             raise EvaluationError("cannot normalize an identically zero amplitude")
-        return JsaGrid(
-            signal_axis=self.signal_axis,
-            idler_axis=self.idler_axis,
-            amplitude=self.amplitude / norm,
-        )
+        return replace(self, amplitude=self.amplitude / norm)
 
     def border_mass(self) -> float:
         """Share of sum |F|^2 on the outermost rows and columns, each cell once."""
@@ -273,17 +270,15 @@ def jsa_analytic(
     return grid.normalize() if normalize else grid
 
 
-def _pump_rule(nodes, sigma):
-    """Nodes u >= 0 and weights of the pump integral over |u| <= 4 sigma.
-
-    leggauss folded onto u >= 0 (the node u = 0 of an odd rule is its own
-    mirror); the weights carry exp(-2 u^2 / sigma^2).
+def _pump_rule(points, sigma):
+    """Nodes u >= 0 and weights (times exp(-2 u^2 / sigma^2)) of the trapezoid
+    rule of step h on |u| <= _PUMP_SPAN sigma, folded: h at u = 0, 2h beyond.
+    One point is the CW limit, h = sigma sqrt(pi / 2) (all of the weight):
+    h = _PUMP_SPAN sigma would match two points, whose new node is at e^-18.
     """
-    half = nodes // 2
-    q, w = leggauss(nodes)
-    q, w = q[half:], w[half:] * np.where(q[half:] > 0, 2.0, 1.0)
-    span = _PUMP_SPAN * sigma
-    return span * q, span * w * np.exp(-2.0 * (_PUMP_SPAN * q) ** 2)
+    h = _PUMP_SPAN * sigma / (points - 1) if points > 1 else math.sqrt(0.5 * math.pi) * sigma
+    u = h * np.arange(points)
+    return u, np.where(u > 0, 2.0 * h, h) * np.exp(-2.0 * (u / sigma) ** 2)
 
 
 def _jsa_numeric_raw(profile, pump, signal_axis, idler_axis, length_nm, gp, rule):
@@ -299,9 +294,9 @@ def _jsa_numeric_raw(profile, pump, signal_axis, idler_axis, length_nm, gp, rule
     sums = (signal_axis[:, np.newaxis] + idler_axis[np.newaxis, :]).ravel()
     order = np.argsort(sums, kind="stable")
     out = np.empty(sums.size, dtype=complex)
-    # Cells in order of their sum frequency, a block at a time, so k is
-    # evaluated once per distinct sum (and block) and memory stays bounded.
-    block = max(1, _BLOCK_POINTS // u.size)
+    # Cells in order of their sum frequency, in blocks of at most 2^14 cells,
+    # so k is evaluated once per distinct sum (and block) and memory is bounded.
+    block = _BLOCK_POINTS // max(u.size, 16)
     for start in range(0, sums.size, block):
         cells = order[start : start + block]
         distinct, inv = np.unique(sums[cells], return_inverse=True)
@@ -320,7 +315,7 @@ def jsa_numeric(
     idler_axis,
     length_nm: float,
     gamma: float = 0.0,
-    nodes: int = 15,
+    nodes: int = 9,
     check: bool = True,
     normalize: bool = True,
 ) -> JsaGrid:
@@ -328,17 +323,19 @@ def jsa_numeric(
 
     A cell of sum frequency S integrates over pump frequencies S/2 + u: the
     pump product is exp(-(S - 2 omega_p)^2 / (2 sigma^2)) exp(-2 u^2 / sigma^2)
-    and the mismatch is even in u, so a Gauss-Legendre rule of `nodes` nodes
-    on |u| <= 4 sigma (e^-32 at the ends) is folded onto u >= 0, and k is
-    evaluated once per distinct S.  k is the proxy's Taylor series about the
-    pump (`DispersionProfile.taylor`) with its tangent line dropped from the
-    coefficients; energy conservation cancels that line exactly, so L times
-    the mismatch never subtracts terms of L k (~1e9 rad on 100 m of fibre).
+    and the mismatch is even in u, so one trapezoid rule of `nodes` points on
+    0 <= u <= 3 sigma, geometric for this weight (Trefethen & Weideman, SIAM
+    Rev. 56 (2014) 385), serves every cell, and k is evaluated once per
+    distinct S.  k is the proxy's Taylor series about the pump with its
+    tangent line dropped; energy conservation cancels that line exactly, so
+    L times the mismatch never subtracts terms of L k (~1e9 rad on 100 m).
 
-    With check=True an 8x8 subgrid is evaluated at n and 2n + 1 nodes from
-    n = nodes, n growing to 2n + 1 until the two agree to 1e-6 of the
-    subgrid peak; the grid is then computed at n, and a rule past _MAX_NODES
-    raises EvaluationError.  check=False uses exactly `nodes`.  The pump
+    With check=True an 8x8 subgrid is evaluated at n and 2n - 1 points (half
+    the step; 1 grows to 2) from n = nodes, n growing until the two agree to
+    1e-6 of the subgrid peak; the grid is then computed at n, and a rule past
+    _MAX_NODES points raises EvaluationError.  The result's `quadrature`
+    holds n, that drift and the share of the pump weight the span drops,
+    erfc(3 sqrt 2) = 2e-9.  check=False uses exactly `nodes`.  The pump
     power enters through pump.power and gamma (1/(W km)); all frequencies
     the integrand touches must lie inside the profile's query window.
     """
@@ -349,25 +346,27 @@ def jsa_numeric(
     signal_axis = np.asarray(signal_axis, dtype=float)
     idler_axis = np.asarray(idler_axis, dtype=float)
     gp = nonlinear_mismatch(gamma, pump.power)
-    rule = _pump_rule(nodes, pump.sigma)
+    rule, drift = _pump_rule(nodes, pump.sigma), None
     if check and signal_axis.size >= 2 and idler_axis.size >= 2:
         sub_s = signal_axis[:: max(1, signal_axis.size // 8)]
         sub_i = idler_axis[:: max(1, idler_axis.size // 8)]
         coarse = _jsa_numeric_raw(profile, pump, sub_s, sub_i, length_nm, gp, rule)
         while True:
-            fine_rule = _pump_rule(2 * nodes + 1, pump.sigma)
+            finer = max(2 * nodes - 1, 2)
+            fine_rule = _pump_rule(finer, pump.sigma)
             fine = _jsa_numeric_raw(profile, pump, sub_s, sub_i, length_nm, gp, fine_rule)
-            peak, drift = np.max(np.abs(fine)), np.max(np.abs(coarse - fine))
-            if drift <= _DRIFT_TOL * peak:
+            peak = max(np.max(np.abs(fine)), np.finfo(float).tiny)
+            drift = float(np.max(np.abs(coarse - fine)) / peak)
+            if drift <= _DRIFT_TOL:
                 break
-            if 2 * nodes + 1 > _MAX_NODES:
+            if finer > _MAX_NODES:
                 raise EvaluationError(
-                    f"pump integral not converged: subgrid drift {drift / peak:.2e} at "
-                    f"{nodes} nodes, and the rule stops at {_MAX_NODES}"
+                    f"pump integral not converged: subgrid drift {drift:.2e} at "
+                    f"{nodes} trapezoid points, and the rule stops at {_MAX_NODES}"
                 )
-            nodes, rule, coarse = 2 * nodes + 1, fine_rule, fine
+            nodes, rule, coarse = finer, fine_rule, fine
     amp = _jsa_numeric_raw(profile, pump, signal_axis, idler_axis, length_nm, gp, rule)
-    grid = JsaGrid(signal_axis=signal_axis, idler_axis=idler_axis, amplitude=amp)
+    grid = JsaGrid(signal_axis, idler_axis, amp, PumpQuadrature(nodes, drift))
     return grid.normalize() if normalize else grid
 
 

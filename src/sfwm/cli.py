@@ -224,18 +224,20 @@ def _working_point_echo(wp: WorkingPoint) -> list[tuple[str, str]]:
     ]
 
 
-def _numeric_jsa(config: RunConfig, profile) -> tuple[WorkingPoint, JsaGrid]:
+def _numeric_jsa(command: str, args, config: RunConfig, profile) -> tuple[list[str], JsaGrid]:
+    """The run's numeric JSA, and its file header with how the pump rule settled."""
     wp = working_point(config, profile)
     s_axis, i_axis = wp.axes(config.jsa_span, config.jsa_points)
-    return wp, jsa_numeric(
+    jsa = jsa_numeric(
         profile, wp.pump_spec(), s_axis, i_axis, config.length_nm, gamma=config.gamma
     )
+    lines = _header(command, args, config, _working_point_echo(wp))
+    lines.extend(f"# pump_rule_{key} = {_f(val)}" for key, val in vars(jsa.quadrature).items())
+    return lines, jsa
 
 
 def _cmd_jsa(args, config: RunConfig, profile) -> int:
-    wp, jsa = _numeric_jsa(config, profile)
-
-    lines = _header("jsa", args, config, _working_point_echo(wp))
+    lines, jsa = _numeric_jsa("jsa", args, config, profile)
     lines.append(f"# border_mass = {_f(jsa.border_mass())}")
     lines.append("omega_s_rad_fs,omega_i_rad_fs,re_amplitude,im_amplitude")
     om_s, om_i = np.meshgrid(jsa.signal_axis, jsa.idler_axis, indexing="ij")
@@ -253,10 +255,8 @@ def _cmd_jsa(args, config: RunConfig, profile) -> int:
 
 
 def _cmd_purity(args, config: RunConfig, profile) -> int:
-    wp, jsa = _numeric_jsa(config, profile)
+    lines, jsa = _numeric_jsa("purity", args, config, profile)
     result = schmidt_metrics(jsa)
-
-    lines = _header("purity", args, config, _working_point_echo(wp))
     lines.append(f"purity = {_f(result.purity)}")
     lines.append(f"schmidt_number = {_f(result.schmidt_number)}")
     lines.append(f"grid_points = {config.jsa_points}")

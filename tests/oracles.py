@@ -4,9 +4,10 @@ Everything here is written against textbook formulas with none of the
 package's numerics shared, so agreement is meaningful: a scalar weak-guidance
 mode solver, the vector HE11 residual on scipy's Bessel functions, a 30-digit
 Faddeeva function, a brute-force quadrature for the pair-generation pump
-integral, a symbolic zero-dispersion solve for bulk silica, 50-digit roots
-of the phase mismatch and of the full group-velocity match on a Chebyshev
-proxy and a marching-squares tracer that visits the map one cell at a time.
+integral, the folded Gauss-Legendre pump rule `jsa_numeric` once used, a
+symbolic zero-dispersion solve for bulk silica, 50-digit roots of the phase
+mismatch and of the full group-velocity match on a Chebyshev proxy and a
+marching-squares tracer that visits the map one cell at a time.
 """
 
 import math
@@ -97,6 +98,19 @@ def pair_integral_quadrature(a, x, limit=400):
     re = quad(integrand, -span, span, args=("re",), limit=limit, epsabs=1e-13)[0]
     im = quad(integrand, -span, span, args=("im",), limit=limit, epsabs=1e-13)[0]
     return (re + 1j * im) / math.pi
+
+
+def folded_gauss_legendre_rule(nodes, sigma, span=4.0):
+    """Pump rule (u, w) of `biphoton._jsa_numeric_raw` by Gauss-Legendre.
+
+    leggauss(nodes) on |u| <= span sigma, folded onto u >= 0 (the node u = 0
+    of an odd rule is its own mirror, the others count twice); the weights
+    carry exp(-2 u^2 / sigma^2).  At 4 sigma the dropped weight is e^-32.
+    """
+    half = nodes // 2
+    q, w = np.polynomial.legendre.leggauss(nodes)
+    q, w = q[half:], w[half:] * np.where(q[half:] > 0, 2.0, 1.0)
+    return span * sigma * q, span * sigma * w * np.exp(-2.0 * (span * q) ** 2)
 
 
 def bulk_silica_zdw_sympy():

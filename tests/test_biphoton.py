@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
@@ -5,6 +7,7 @@ from numpy.polynomial import Polynomial
 from sfwm import biphoton
 from sfwm.biphoton import (
     JsaGrid,
+    PumpQuadrature,
     PumpSpec,
     jsa_analytic,
     jsa_numeric,
@@ -15,9 +18,9 @@ from sfwm.config import load_preset, working_point
 from sfwm.dispersion import TauSet, tau_coefficients
 from sfwm.errors import ConfigError, EvaluationError
 from sfwm.phasematching import sinc_phase
-from sfwm.units import omega_from_wavelength, pump_sigma_from_fwhm
+from sfwm.units import nonlinear_mismatch, omega_from_wavelength, pump_sigma_from_fwhm
 
-from oracles import faddeeva_mp, pair_integral_quadrature
+from oracles import faddeeva_mp, folded_gauss_legendre_rule, pair_integral_quadrature
 from synthetic import hermite_polynomial_profile, quadratic_profile, with_line
 
 SQRT_PI = np.sqrt(np.pi)
@@ -112,7 +115,7 @@ def test_jsa_grid_normalize():
     amp = np.exp(-(s_axis[:, None] ** 2) - i_axis[None, :] ** 2).astype(complex)
     grid = JsaGrid(signal_axis=s_axis, idler_axis=i_axis, amplitude=amp)
     norm = grid.normalize()
-    total = np.sum(norm.intensity()) * norm.d_signal * norm.d_idler
+    total = np.sum(norm.intensity()) * 0.02 * 0.02
     assert total == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ConfigError):
         JsaGrid(signal_axis=s_axis, idler_axis=i_axis, amplitude=amp[:50])
@@ -244,6 +247,7 @@ def test_jsa_numeric_single_node_equals_cw():
     pump = PumpSpec(omega_p=1.2, sigma=0.004)
     grid = jsa_numeric(prof, pump, signal, idler, 1e6, nodes=1, check=False,
                        normalize=False)
+    assert grid.quadrature == PumpQuadrature(1, None, math.erfc(3.0 * math.sqrt(2.0)))
     line = _cw_line(prof, signal)
     diag = np.array([grid.amplitude[m, signal.size - 1 - m] for m in range(signal.size)])
     ratio = diag / line
@@ -277,20 +281,27 @@ def test_jsa_numeric_convergence_guard(monkeypatch):
         jsa_numeric(prof, pump, signal, idler, 1e6, nodes=1, check=True)
 
 
-def test_jsa_numeric_builds_each_rule_once(monkeypatch):
-    # The grid reuses the rule the check settled on.
+def test_jsa_numeric_rules_nest(monkeypatch):
+    # From one point the check doubles the interval count (1, 2, 3, 5, 9, ...
+    # points), so each rule's nodes are a subset of the next rule's, and the
+    # grid reuses the rule the check settled on instead of building it again.
     prof, signal, idler = _cw_setup()
     pump = PumpSpec(omega_p=1.2, sigma=0.004)
-    calls = []
+    pump_rule, rules = biphoton._pump_rule, []
 
-    def counting(n):
-        calls.append(n)
-        return np.polynomial.legendre.leggauss(n)
+    def recording(points, sigma):
+        rules.append(pump_rule(points, sigma))
+        return rules[-1]
 
-    monkeypatch.setattr(biphoton, "leggauss", counting)
-    jsa_numeric(prof, pump, signal, idler, 1e6, nodes=1, check=True)
-    assert len(calls) >= 3
-    assert calls == sorted(set(calls))
+    monkeypatch.setattr(biphoton, "_pump_rule", recording)
+    grid = jsa_numeric(prof, pump, signal, idler, 1e6, nodes=1, check=True)
+    sizes = [u.size for u, _ in rules]
+    assert len(sizes) >= 4
+    assert sizes == [1] + [2**k + 1 for k in range(len(sizes) - 1)]
+    assert grid.quadrature.points == sizes[-2]
+    assert grid.quadrature.drift <= 1e-6
+    for (u, _), (v, _) in zip(rules, rules[1:]):
+        assert np.isin(u, v).all()
 
 
 def test_jsa_numeric_ignores_affine_part_of_k():
@@ -366,6 +377,43 @@ def test_jsa_numeric_matches_analytic_quadratic():
     assert abs(abs(phase) - 1.0) < 1e-6
     diff = np.max(np.abs(num.amplitude - ana.amplitude * phase)) / scale
     assert diff < 1e-6
+
+
+def _fig4_jsa_inputs(profile):
+    config = load_preset("fig4")
+    wp = working_point(config, profile)
+    axes = wp.axes(config.jsa_span, config.jsa_points)
+    return config, wp.pump_spec(), axes
+
+
+def test_jsa_numeric_fig4_integrand_points(monkeypatch, profile_bismuth):
+    # jsa fig4, the 100 m nanowire, settles at 129 trapezoid points: the
+    # kernel sees 256^2 x 129 points plus the check's 64 cells at 9, 17, ...,
+    # 257 points.  The former Gauss-Legendre rule needed 256 per cell.
+    config, pump, axes = _fig4_jsa_inputs(profile_bismuth)
+    points = []
+
+    def counting(y):
+        points.append(np.size(y))
+        return sinc_phase(y)
+
+    monkeypatch.setattr(biphoton, "sinc_phase", counting)
+    grid = jsa_numeric(profile_bismuth, pump, *axes, config.length_nm, gamma=config.gamma)
+    assert grid.quadrature.points == 129
+    assert sum(points) <= 256**2 * 129 + 64 * sum(2**k + 1 for k in range(3, 9))
+
+
+def test_jsa_numeric_fig4_matches_gauss_legendre(profile_bismuth):
+    # On a 16x16 subgrid of jsa fig4 the settled trapezoid rule on 3 sigma
+    # agrees with a 1023-node folded Gauss-Legendre rule on 4 sigma.
+    config, pump, axes = _fig4_jsa_inputs(profile_bismuth)
+    sub = [a[::16] for a in axes]
+    got = jsa_numeric(profile_bismuth, pump, *sub, config.length_nm, gamma=config.gamma,
+                      normalize=False)
+    gp = nonlinear_mismatch(config.gamma, pump.power)
+    rule = folded_gauss_legendre_rule(1023, pump.sigma)
+    want = biphoton._jsa_numeric_raw(profile_bismuth, pump, *sub, config.length_nm, gp, rule)
+    assert np.max(np.abs(got.amplitude - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------- Schmidt modes

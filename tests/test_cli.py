@@ -80,6 +80,15 @@ def test_spectrum_outputs(tiny_cfg, tmp_path, capsys):
     assert len(rows) == 1 + 301
 
 
+def _check_pump_rule_lines(header):
+    """The pump quadrature's header lines: points, drift and truncation bound."""
+    rule = dict(ln[2:].split(" = ") for ln in header if ln.startswith("# pump_rule_"))
+    assert list(rule) == ["pump_rule_points", "pump_rule_drift", "pump_rule_truncation"]
+    assert int(rule["pump_rule_points"]) >= 9
+    assert 0.0 <= float(rule["pump_rule_drift"]) <= 1e-6
+    assert float(rule["pump_rule_truncation"]) == pytest.approx(1.97317529e-09)
+
+
 def test_jsa_outputs(tiny_cfg, tmp_path, capsys):
     assert _run(["jsa", "--config", tiny_cfg, "--out", str(tmp_path)]) == 0
     assert "intensity peak" in capsys.readouterr().out
@@ -87,6 +96,7 @@ def test_jsa_outputs(tiny_cfg, tmp_path, capsys):
     header = [ln for ln in csv.read_text().splitlines() if ln.startswith("#")]
     assert any("resolved.signal_center_nm" in ln for ln in header)
     assert [ln for ln in header if ln.startswith("# border_mass = ")]
+    _check_pump_rule_lines(header)
     assert len(_data_lines(csv)) == 1 + 32 * 32
 
 
@@ -98,6 +108,8 @@ def test_purity_outputs(tiny_cfg, tmp_path):
     assert body[1].startswith("schmidt_number =")
     assert body[2] == "grid_points = 32"  # TINY's jsa_points
     assert 0.0 <= float(body[3].removeprefix("border_mass = ")) < 1.0
+    text = (tmp_path / "purity.txt").read_text().splitlines()
+    _check_pump_rule_lines([ln for ln in text if ln.startswith("#")])
 
 
 def test_design_report_outputs(tiny_cfg, tmp_path, capsys):
