@@ -195,24 +195,20 @@ def _singles(config: RunConfig, profile, rp: ResolvedPump):
 def _cmd_spectrum(args, config: RunConfig, profile) -> int:
     rp = resolve_pump(config, profile)
     axis, spectrum, widths, note = _singles(config, profile, rp)
-    resolved = _pump_resolution_echo(rp)
     if widths is not None:
-        width, width_nm = widths
-        resolved.append(("fwhm_rad_fs", _f(width)))
-        resolved.append(("fwhm_nm", _f(width_nm)))
+        width, width_nm = (_f(w) for w in widths)
+        resolved = [("fwhm_rad_fs", width), ("fwhm_nm", width_nm)]
+        message = f"singles spectrum FWHM: {width} rad/fs ({width_nm} nm)"
     else:
-        resolved.append(("fwhm_rad_fs", "unresolved"))
+        resolved = [("fwhm_rad_fs", "unresolved")]
+        message = f"singles spectrum FWHM unresolved: {note}"
 
-    lines = _header("spectrum", args, config, resolved)
+    lines = _header("spectrum", args, config, _pump_resolution_echo(rp) + resolved)
     lines.append("omega_s_rad_fs,wavelength_nm,intensity")
     for om, value in zip(axis, spectrum):
         lines.append(",".join([_f(om), _nm(om), _f(value)]))
     _write(args, config, "spectrum.csv", lines)
-
-    if widths is not None:
-        print(f"singles spectrum FWHM: {_f(width)} rad/fs ({_f(width_nm)} nm)")
-    else:
-        print(f"singles spectrum FWHM unresolved: {note}")
+    print(message)
     return 0
 
 
@@ -272,6 +268,11 @@ def _cmd_purity(args, config: RunConfig, profile) -> int:
     return 0
 
 
+def _section(title: str, **rows) -> list[str]:
+    """A design-report section: its title, then '  key = value' (numbers %.9g)."""
+    return [title] + [f"  {k} = {v if isinstance(v, str) else _f(v)}" for k, v in rows.items()]
+
+
 def _cmd_design_report(args, config: RunConfig, profile) -> int:
     zdws = zero_dispersion_wavelengths(profile)
     wp = working_point(config, profile)
@@ -281,65 +282,49 @@ def _cmd_design_report(args, config: RunConfig, profile) -> int:
         gamma=config.gamma, power=rp.power,
     )
 
-    body = []
-    body.append("fibre")
-    body.append(f"  core = {config.core}")
-    body.append(f"  cladding = {config.cladding}")
-    body.append(f"  radius_um = {_f(config.radius_um)}")
-    body.append(f"  length_m = {_f(config.length_m)}")
-    body.append(f"  gamma_w_km = {_f(config.gamma)}")
-    body.append(f"  approximate_materials = {_approximate(config)}")
-    body.append(f"  fit_residual_rad_nm = {_f(profile.residual)}")
-    body.append(f"  fit_phase_error_rad = {_f(profile.residual * config.length_nm)}")
-    body.append("dispersion")
-    body.append(
-        "  zero_dispersion_nm = " + (" ".join(_f(z) for z in zdws) or "none")
-    )
-    if rp.gvm is not None:
-        body.append(f"  gvm_pump_nm = {_nm(rp.gvm.omega_p)}")
-        body.append(f"  gvm_signal_nm = {_nm(rp.gvm.omega_s)}")
-        body.append(f"  gvm_idler_nm = {_nm(rp.gvm.omega_i)}")
-    body.append("pump")
-    body.append(f"  wavelength_nm = {_f(rp.lambda_nm)}")
-    body.append(f"  sigma_rad_fs = {_f(rp.sigma)}")
-    body.append(f"  power_w = {_f(rp.power)}")
-    if rp.p_star is not None:
-        body.append(f"  critical_power_w = {_f(rp.p_star)}")
     try:
         mi = mi_sideband_detuning(profile, rp.omega_p, config.gamma, rp.power)
-        body.append(f"  mi_sideband_rad_fs = {_f(mi)}")
     except (ConfigError, EvaluationError):
-        body.append("  mi_sideband_rad_fs = none")
-    body.append("working point")
-    body.append(f"  signal_nm = {_nm(wp.omega_s)}")
-    body.append(f"  idler_nm = {_nm(wp.omega_i)}")
-    body.append(f"  delta_k0 = {_f(tau.delta_k0)}")
-    body.append(f"  tau_s1_fs = {_f(tau.tau_s1)}")
-    body.append(f"  tau_i1_fs = {_f(tau.tau_i1)}")
-    body.append(f"  tau_s2_fs2 = {_f(tau.tau_s2)}")
-    body.append(f"  tau_i2_fs2 = {_f(tau.tau_i2)}")
-    body.append(f"  tau_p2_fs2 = {_f(tau.tau_p2)}")
+        mi = "none"
     # Below a millifemtosecond the walk-offs are solver roundoff, not physics,
     # and the angle they imply is arbitrary.
     if max(abs(tau.tau_s1), abs(tau.tau_i1)) < 1e-3:
-        body.append("  stripe_angle_deg = undefined (no first-order walk-off)")
+        angle = "undefined (no first-order walk-off)"
     else:
-        body.append(f"  stripe_angle_deg = {_f(theta_pm(tau))}")
-
+        angle = theta_pm(tau)
+    gvm = rp.gvm
+    matches = {} if gvm is None else {
+        "gvm_pump_nm": _nm(gvm.omega_p), "gvm_signal_nm": _nm(gvm.omega_s),
+        "gvm_idler_nm": _nm(gvm.omega_i),
+    }
+    critical = {} if rp.p_star is None else {"critical_power_w": rp.p_star}
     widths = _singles(config, profile, rp)[2]
-    body.append("singles spectrum")
-    if widths is not None:
-        body.append(f"  fwhm_rad_fs = {_f(widths[0])}")
-        body.append(f"  fwhm_nm = {_f(widths[1])}")
-    else:
-        body.append("  fwhm_rad_fs = unresolved within the window")
-
+    spectrum = {"fwhm_rad_fs": "unresolved within the window"} if widths is None else {
+        "fwhm_rad_fs": widths[0], "fwhm_nm": widths[1]}
     s_axis, i_axis = wp.axes(config.jsa_span, config.jsa_points)
     result = schmidt_metrics(jsa_analytic(tau, wp.pump_spec(), s_axis, i_axis))
-    body.append("biphoton (quadratic model)")
-    body.append(f"  purity = {_f(result.purity)}")
-    body.append(f"  schmidt_number = {_f(result.schmidt_number)}")
 
+    body = [
+        *_section(
+            "fibre", core=config.core, cladding=config.cladding, radius_um=config.radius_um,
+            length_m=config.length_m, gamma_w_km=config.gamma,
+            approximate_materials=_approximate(config), fit_residual_rad_nm=profile.residual,
+            fit_phase_error_rad=profile.residual * config.length_nm,
+        ),
+        *_section("dispersion", zero_dispersion_nm=" ".join(_f(z) for z in zdws) or "none",
+                  **matches),
+        *_section("pump", wavelength_nm=rp.lambda_nm, sigma_rad_fs=rp.sigma, power_w=rp.power,
+                  **critical, mi_sideband_rad_fs=mi),
+        *_section(
+            "working point", signal_nm=_nm(wp.omega_s), idler_nm=_nm(wp.omega_i),
+            delta_k0=tau.delta_k0, tau_s1_fs=tau.tau_s1, tau_i1_fs=tau.tau_i1,
+            tau_s2_fs2=tau.tau_s2, tau_i2_fs2=tau.tau_i2, tau_p2_fs2=tau.tau_p2,
+            stripe_angle_deg=angle,
+        ),
+        *_section("singles spectrum", **spectrum),
+        *_section("biphoton (quadratic model)", purity=result.purity,
+                  schmidt_number=result.schmidt_number),
+    ]
     lines = _header("design-report", args, config, _working_point_echo(wp))
     lines.extend(body)
     _write(args, config, "design_report.txt", lines)
@@ -405,20 +390,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CODES = ((ConfigError, 2), (NumericsError, 3), (OSError, 4))
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_preset(args.preset) if args.preset else load_config(args.config)
         return args.func(args, config, config.profile())
-    except ConfigError as exc:
+    except (ConfigError, NumericsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

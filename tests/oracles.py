@@ -6,17 +6,19 @@ mode solver, the vector HE11 residual on scipy's Bessel functions, a 30-digit
 Faddeeva function, a brute-force quadrature for the pair-generation pump
 integral, the folded Gauss-Legendre pump rule `jsa_numeric` once used, a
 symbolic zero-dispersion solve for bulk silica, 50-digit roots of the phase
-mismatch and of the full group-velocity match on a Chebyshev proxy and a
-marching-squares tracer that visits the map one cell at a time.
+mismatch and of the full group-velocity match on a Chebyshev proxy, a
+marching-squares tracer that visits the map one cell at a time and the pump
+sum `jsa_numeric` once formed with a phase and `sinc_phase` per point.
 """
 
 import math
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 from scipy.special import j0, j1, jv, k0, k1, kve
 
-from sfwm.phasematching import Contour
+from sfwm.phasematching import Contour, sinc_phase
 
 
 def lp01_effective_index(n_co, n_cl, radius_nm, lambda_nm):
@@ -111,6 +113,38 @@ def folded_gauss_legendre_rule(nodes, sigma, span=4.0):
     q, w = np.polynomial.legendre.leggauss(nodes)
     q, w = q[half:], w[half:] * np.where(q[half:] > 0, 2.0, 1.0)
     return span * sigma * q, span * sigma * w * np.exp(-2.0 * (span * q) ** 2)
+
+
+def jsa_pump_sum_per_point(profile, pump, signal_axis, idler_axis, length_nm, gp, rule):
+    """`biphoton._jsa_numeric_raw` with L dk and `sinc_phase` formed per point.
+
+    The unnormalised JSA on the pump rule (u, w), as the package computed it
+    before the pump phase was factored out of the integrand: every cell and
+    node gets its own complex exponential.  Cells go in order of their sum
+    frequency, in blocks, so k is evaluated once per distinct sum and block.
+    """
+    u, w = rule
+    a, h = profile.taylor(pump.omega_p)
+    p = Polynomial(np.append([0.0, 0.0], a[2:]))  # k minus its tangent at the pump
+
+    def k(omega):
+        profile.check_window(omega)
+        return p((omega - pump.omega_p) / h)
+
+    k_s, k_i = k(signal_axis), k(idler_axis)
+    sums = (signal_axis[:, np.newaxis] + idler_axis[np.newaxis, :]).ravel()
+    order = np.argsort(sums, kind="stable")
+    out = np.empty(sums.size, dtype=complex)
+    block = (1 << 18) // max(u.size, 16)
+    for start in range(0, sums.size, block):
+        cells = order[start : start + block]
+        distinct, inv = np.unique(sums[cells], return_inverse=True)
+        mid = 0.5 * distinct[:, np.newaxis]
+        m, n = np.divmod(cells, idler_axis.size)
+        dk = (k(mid + u) + k(mid - u))[inv] - (k_s[m] + k_i[n] + 2.0 * gp)[:, np.newaxis]
+        envelope = np.exp(-((distinct - 2.0 * pump.omega_p) ** 2) / (2.0 * pump.sigma**2))
+        out[cells] = envelope[inv] * (sinc_phase(length_nm * dk) @ w)
+    return out.reshape(signal_axis.size, idler_axis.size)
 
 
 def bulk_silica_zdw_sympy():

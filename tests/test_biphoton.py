@@ -20,7 +20,12 @@ from sfwm.errors import ConfigError, EvaluationError
 from sfwm.phasematching import sinc_phase
 from sfwm.units import nonlinear_mismatch, omega_from_wavelength, pump_sigma_from_fwhm
 
-from oracles import faddeeva_mp, folded_gauss_legendre_rule, pair_integral_quadrature
+from oracles import (
+    faddeeva_mp,
+    folded_gauss_legendre_rule,
+    jsa_pump_sum_per_point,
+    pair_integral_quadrature,
+)
 from synthetic import hermite_polynomial_profile, quadratic_profile, with_line
 
 SQRT_PI = np.sqrt(np.pi)
@@ -387,9 +392,11 @@ def _fig4_jsa_inputs(profile):
 
 
 def test_jsa_numeric_fig4_integrand_points(monkeypatch, profile_bismuth):
-    # jsa fig4, the 100 m nanowire, settles at 129 trapezoid points: the
-    # kernel sees 256^2 x 129 points plus the check's 64 cells at 9, 17, ...,
-    # 257 points.  The former Gauss-Legendre rule needed 256 per cell.
+    # jsa fig4, the 100 m nanowire, settles at 129 trapezoid points.  Its
+    # phases span ~1000 rad, so the pump sum factors almost everywhere and
+    # only points with |L dk| below the split cut reach sinc_phase (10 with
+    # the check's, 1.2e-6 of the grid's 256^2 x 129).  Phases formed per
+    # point again would send all of them.
     config, pump, axes = _fig4_jsa_inputs(profile_bismuth)
     points = []
 
@@ -400,7 +407,56 @@ def test_jsa_numeric_fig4_integrand_points(monkeypatch, profile_bismuth):
     monkeypatch.setattr(biphoton, "sinc_phase", counting)
     grid = jsa_numeric(profile_bismuth, pump, *axes, config.length_nm, gamma=config.gamma)
     assert grid.quadrature.points == 129
-    assert sum(points) <= 256**2 * 129 + 64 * sum(2**k + 1 for k in range(3, 9))
+    assert sum(points) <= 1e-3 * 256**2 * 129
+
+
+def _per_point_error(profile, pump, axes, length_nm, gp, rule):
+    """Largest gap of the factored pump sum to per-point phases, per peak."""
+    got = biphoton._jsa_numeric_raw(profile, pump, *axes, length_nm, gp, rule)
+    want = jsa_pump_sum_per_point(profile, pump, *axes, length_nm, gp, rule)
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name, fixture, points", [
+    ("fig3", "profile_1644", 9),
+    ("fig4", "profile_bismuth", 129),
+])
+def test_pump_sum_matches_per_point_oracle_on_presets(request, name, fixture, points):
+    # The full 256^2 jsa grids at the rules the check settles on.  fig3's
+    # phases stay below 0.5 rad, so a fifth of its points fall back to
+    # sinc_phase and the split sums' roundoff is largest there.
+    profile = request.getfixturevalue(fixture)
+    config = load_preset(name)
+    wp = working_point(config, profile)
+    pump = wp.pump_spec()
+    axes = wp.axes(config.jsa_span, config.jsa_points)
+    gp = nonlinear_mismatch(config.gamma, pump.power)
+    rule = biphoton._pump_rule(points, pump.sigma)
+    assert _per_point_error(profile, pump, axes, config.length_nm, gp, rule) <= 1e-12
+
+
+def test_pump_sum_matches_per_point_oracle_on_synthetic_profiles():
+    # A chirped synthetic profile on equal axes with the folded
+    # Gauss-Legendre rule, and the unequal axes whose sums rarely repeat.
+    prof, exp = hermite_polynomial_profile(
+        1.2, 0.06, 1e7, tau_s1=400.0, tau_i1=-250.0, tau_s2=8000.0,
+        tau_i2=5000.0, tau_p2=1e3, window_factor=1.5,
+    )
+    pump = PumpSpec(omega_p=1.2, sigma=0.004)
+    nu = np.linspace(-0.012, 0.012, 64)
+    equal = (exp["omega_s0"] + nu, exp["omega_i0"] + nu)
+    rule = folded_gauss_legendre_rule(255, pump.sigma)
+    assert _per_point_error(prof, pump, equal, 1e7, 0.0, rule) <= 1e-12
+    unequal = (
+        exp["omega_s0"] + np.linspace(-0.010, 0.012, 13),
+        exp["omega_i0"] + np.linspace(-0.015, 0.009, 17),
+    )
+    rule = biphoton._pump_rule(65, pump.sigma)
+    assert _per_point_error(prof, pump, unequal, 1e7, 1e-9, rule) <= 1e-12
+    # The CW rule's node u = 0 puts L dk exactly at 0 in the degenerate cell.
+    axis = np.linspace(1.19, 1.21, 5)
+    rule = biphoton._pump_rule(1, pump.sigma)
+    assert _per_point_error(prof, pump, (axis, axis), 1e7, 0.0, rule) <= 1e-12
 
 
 def test_jsa_numeric_fig4_matches_gauss_legendre(profile_bismuth):
