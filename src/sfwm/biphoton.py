@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import Polynomial
-# Only perfbench's trace hooks read leggauss; it goes with ROADMAP item 2's library trace.
+# Only perfbench's trace hooks read leggauss; it goes with ROADMAP item 1's library trace.
 from numpy.polynomial.legendre import leggauss  # noqa: F401
 
 from .dispersion import DispersionProfile, TauSet

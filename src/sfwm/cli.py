@@ -3,7 +3,8 @@
 Every subcommand reads one run file (--config PATH or --preset NAME), gets
 its numbers from the library (RunConfig.profile, resolve_pump or
 working_point, then the physics modules) and only formats them: results go
-under --out, each file headed by the resolved configuration as '#' lines.
+under --out, each file headed by the resolved configuration as '#' lines and
+streamed into a temporary file that is then renamed over the result.
 Outputs carry no timestamps and floats are printed with %.9g, so repeated
 runs are byte-identical.
 
@@ -14,8 +15,11 @@ Exit codes: 0 success, 2 configuration errors, 3 numerical failures,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -75,15 +79,24 @@ def _approximate(config: RunConfig) -> str:
     return " ".join(approximate_models(fiber.core, fiber.cladding)) or "none"
 
 
-def _write(args, config: RunConfig, name: str, lines: list[str]):
-    """Write one result file atomically: a temporary file, then a rename."""
+def _write(args, config: RunConfig, name: str, lines: Iterable[str]):
+    """Stream `lines` into a temporary file, then rename it over `name`.
+
+    On any failure the temporary file goes and an earlier `name` stays as it was.
+    """
     out_dir = args.out if args.out is not None else config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _pump_resolution_echo(rp: ResolvedPump) -> list[tuple[str, str]]:
@@ -232,14 +245,24 @@ def _numeric_jsa(command: str, args, config: RunConfig, profile) -> tuple[list[s
     return lines, jsa
 
 
+def _jsa_rows(jsa: JsaGrid) -> Iterable[str]:
+    """jsa.csv's data lines, one block per signal frequency, each number formatted once.
+
+    The idler axis goes into a '%' template (no %.9g text holds '%') that
+    each signal row fills from its own lists; the grid is never all text.
+    """
+    template = "\n".join("%s," + _f(x) + ",%.9g,%.9g" for x in jsa.idler_axis)
+    for omega_s, amp in zip(jsa.signal_axis.tolist(), jsa.amplitude):
+        fields = [_f(omega_s)] * (3 * amp.size)
+        fields[1::3], fields[2::3] = amp.real.tolist(), amp.imag.tolist()
+        yield template % tuple(fields)
+
+
 def _cmd_jsa(args, config: RunConfig, profile) -> int:
     lines, jsa = _numeric_jsa("jsa", args, config, profile)
     lines.append(f"# border_mass = {_f(jsa.border_mass())}")
     lines.append("omega_s_rad_fs,omega_i_rad_fs,re_amplitude,im_amplitude")
-    om_s, om_i = np.meshgrid(jsa.signal_axis, jsa.idler_axis, indexing="ij")
-    rows = zip(*(c.ravel() for c in (om_s, om_i, jsa.amplitude.real, jsa.amplitude.imag)))
-    lines.extend("%.9g,%.9g,%.9g,%.9g" % row for row in rows)
-    _write(args, config, "jsa.csv", lines)
+    _write(args, config, "jsa.csv", itertools.chain(lines, _jsa_rows(jsa)))
 
     peak = np.unravel_index(np.argmax(jsa.intensity()), jsa.amplitude.shape)
     print(

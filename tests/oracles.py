@@ -7,8 +7,9 @@ Faddeeva function, a brute-force quadrature for the pair-generation pump
 integral, the folded Gauss-Legendre pump rule `jsa_numeric` once used, a
 symbolic zero-dispersion solve for bulk silica, 50-digit roots of the phase
 mismatch and of the full group-velocity match on a Chebyshev proxy, a
-marching-squares tracer that visits the map one cell at a time and the pump
-sum `jsa_numeric` once formed with a phase and `sinc_phase` per point.
+marching-squares tracer that visits the map one cell at a time, the pump
+sum `jsa_numeric` once formed with a phase and `sinc_phase` per point and
+the jsa.csv formatter that printed every grid cell's four numbers anew.
 """
 
 import math
@@ -145,6 +146,18 @@ def jsa_pump_sum_per_point(profile, pump, signal_axis, idler_axis, length_nm, gp
         envelope = np.exp(-((distinct - 2.0 * pump.omega_p) ** 2) / (2.0 * pump.sigma**2))
         out[cells] = envelope[inv] * (sinc_phase(length_nm * dk) @ w)
     return out.reshape(signal_axis.size, idler_axis.size)
+
+
+def jsa_csv_rows_per_cell(jsa):
+    """jsa.csv's data lines for the `JsaGrid` jsa, formatted one cell at a time.
+
+    Each line is "omega_s,omega_i,re,im" in %.9g, signal-major; the axes are
+    spread over the grid with meshgrid and each cell's numbers are formatted
+    on their own, as `sfwm jsa` wrote them before it streamed its rows.
+    """
+    om_s, om_i = np.meshgrid(jsa.signal_axis, jsa.idler_axis, indexing="ij")
+    rows = zip(*(c.ravel() for c in (om_s, om_i, jsa.amplitude.real, jsa.amplitude.imag)))
+    return ["%.9g,%.9g,%.9g,%.9g" % row for row in rows]
 
 
 def bulk_silica_zdw_sympy():

@@ -1,16 +1,24 @@
 """End-to-end runs of the command-line interface on small grids."""
 
+import errno
 import importlib.util
 import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import sfwm
-from sfwm.cli import main
+from sfwm.biphoton import JsaGrid, jsa_numeric
+from sfwm.cli import _jsa_rows, _write, main
+from sfwm.config import load_preset, working_point
+
+from oracles import jsa_csv_rows_per_cell
 
 TINY = """
 [fiber]
@@ -145,6 +153,71 @@ def test_reruns_are_byte_identical(command, tiny_cfg, tmp_path, capsys):
         runs.append((files, capsys.readouterr().out))
     assert runs[0][0]
     assert runs[0] == runs[1]
+
+
+def _synthetic_jsa(n_s, n_i, seed=0):
+    rng = np.random.default_rng(seed)
+    amplitude = rng.standard_normal((n_s, n_i)) + 1j * rng.standard_normal((n_s, n_i))
+    return JsaGrid(np.linspace(1.20, 1.23, n_s), np.linspace(1.30, 1.34, n_i), amplitude)
+
+
+def _preset_jsa(request, name, fixture):
+    profile = request.getfixturevalue(fixture)
+    config = load_preset(name)
+    wp = working_point(config, profile)
+    axes = wp.axes(config.jsa_span, config.jsa_points)
+    return jsa_numeric(profile, wp.pump_spec(), *axes, config.length_nm, gamma=config.gamma)
+
+
+def _edge_values_jsa():
+    # Signed zeros, subnormals, the largest exponents and negative parts.
+    values = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, -1.5, 0.1, 123456789.5])
+    amplitude = np.empty((values.size, values.size), dtype=complex)
+    amplitude.real, amplitude.imag = values[:, np.newaxis], values[np.newaxis, ::-1]
+    return JsaGrid(np.linspace(-0.5, 0.5, 9), np.linspace(2.0, 0.4, 9), amplitude)
+
+
+@pytest.mark.parametrize("grid", ["fig3", "fig4", "unequal", "edge_values"])
+def test_jsa_rows_match_per_cell_oracle(grid, request):
+    jsa = {
+        "fig3": lambda: _preset_jsa(request, "fig3", "profile_1644"),
+        "fig4": lambda: _preset_jsa(request, "fig4", "profile_bismuth"),
+        "unequal": lambda: _synthetic_jsa(13, 17),
+        "edge_values": _edge_values_jsa,
+    }[grid]()
+    want = jsa_csv_rows_per_cell(jsa)
+    assert len(want) == jsa.amplitude.size
+    assert "\n".join(_jsa_rows(jsa)) == "\n".join(want)
+
+
+def test_jsa_writer_streams(tmp_path):
+    # The writer holds one signal row's text at a time, not the 3 MB grid.
+    jsa = _synthetic_jsa(256, 256)
+    tracemalloc.start()
+    try:
+        _write(SimpleNamespace(out=str(tmp_path)), None, "jsa.csv", _jsa_rows(jsa))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "jsa.csv").stat().st_size > 2_000_000
+    assert peak <= 2_000_000
+
+
+def test_write_failure_leaves_no_temporary_file(tmp_path):
+    args = SimpleNamespace(out=str(tmp_path))
+    _write(args, None, "spectrum.csv", ["# earlier", "1,2,3"])
+    before = (tmp_path / "spectrum.csv").read_bytes()
+
+    def lines():
+        yield "# sfwm spectrum"
+        yield "4,5,6"
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with pytest.raises(OSError) as err:
+        _write(args, None, "spectrum.csv", lines())
+    assert err.value.errno == errno.ENOSPC
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.csv"]
+    assert (tmp_path / "spectrum.csv").read_bytes() == before
 
 
 @pytest.mark.parametrize("flag", ["--threads", "--seed"])
