@@ -170,9 +170,9 @@ class PumpSpec:
     power: float = 0.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ConfigError(f"pump sigma must be positive, got {self.sigma}")
-        if self.power < 0:
+        if not self.power >= 0:
             raise ConfigError(f"pump power must be nonnegative, got {self.power}")
 
 
@@ -288,8 +288,8 @@ def _pump_rule(points, sigma):
 
 def _jsa_numeric_raw(profile, pump, signal_axis, idler_axis, length_nm, gp, rule):
     u, w = rule
-    a, h = profile.taylor(pump.omega_p)
-    p = Polynomial(np.append([0.0, 0.0], a[2:]))  # k minus its tangent at the pump
+    a, h = profile.pump_series(pump.omega_p)
+    p = Polynomial(a)  # k minus its tangent at the pump
 
     def k(omega):
         profile.check_window(omega)
@@ -358,7 +358,7 @@ def jsa_numeric(
     power enters through pump.power and gamma (1/(W km)); all frequencies
     the integrand touches must lie inside the profile's query window.
     """
-    if length_nm <= 0:
+    if not length_nm > 0:
         raise ConfigError(f"fibre length must be positive, got {length_nm}")
     if nodes < 1:
         raise ConfigError(f"need at least one quadrature node, got {nodes}")

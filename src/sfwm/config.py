@@ -448,7 +448,12 @@ class WorkingPoint:
         )
 
     def axes(self, span: float, points: int) -> tuple[np.ndarray, np.ndarray]:
-        """Signal and idler axes of `points` samples, +-span around the pair."""
+        """Signal and idler axes of `points` samples, +-span (below delta) around the pair."""
+        if not span < self.delta:
+            raise ConfigError(
+                f"grids.jsa_span_rad_fs = {span:.9g} reaches the pump: the span limit is "
+                f"the matched half-separation delta = {self.delta:.9g} rad/fs"
+            )
         return (
             np.linspace(self.omega_s - span, self.omega_s + span, points),
             np.linspace(self.omega_i - span, self.omega_i + span, points),

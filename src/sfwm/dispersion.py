@@ -10,7 +10,9 @@ matching points, Taylor coefficients) are defined on the exact derivatives
 of the proxy, and the roots among them are roots of its polynomials: zero
 dispersion from the companion matrix of k'', full group-velocity matches by
 Newton on the pump-centred series of k' - k'(omega_p), started from samples
-of the monotone pieces of k'.
+of the monotone pieces of k'.  Energy conservation cancels k's tangent line
+at the pump in every mismatch, so `DispersionProfile.pump_series` drops it
+once: the CW mismatch, the walk-offs and the JSA phase all read that series.
 
 Frequencies are rad/fs, propagation constants rad/nm, so k' is fs/nm and
 k'' is fs^2/nm throughout.
@@ -26,6 +28,7 @@ from itertools import combinations
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.polynomial import polyval
 
 from .errors import ConfigError, EvaluationError, RangeError
 from .modes import FiberSpec, bisect, propagation_constant_from_omega
@@ -112,11 +115,12 @@ class DispersionProfile:
         val = chebval(off + scl * om, self._deriv_table[:, order])
         return float(val) if om.ndim == 0 else val
 
-    def taylor(self, omega_p):
-        """Taylor coefficients of the proxy about omega_p, and their scale h.
+    def pump_series(self, omega_p):
+        """Series of k minus its tangent line at omega_p, and its scale h.
 
-        a[j] = k^(j)(omega_p) h^j / j! for j = 0..max(degree, 3), so that
-        k(omega) = sum_j a[j] ((omega - omega_p) / h)^j exactly, with h half
+        a[0] = a[1] = 0 and a[j] = k^(j)(omega_p) h^j / j! for 2 <= j <=
+        max(degree, 3), so that k(omega) - k(omega_p) - k'(omega_p) (omega -
+        omega_p) = sum_j a[j] ((omega - omega_p) / h)^j exactly, with h half
         the interpolated window.  omega_p may be an array; a then has shape
         (max(degree, 3) + 1,) + omega_p.shape.
         """
@@ -126,7 +130,9 @@ class DispersionProfile:
         derivs = chebval(off + scl * om, self._deriv_table)
         n = derivs.shape[0]
         scale = np.array([h**j / math.factorial(j) for j in range(n)])
-        return derivs * scale.reshape((n,) + (1,) * om.ndim), h
+        a = derivs * scale.reshape((n,) + (1,) * om.ndim)
+        a[:2] = 0.0
+        return a, h
 
 
 def build_profile(fiber: FiberSpec, window_nm: tuple[float, float]) -> DispersionProfile:
@@ -149,28 +155,13 @@ def mismatch_coefficients(profile: DispersionProfile, omega_p, gp: float = 0.0):
     """Coefficients c and scale h of the CW mismatch as a polynomial in s = (delta / h)^2.
 
     2 k(omega_p) - k(omega_p + delta) - k(omega_p - delta) - 2 gp is exactly
-    -2 gp - 2 sum_{m >= 1} a_{2m} s^m, with a_j the Taylor coefficients of
-    `DispersionProfile.taylor` and gp = gamma P in rad/nm; c holds these
+    -2 gp - 2 sum_{m >= 1} a_{2m} s^m, with a_j the coefficients of
+    `DispersionProfile.pump_series` and gp = gamma P in rad/nm; c holds these
     coefficients, lowest power first, with one trailing axis per axis of
     omega_p.
     """
-    a, h = profile.taylor(omega_p)
+    a, h = profile.pump_series(omega_p)
     return np.concatenate((np.full((1,) + a.shape[1:], -2.0 * gp), -2.0 * a[2::2])), h
-
-
-def pair_mismatch(
-    profile: DispersionProfile, omega_p: float, detuning: float, gp: float = 0.0
-) -> tuple[Polynomial, float]:
-    """The CW mismatch at omega_p as a Polynomial in s = (delta / h)^2, and h.
-
-    The polynomial of `mismatch_coefficients`.  Both sidebands at `detuning`
-    must lie in the query window.
-    """
-    lo, hi = profile.query_window
-    if omega_p - abs(detuning) < lo or omega_p + abs(detuning) > hi:
-        raise RangeError(f"detunings up to {detuning:.6g} rad/fs leave the query window")
-    coef, h = mismatch_coefficients(profile, omega_p, gp)
-    return Polynomial(coef), h
 
 
 def sign_change_roots(series, lo: float, hi: float) -> np.ndarray:
@@ -236,12 +227,12 @@ def _walk_off_series(profile: DispersionProfile, omega_p):
     """Walk-off series about omega_p in x = (omega - omega_p) / h, and h.
 
     d1 = h (k'(omega) - k'(omega_p)) and d2 = h^2 (k''(omega) - k''(omega_p)):
-    the series of `taylor` with terms up to first or second order dropped.
+    the derivatives of `DispersionProfile.pump_series`, d2 less its constant
+    term 2 a[2].
     """
-    a, h = profile.taylor(omega_p)
-    d1 = Polynomial(np.append([0.0, 0.0], a[2:])).deriv(1)
-    d2 = Polynomial(np.append([0.0, 0.0, 0.0], a[3:])).deriv(2)
-    return d1, d2, h
+    a, h = profile.pump_series(omega_p)
+    d1 = Polynomial(a).deriv(1)
+    return d1, d1.deriv(1) - 2.0 * a[2], h
 
 
 def _polish_match(profile: DispersionProfile, r0, r1) -> list[FgvmPoint]:
@@ -367,15 +358,14 @@ def tau_coefficients(
 
     gamma is the nonlinear parameter in 1/(W km) and power the peak pump
     power in W; they only shift the constant term.  The walk-offs come from
-    the proxy's Taylor series about the pump with its terms up to first
-    (tau_s1, tau_i1) or second order (tau_s2, tau_i2) dropped, so they never
-    subtract values of k' or k'' at two frequencies.
+    the derivatives of `DispersionProfile.pump_series` (`_walk_off_series`),
+    so they never subtract values of k' or k'' at two frequencies.
     """
-    if length_nm <= 0:
+    if not length_nm > 0:
         raise ConfigError(f"fibre length must be positive, got {length_nm}")
-    half = 0.5 * (omega_s0 - omega_i0)
-    mismatch, h = pair_mismatch(profile, omega_p, half, nonlinear_mismatch(gamma, power))
-    dk0 = length_nm * mismatch((half / h) ** 2)
+    profile.check_window(np.array([omega_s0, omega_i0]))
+    coef, h = mismatch_coefficients(profile, omega_p, nonlinear_mismatch(gamma, power))
+    dk0 = length_nm * polyval((0.5 * (omega_s0 - omega_i0) / h) ** 2, coef)
     d1, d2, _ = _walk_off_series(profile, omega_p)
     x_s, x_i = (omega_s0 - omega_p) / h, (omega_i0 - omega_p) / h
     return TauSet(

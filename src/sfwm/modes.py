@@ -57,7 +57,7 @@ class FiberSpec:
     radius_um: float
 
     def __post_init__(self):
-        if self.radius_um <= 0:
+        if not self.radius_um > 0:
             raise ConfigError(f"core radius must be positive, got {self.radius_um}")
 
     @property

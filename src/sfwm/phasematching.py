@@ -22,14 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from numpy.polynomial.polynomial import polyval
 
-from .dispersion import (
-    DispersionProfile,
-    mismatch_coefficients,
-    pair_mismatch,
-    sign_change_roots,
-)
+from .dispersion import DispersionProfile, mismatch_coefficients, sign_change_roots
 from .errors import ConfigError, EvaluationError
 from .units import nonlinear_mismatch
 
@@ -54,9 +50,8 @@ def delta_k_cw(
     """Degenerate-pump phase mismatch in rad/nm, broadcasting over inputs.
 
     The even polynomial in delta of `mismatch_coefficients`, expanded about
-    each pump frequency, so no k values are subtracted; at a scalar pump it
-    equals `pair_mismatch` exactly.  Every sideband omega_p +/- delta must
-    lie in the profile's query window.
+    each pump frequency, so no k values are subtracted.  Every sideband
+    omega_p +/- delta must lie in the profile's query window.
     """
     omega_p = np.asarray(omega_p, dtype=float)
     delta = np.abs(np.asarray(delta, dtype=float))
@@ -75,12 +70,13 @@ def matched_detunings(
 ) -> np.ndarray:
     """Half-separations in (0, detuning_max) where delta_k_cw changes sign.
 
-    Roots of the polynomial of `pair_mismatch`: no scan, no trivial root at
-    delta = 0 and no cancelling k values.  Ascending, in rad/fs.
+    Roots of the polynomial of `mismatch_coefficients`: no scan, no trivial
+    root at delta = 0 and no cancelling k values.  Both sidebands at
+    detuning_max must lie in the query window.  Ascending, in rad/fs.
     """
-    gp = nonlinear_mismatch(gamma, power)
-    mismatch, h = pair_mismatch(profile, omega_p, detuning_max, gp)
-    return h * np.sqrt(sign_change_roots(mismatch, 0.0, (detuning_max / h) ** 2))
+    profile.check_window(omega_p + np.array([-detuning_max, detuning_max]))
+    coef, h = mismatch_coefficients(profile, omega_p, nonlinear_mismatch(gamma, power))
+    return h * np.sqrt(sign_change_roots(Polynomial(coef), 0.0, (detuning_max / h) ** 2))
 
 
 @dataclass(frozen=True)
@@ -229,10 +225,9 @@ def critical_power(
     At the loop's interior matching point this is the power where the closed
     phase-matching loop collapses; above it no matched pair remains nearby.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ConfigError(f"nonlinear parameter must be positive, got {gamma}")
-    mismatch, h = pair_mismatch(profile, omega_p, delta)
-    return float(mismatch((delta / h) ** 2)) / (2.0 * gamma * 1e-12)
+    return float(delta_k_cw(profile, omega_p, delta)) / (2.0 * gamma * 1e-12)
 
 
 def mi_sideband_detuning(
@@ -270,7 +265,7 @@ def singles_spectrum(
     The idler is pinned by energy conservation at 2 omega_p - omega_signal,
     which must stay inside the profile's query window.
     """
-    if length_nm <= 0:
+    if not length_nm > 0:
         raise ConfigError(f"fibre length must be positive, got {length_nm}")
     om_s = np.asarray(omega_signal, dtype=float)
     dk = delta_k_cw(profile, omega_p, om_s - omega_p, gamma=gamma, power=power)

@@ -125,8 +125,8 @@ def jsa_pump_sum_per_point(profile, pump, signal_axis, idler_axis, length_nm, gp
     frequency, in blocks, so k is evaluated once per distinct sum and block.
     """
     u, w = rule
-    a, h = profile.taylor(pump.omega_p)
-    p = Polynomial(np.append([0.0, 0.0], a[2:]))  # k minus its tangent at the pump
+    a, h = profile.pump_series(pump.omega_p)
+    p = Polynomial(a)  # k minus its tangent at the pump
 
     def k(omega):
         profile.check_window(omega)

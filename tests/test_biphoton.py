@@ -105,10 +105,12 @@ def test_pump_spec():
     )
     assert pump.power == 9.0
     assert pump.sigma == pytest.approx(0.018013, rel=1e-4)
-    with pytest.raises(ConfigError):
-        PumpSpec(omega_p=1.0, sigma=0.0)
-    with pytest.raises(ConfigError):
-        PumpSpec(omega_p=1.0, sigma=0.01, power=-1.0)
+    for sigma in (0.0, math.nan):
+        with pytest.raises(ConfigError):
+            PumpSpec(omega_p=1.0, sigma=sigma)
+    for power in (-1.0, math.nan):
+        with pytest.raises(ConfigError):
+            PumpSpec(omega_p=1.0, sigma=0.01, power=power)
 
 
 # -------------------------------------------------------------------- JsaGrid
@@ -241,8 +243,8 @@ def _cw_line(prof, signal):
     The mismatch comes from the proxy's Taylor series about the pump, so no
     k values of ~5e-3 rad/nm cancel in L delta_k.
     """
-    a, h = prof.taylor(1.2)
-    p = Polynomial(np.append(0.0, a[1:]))
+    a, h = prof.pump_series(1.2)
+    p = Polynomial(a)
     t = (signal - 1.2) / h
     return sinc_phase(-1e6 * (p(t) + p(-t)))
 
@@ -357,8 +359,9 @@ def test_jsa_numeric_unequal_axes_match_shared_rule():
 def test_jsa_numeric_validation():
     prof, signal, idler = _cw_setup()
     pump = PumpSpec(omega_p=1.2, sigma=0.004)
-    with pytest.raises(ConfigError):
-        jsa_numeric(prof, pump, signal, idler, 0.0)
+    for length_nm in (0.0, math.nan):
+        with pytest.raises(ConfigError):
+            jsa_numeric(prof, pump, signal, idler, length_nm)
     with pytest.raises(ConfigError):
         jsa_numeric(prof, pump, signal, idler, 1e6, nodes=0)
 

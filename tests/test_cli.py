@@ -278,6 +278,19 @@ def test_unmatched_pump_exits_3(tiny_cfg, tmp_path, capsys):
     assert "no phase-matched" in capsys.readouterr().err
 
 
+def test_jsa_band_reaching_the_pump_exits_2(tmp_path, capsys):
+    # In the wider window the matched pair sits at delta = 0.076 rad/fs, so a
+    # 0.1 rad/fs span would put both bands across the pump.
+    cfg = tmp_path / "wide.cfg"
+    text = TINY.replace("window_nm = 1400 1700", "window_nm = 1300 2000")
+    cfg.write_text(text.replace("jsa_span_rad_fs = 0.01", "jsa_span_rad_fs = 0.1"))
+    for command in ("jsa", "purity", "design-report"):
+        assert _run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "the span limit is the matched half-separation delta = 0.07" in (
+            capsys.readouterr().err
+        )
+
+
 def test_negative_critical_power_exits_3(tmp_path, capsys):
     # A 1.66 um strand's only nondegenerate match has P* < 0: auto-critical
     # runs stop with the value, and dispersion prints no negative power.

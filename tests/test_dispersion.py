@@ -300,18 +300,22 @@ def test_tau_coefficients_ignore_affine_part_of_k():
 
 
 def test_taylor_reexpands_the_proxy(profile_1644):
+    # pump_series is k's Taylor series about the pump less its tangent line.
     pumps = np.array([1.1, 1.21, 1.3])
-    a, h = profile_1644.taylor(pumps)
+    a, h = profile_1644.pump_series(pumps)
     assert a.shape == (profile_1644.fit.degree() + 1, 3)
+    assert not np.any(a[:2])
     for j, op in enumerate(pumps):
-        scalar, _ = profile_1644.taylor(op)
+        scalar, _ = profile_1644.pump_series(op)
         assert np.array_equal(scalar, a[:, j])
-        for order in range(4):
+        for order in (2, 3):
             assert a[order, j] * math.factorial(order) / h**order == pytest.approx(
                 profile_1644.k_derivative(op, order), rel=1e-14
             )
         om = np.linspace(op - 0.1, op + 0.1, 11)
-        assert Polynomial(a[:, j])((om - op) / h) == pytest.approx(
+        k0, k1 = profile_1644.k_derivative(op, 0), profile_1644.k_derivative(op, 1)
+        tangent = k0 + k1 * (om - op)
+        assert Polynomial(a[:, j])((om - op) / h) + tangent == pytest.approx(
             profile_1644.k_derivative(om, 0), rel=1e-14
         )
 
@@ -352,8 +356,9 @@ def test_beta_quadratic_form():
 
 def test_tau_length_validation():
     prof, _ = quadratic_profile(1.2, 0.06, 1e6, tau_p2=60.0)
-    with pytest.raises(ConfigError):
-        tau_coefficients(prof, 1.2, 1.26, 1.14, 0.0)
+    for length_nm in (0.0, math.nan):
+        with pytest.raises(ConfigError):
+            tau_coefficients(prof, 1.2, 1.26, 1.14, length_nm)
 
 
 def _tau_with_walkoffs(tau_s1, tau_i1):

@@ -133,8 +133,9 @@ def test_unresolvable_contrast_rejected():
 
 
 def test_radius_validation():
-    with pytest.raises(ConfigError):
-        FiberSpec(core=AIR, cladding=AIR, radius_um=0.0)
+    for radius_um in (0.0, np.nan):
+        with pytest.raises(ConfigError):
+            FiberSpec(core=AIR, cladding=AIR, radius_um=radius_um)
 
 
 def test_continuity_in_wavelength():

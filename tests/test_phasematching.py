@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from scipy.optimize import brentq
 
-from sfwm.dispersion import find_fgvm_points, pair_mismatch
+from sfwm.dispersion import find_fgvm_points, mismatch_coefficients
 from sfwm.errors import ConfigError, EvaluationError, RangeError
 from sfwm.phasematching import (
     PmMap,
@@ -70,14 +71,29 @@ def test_delta_k_ignores_affine_part_of_k():
     pump = np.linspace(1.19, 1.21, 9)
     det = np.linspace(-0.04, 0.04, 11)
     assert np.array_equal(pm_map(with_line(prof), pump, det).values, pm_map(prof, pump, det).values)
+    for func, args in (
+        (critical_power, (1.2, 0.03, GAMMA)),
+        (matched_detunings, (1.2, 0.05, GAMMA, 0.5)),
+    ):
+        assert np.array_equal(func(with_line(prof), *args), func(prof, *args))
     with pytest.raises(RangeError):
         delta_k_cw(prof, 1.2, 0.09)
 
 
-def test_delta_k_equals_pair_mismatch(profile_1644):
-    mismatch, h = pair_mismatch(profile_1644, 1.21, 0.1, nonlinear_mismatch(GAMMA, 0.5))
-    d = np.linspace(-0.1, 0.1, 41)
-    assert np.array_equal(delta_k_cw(profile_1644, 1.21, d, GAMMA, 0.5), mismatch((d / h) ** 2))
+def test_mismatch_readers_share_one_polynomial(profile_1644, gvm_point, p_star):
+    # delta_k_cw, critical_power and matched_detunings all read the polynomial
+    # of mismatch_coefficients.
+    op, power = gvm_point.omega_p, 0.5 * p_star
+    coef, h = mismatch_coefficients(profile_1644, op, nonlinear_mismatch(GAMMA, power))
+    mismatch = Polynomial(coef)
+    d = np.linspace(-0.12, 0.12, 41)
+    assert np.array_equal(delta_k_cw(profile_1644, op, d, GAMMA, power), mismatch((d / h) ** 2))
+    dk = float(delta_k_cw(profile_1644, op, gvm_point.delta))
+    assert critical_power(profile_1644, op, gvm_point.delta, GAMMA) == dk / (2.0 * GAMMA * 1e-12)
+    roots = matched_detunings(profile_1644, op, 0.12, GAMMA, power)
+    assert roots.size == 2
+    sides = np.sign(mismatch((np.outer(roots, [1.0 - 1e-12, 1.0 + 1e-12]) / h) ** 2))
+    assert np.array_equal(sides[:, 0], -sides[:, 1])
 
 
 def test_map_shape(profile_1644):
@@ -230,8 +246,9 @@ def test_critical_power_frozen(p_star):
 
 
 def test_critical_power_validation(profile_1644, gvm_point):
-    with pytest.raises(ConfigError):
-        critical_power(profile_1644, gvm_point.omega_p, gvm_point.delta, 0.0)
+    for gamma in (0.0, np.nan):
+        with pytest.raises(ConfigError):
+            critical_power(profile_1644, gvm_point.omega_p, gvm_point.delta, gamma)
 
 
 def test_mi_detuning_against_matched_sideband(profile_1644, gvm_point):
@@ -336,5 +353,6 @@ def test_fwhm_unresolved_raises():
 
 
 def test_length_validation(profile_1644):
-    with pytest.raises(ConfigError):
-        singles_spectrum(profile_1644, 1.21, np.array([1.25]), 0.0)
+    for length_nm in (0.0, np.nan):
+        with pytest.raises(ConfigError):
+            singles_spectrum(profile_1644, 1.21, np.array([1.25]), length_nm)
