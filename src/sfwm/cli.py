@@ -134,22 +134,21 @@ def _cmd_dispersion(args, config: RunConfig, profile) -> int:
         lines.append(",".join([_f(om), _nm(om)] + [_f(c[j]) for c in cols]))
     _write(args, config, "dispersion.csv", lines)
 
+    zdw_text = " ".join(_f(z) for z in zdws)
     lines = _header("dispersion", args, config)
     lines.append(f"# approximate_materials = {approximate}")
-    lines.append(
-        "omega_p_rad_fs,delta_rad_fs,pump_nm,signal_nm,idler_nm,degenerate"
-    )
+    lines.append(f"# zero_dispersion_nm = {zdw_text}")
+    lines.append("omega_p_rad_fs,delta_rad_fs,pump_nm,signal_nm,idler_nm")
     lines.extend(
-        f"{_f(p.omega_p)},{_f(p.delta)},{_nm(p.omega_p)},{_nm(p.omega_s)},"
-        f"{_nm(p.omega_i)},{int(p.degenerate)}"
+        f"{_f(p.omega_p)},{_f(p.delta)},{_nm(p.omega_p)},{_nm(p.omega_s)},{_nm(p.omega_i)}"
         for p in points
     )
     _write(args, config, "fgvm_points.csv", lines)
 
-    print(f"zero-dispersion wavelengths (nm): {' '.join(_f(z) for z in zdws)}")
+    print(f"zero-dispersion wavelengths (nm): {zdw_text}")
     if approximate != "none":
         print(f"approximate material models: {approximate}")
-    for p in (p for p in points if p.delta > 0):
+    for p in points:
         msg = (
             f"group-velocity match: pump {_nm(p.omega_p)} nm, "
             f"signal {_nm(p.omega_s)} nm, idler {_nm(p.omega_i)} nm"
@@ -237,9 +236,7 @@ def _numeric_jsa(command: str, args, config: RunConfig, profile) -> tuple[list[s
     """The run's numeric JSA, and its file header with how the pump rule settled."""
     wp = working_point(config, profile)
     s_axis, i_axis = wp.axes(config.jsa_span, config.jsa_points)
-    jsa = jsa_numeric(
-        profile, wp.pump_spec(), s_axis, i_axis, config.length_nm, gamma=config.gamma
-    )
+    jsa = jsa_numeric(profile, wp.pump, s_axis, i_axis, config.length_nm, gamma=config.gamma)
     lines = _header(command, args, config, _working_point_echo(wp))
     lines.extend(f"# pump_rule_{key} = {_f(val)}" for key, val in vars(jsa.quadrature).items())
     return lines, jsa
@@ -325,7 +322,7 @@ def _cmd_design_report(args, config: RunConfig, profile) -> int:
     spectrum = {"fwhm_rad_fs": "unresolved within the window"} if widths is None else {
         "fwhm_rad_fs": widths[0], "fwhm_nm": widths[1]}
     s_axis, i_axis = wp.axes(config.jsa_span, config.jsa_points)
-    result = schmidt_metrics(jsa_analytic(tau, wp.pump_spec(), s_axis, i_axis))
+    result = schmidt_metrics(jsa_analytic(tau, wp.pump, s_axis, i_axis))
 
     body = [
         *_section(

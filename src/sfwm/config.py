@@ -96,12 +96,12 @@ class RunConfig:
     pump_power: PowerSetting
     pump_powers: tuple[PowerSetting, ...]
     window_nm: tuple[float, float]
-    map_points: int = 256
-    detuning_max: float = 0.1
-    spectrum_points: int = 2001
-    jsa_points: int = 256
-    jsa_span: float = 0.03
-    out_dir: str = "."
+    map_points: int
+    detuning_max: float
+    spectrum_points: int
+    jsa_points: int
+    jsa_span: float
+    out_dir: str
     materials: dict[str, Material] = field(default_factory=dict)
 
     @property
@@ -122,7 +122,7 @@ class RunConfig:
         """
         profile = build_profile(self.fiber(), self.window_nm)
         phase = profile.residual * self.length_nm
-        if phase > PHASE_BUDGET_RAD:
+        if not phase <= PHASE_BUDGET_RAD:
             raise EvaluationError(
                 f"dispersion proxy error {phase:.3g} rad over the fibre exceeds "
                 f"the phase budget of {PHASE_BUDGET_RAD:g} rad"
@@ -361,23 +361,23 @@ def load_preset(name: str) -> RunConfig:
 
 
 @dataclass(frozen=True)
-class ResolvedPump:
-    """Concrete pump numbers after applying any auto-gvm/auto-critical rules."""
+class ResolvedPump(PumpSpec):
+    """PumpSpec after the auto-gvm/auto-critical rules, plus contour powers, P* and match."""
 
-    omega_p: float
-    lambda_nm: float
-    sigma: float
-    power: float
-    powers: tuple[float, ...]
+    powers: tuple[float, ...] = ()
     p_star: float | None = None
     gvm: FgvmPoint | None = None
+
+    @property
+    def lambda_nm(self) -> float:
+        return wavelength_from_omega(self.omega_p)
 
 
 def resolve_pump(config: RunConfig, profile: DispersionProfile) -> ResolvedPump:
     """Turn symbolic pump settings into numbers against a fitted profile.
 
-    auto-gvm selects the nondegenerate group-velocity match with the
-    smallest half-separation; auto-critical powers are fractions of the
+    auto-gvm selects the full group-velocity match with the smallest
+    half-separation; auto-critical powers are fractions of the
     critical power at that match, which must be positive (EvaluationError
     otherwise).
     """
@@ -386,13 +386,13 @@ def resolve_pump(config: RunConfig, profile: DispersionProfile) -> ResolvedPump:
     gvm = None
     p_star = None
     if need_gvm or need_crit:
-        nondeg = [p for p in find_fgvm_points(profile) if p.delta > 0]
-        if not nondeg:
+        matches = find_fgvm_points(profile)
+        if not matches:
             raise EvaluationError(
                 "no nondegenerate group-velocity match in this window; give the "
                 "pump wavelength and power explicitly"
             )
-        gvm = min(nondeg, key=lambda p: p.delta)
+        gvm = min(matches, key=lambda p: p.delta)
     if need_crit:
         if config.gamma <= 0:
             raise ConfigError(
@@ -410,11 +410,9 @@ def resolve_pump(config: RunConfig, profile: DispersionProfile) -> ResolvedPump:
         if config.pump_wavelength.auto
         else omega_from_wavelength(config.pump_wavelength.nm)
     )
-    lambda_nm = wavelength_from_omega(omega_p)
     return ResolvedPump(
         omega_p=omega_p,
-        lambda_nm=lambda_nm,
-        sigma=pump_sigma_from_fwhm(config.pump_fwhm_nm, lambda_nm),
+        sigma=pump_sigma_from_fwhm(config.pump_fwhm_nm, wavelength_from_omega(omega_p)),
         power=config.pump_power.resolved(p_star),
         powers=tuple(p.resolved(p_star) for p in config.pump_powers),
         p_star=p_star,
@@ -441,11 +439,6 @@ class WorkingPoint:
     @property
     def omega_i(self) -> float:
         return self.pump.omega_p - self.delta
-
-    def pump_spec(self) -> PumpSpec:
-        return PumpSpec(
-            omega_p=self.pump.omega_p, sigma=self.pump.sigma, power=self.pump.power
-        )
 
     def axes(self, span: float, points: int) -> tuple[np.ndarray, np.ndarray]:
         """Signal and idler axes of `points` samples, +-span (below delta) around the pair."""

@@ -202,17 +202,12 @@ class FgvmPoint:
     """Pump frequency and half-separation of a full group-velocity match.
 
     At such a point the signal at omega_p + delta, the idler at
-    omega_p - delta and the pump itself share one group velocity.  delta = 0
-    marks the degenerate matches sitting at zero-dispersion frequencies;
-    nondegenerate matches come in +/- delta pairs.
+    omega_p - delta and the pump itself share one group velocity, with
+    delta > 0: swapping signal and idler gives the same pair.
     """
 
     omega_p: float
     delta: float
-
-    @property
-    def degenerate(self) -> bool:
-        return self.delta == 0.0
 
     @property
     def omega_s(self) -> float:
@@ -235,7 +230,7 @@ def _walk_off_series(profile: DispersionProfile, omega_p):
     return d1, d1.deriv(1) - 2.0 * a[2], h
 
 
-def _polish_match(profile: DispersionProfile, r0, r1) -> list[FgvmPoint]:
+def _polish_match(profile: DispersionProfile, r0, r1) -> FgvmPoint:
     """Newton in (omega_p, delta) on d1(delta / h) = d1(-delta / h) = 0.
 
     r0 and r1 hold r_a < r_b < r_c at the group-delay samples around a match;
@@ -254,26 +249,25 @@ def _polish_match(profile: DispersionProfile, r0, r1) -> list[FgvmPoint]:
         if size >= last:
             r = omega_p + np.array([-delta, 0.0, delta])
             if size <= _ROUNDOFF and np.all((r - r0) * (r - r1) <= 0.0):
-                return [FgvmPoint(float(omega_p), float(d)) for d in (delta, -delta)]
+                return FgvmPoint(float(omega_p), float(abs(delta)))
             break
         omega_p, delta, last = omega_p + h * step[0], delta + h * step[1], size
     raise EvaluationError(f"full group-velocity match near pump {omega_p:.9g} rad/fs did not converge")
 
 
 def find_fgvm_points(profile: DispersionProfile) -> list[FgvmPoint]:
-    """All full group-velocity matching points in the query window.
+    """Every full group-velocity match in the query window, once, with delta > 0.
 
-    Degenerate points (delta = 0) sit exactly at the zero-dispersion
-    frequencies.  A nondegenerate match has k'(omega_p + delta) = k'(omega_p)
-    = k'(omega_p - delta).  The window ends and the zero-dispersion
-    frequencies cut k' into monotone pieces, each holding at most one root of
+    A match has k'(omega_p + delta) = k'(omega_p) = k'(omega_p - delta); the
+    zero-dispersion frequencies (`find_zdfs`) are no matches.  They and the
+    window ends cut k' into monotone pieces, each holding at most one root of
     k' = v in a band of v between their end values.  Every band is sampled,
     and where r_a + r_c - 2 r_b of three roots r_a < r_b < r_c changes sign
     between samples, Newton polishes the match on the pump-centred walk-off
-    series.  A match contributes entries at +delta and -delta.
+    series.
     """
     zdfs = find_zdfs(profile)
-    points = [FgvmPoint(omega_p=float(z), delta=0.0) for z in zdfs]
+    points = []
     lo, hi = profile.query_window
     k1 = profile.fit.deriv(1)
     edges = np.concatenate(([lo], zdfs, [hi]))
@@ -291,7 +285,7 @@ def find_fgvm_points(profile: DispersionProfile) -> list[FgvmPoint]:
         for a, b, c in combinations(range(live.size), 3):
             side = np.sign(r[a] + r[c] - 2.0 * r[b])
             for m in np.nonzero(side[:-1] != side[1:])[0]:
-                points += _polish_match(profile, r[[a, b, c], m], r[[a, b, c], m + 1])
+                points.append(_polish_match(profile, r[[a, b, c], m], r[[a, b, c], m + 1]))
     return sorted(points, key=lambda p: (p.omega_p, p.delta))
 
 

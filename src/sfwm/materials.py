@@ -64,6 +64,8 @@ class SellmeierModel:
                     f"of the Sellmeier pole at {np.sqrt(c_j) * 1000:.1f} nm"
                 )
             n2 = n2 + b_j * x / denom
+        if not np.all(n2 > 0):
+            raise EvaluationError(f"material {self.name!r}: Sellmeier n^2 is not positive")
         return np.sqrt(n2)
 
 
@@ -73,6 +75,10 @@ class ConstantIndex:
 
     name: str
     value: float
+
+    def __post_init__(self):
+        if not 0 < self.value < np.inf:
+            raise ConfigError(f"constant index must be positive and finite, got {self.value}")
 
     def index(self, lambda_nm):
         lam = np.asarray(lambda_nm, dtype=float)
@@ -171,8 +177,6 @@ def get_material(name: str, extra: dict[str, Material] | None = None) -> Materia
             value = float(key.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad constant material spec {name!r}") from exc
-        if value <= 0:
-            raise ConfigError(f"constant index must be positive, got {value}")
         return ConstantIndex(name=key, value=value)
     if key.startswith("scaled:"):
         parts = key.split(":")

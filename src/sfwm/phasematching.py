@@ -227,7 +227,7 @@ def critical_power(
     """
     if not gamma > 0:
         raise ConfigError(f"nonlinear parameter must be positive, got {gamma}")
-    return float(delta_k_cw(profile, omega_p, delta)) / (2.0 * gamma * 1e-12)
+    return float(delta_k_cw(profile, omega_p, delta)) / (2.0 * nonlinear_mismatch(gamma, 1.0))
 
 
 def mi_sideband_detuning(
@@ -284,7 +284,7 @@ def half_max_crossings(x, y) -> tuple[float, float]:
     if x.ndim != 1 or x.size != y.size or x.size < 3:
         raise ConfigError("need matching 1-d arrays of at least 3 samples")
     ymax = float(y.max())
-    if ymax <= 0:
+    if not ymax > 0:
         raise EvaluationError("spectrum is nonpositive; no width to measure")
     half = 0.5 * ymax
     above = y >= half

@@ -391,7 +391,7 @@ def _fig4_jsa_inputs(profile):
     config = load_preset("fig4")
     wp = working_point(config, profile)
     axes = wp.axes(config.jsa_span, config.jsa_points)
-    return config, wp.pump_spec(), axes
+    return config, wp.pump, axes
 
 
 def test_jsa_numeric_fig4_integrand_points(monkeypatch, profile_bismuth):
@@ -431,7 +431,7 @@ def test_pump_sum_matches_per_point_oracle_on_presets(request, name, fixture, po
     profile = request.getfixturevalue(fixture)
     config = load_preset(name)
     wp = working_point(config, profile)
-    pump = wp.pump_spec()
+    pump = wp.pump
     axes = wp.axes(config.jsa_span, config.jsa_points)
     gp = nonlinear_mismatch(config.gamma, pump.power)
     rule = biphoton._pump_rule(points, pump.sigma)
@@ -535,7 +535,7 @@ def test_purity_converges_in_step(profile_bismuth):
     )
     coarse, fine = (
         schmidt_metrics(
-            jsa_analytic(tau, wp.pump_spec(), *wp.axes(config.jsa_span, points))
+            jsa_analytic(tau, wp.pump, *wp.axes(config.jsa_span, points))
         ).purity
         for points in (256, 511)
     )

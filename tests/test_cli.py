@@ -69,8 +69,14 @@ def test_dispersion_outputs(tiny_cfg, tmp_path, capsys):
     rows = _data_lines(csv)
     assert rows[0].startswith("omega_rad_fs,")
     assert len(rows) == 1 + 64
+    # One match, listed once; the zero-dispersion wavelengths go in the header
+    # as stdout prints them.
+    zdws = next(ln for ln in out.splitlines() if ln.startswith("zero-dispersion")).split(": ")[1]
+    assert len(zdws.split()) == 2
+    assert f"\n# zero_dispersion_nm = {zdws}\n" in (tmp_path / "fgvm_points.csv").read_text()
     matches = _data_lines(tmp_path / "fgvm_points.csv")
-    assert len(matches) >= 1 + 2
+    assert matches[0] == "omega_p_rad_fs,delta_rad_fs,pump_nm,signal_nm,idler_nm"
+    assert len(matches) == 1 + 1 and float(matches[1].split(",")[1]) > 0
 
 
 def test_contours_outputs(tiny_cfg, tmp_path, capsys):
@@ -166,7 +172,7 @@ def _preset_jsa(request, name, fixture):
     config = load_preset(name)
     wp = working_point(config, profile)
     axes = wp.axes(config.jsa_span, config.jsa_points)
-    return jsa_numeric(profile, wp.pump_spec(), *axes, config.length_nm, gamma=config.gamma)
+    return jsa_numeric(profile, wp.pump, *axes, config.length_nm, gamma=config.gamma)
 
 
 def _edge_values_jsa():

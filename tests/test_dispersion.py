@@ -125,24 +125,17 @@ def test_two_zdws_frozen(profile_1644):
 
 
 def test_fgvm_points_structure(profile_1644):
-    pts = find_fgvm_points(profile_1644)
-    deg = [p for p in pts if p.degenerate]
-    pos = [p for p in pts if p.delta > 0]
-    neg = [p for p in pts if p.delta < 0]
-    assert len(deg) == 2 and len(pos) == 1 and len(neg) == 1
-    zdfs = find_zdfs(profile_1644)
-    for p, z in zip(deg, np.sort(zdfs)):
-        assert p.omega_p == pytest.approx(z, abs=1e-12)
-    p, n = pos[0], neg[0]
-    assert p.omega_p == pytest.approx(n.omega_p, abs=1e-12)
-    assert p.delta == pytest.approx(-n.delta, abs=1e-12)
+    # One match, listed once with delta > 0; the two zero-dispersion
+    # frequencies are no matches.
+    (p,) = find_fgvm_points(profile_1644)
+    assert p.delta > 0
+    assert np.all(np.abs(find_zdfs(profile_1644) - p.omega_p) > 1e-3)
     assert p.omega_s == pytest.approx(p.omega_p + p.delta)
     assert p.omega_i == pytest.approx(p.omega_p - p.delta)
 
 
 def test_fgvm_frozen_values(profile_1644):
-    pts = [p for p in find_fgvm_points(profile_1644) if p.delta > 0]
-    p = pts[0]
+    p = find_fgvm_points(profile_1644)[0]
     assert wavelength_from_omega(p.omega_p) == pytest.approx(1552.1032, abs=0.05)
     assert p.delta == pytest.approx(0.0581828, abs=1e-5)
     assert wavelength_from_omega(p.omega_s) == pytest.approx(1481.0967, abs=0.05)
@@ -150,7 +143,7 @@ def test_fgvm_frozen_values(profile_1644):
 
 
 def test_fgvm_group_velocities_equal(profile_1644):
-    p = [q for q in find_fgvm_points(profile_1644) if q.delta > 0][0]
+    p = find_fgvm_points(profile_1644)[0]
     k1 = profile_1644.k_derivative
     assert k1(p.omega_s, 1) == pytest.approx(k1(p.omega_p, 1), abs=1e-12)
     assert k1(p.omega_i, 1) == pytest.approx(k1(p.omega_p, 1), abs=1e-12)
@@ -160,7 +153,7 @@ def test_fgvm_three_matches_frozen(profile_1652):
     # The 1.652 um strand matches at three pumps.  The middle match puts its
     # idler below the first zero-dispersion frequency and its signal above
     # the third, so it pairs non-adjacent monotone pieces of k'.
-    pts = [p for p in find_fgvm_points(profile_1652) if p.delta > 0]
+    pts = find_fgvm_points(profile_1652)
     expected = [(0.99581, 0.21449), (1.10500, 0.32930), (1.20067, 0.19999)]
     assert len(pts) == len(expected)
     k1 = profile_1652.k_derivative
@@ -172,7 +165,7 @@ def test_fgvm_three_matches_frozen(profile_1652):
 
 
 def test_fgvm_bismuth_frozen(profile_bismuth):
-    pts = [p for p in find_fgvm_points(profile_bismuth) if p.delta > 0]
+    pts = find_fgvm_points(profile_bismuth)
     assert len(pts) == 1
     p = pts[0]
     assert wavelength_from_omega(p.omega_p) == pytest.approx(628.448, abs=0.05)
@@ -184,7 +177,7 @@ def test_fgvm_points_match_50_digit_oracle(profile_1644, profile_1652, profile_b
     # Newton on the pump-centred walk-off series lands on the proxy's match
     # as a 50-digit solve of the same proxy finds it.
     for prof in (profile_1644, profile_1652, profile_bismuth):
-        pts = [p for p in find_fgvm_points(prof) if p.delta > 0]
+        pts = find_fgvm_points(prof)
         assert pts
         for p in pts:
             omega_p, delta = proxy_fgvm_point(prof.fit, p.omega_p, p.delta)
@@ -196,8 +189,8 @@ def test_fgvm_points_ignore_affine_part_of_k():
     # The walk-off series drop the line 10 + 3 omega, which is ~600 times k',
     # so the match neither moves with it nor leaves its exact place.
     prof = matched_quartic_profile(1.2, 0.06, c=0.2, beta=0.05)
-    base = [p for p in find_fgvm_points(prof) if p.delta > 0]
-    line = [p for p in find_fgvm_points(with_line(prof)) if p.delta > 0]
+    base = find_fgvm_points(prof)
+    line = find_fgvm_points(with_line(prof))
     assert len(base) == len(line) == 1
     assert abs(base[0].omega_p - line[0].omega_p) <= 1e-14
     assert abs(base[0].delta - line[0].delta) <= 1e-14
@@ -221,9 +214,8 @@ def test_one_match_near_the_nanowire_radius(radius_um):
     # Guards the polish's stopping rule: at these radii the last Newton steps
     # sit at roundoff without shrinking further.
     config = dataclasses.replace(load_preset("fig4"), radius_um=radius_um)
-    pts = [p for p in find_fgvm_points(config.profile()) if not p.degenerate]
-    assert len(pts) == 2
-    assert pts[0].omega_p == pts[1].omega_p and pts[0].delta == -pts[1].delta
+    (p,) = find_fgvm_points(config.profile())
+    assert p.delta > 0
 
 
 def test_fgvm_polish_step_ceiling(monkeypatch, profile_bismuth):

@@ -74,6 +74,10 @@ def test_pole_guard():
     # Just outside the guard band evaluation proceeds (huge but finite).
     val = model.index(math.sqrt(1.0 + 1.1e-6) * 1000.0)
     assert np.isfinite(val)
+    # A negative n^2 has no real index: refused rather than returned as NaN.
+    negative = SellmeierModel(name="toy", b=(-1.2,), c=(0.01,), valid_range_nm=(500.0, 2000.0))
+    with pytest.raises(EvaluationError, match=r"n\^2 is not positive"):
+        negative.index(1550.0)
 
 
 def test_scaled_contrast_exact():
@@ -124,12 +128,9 @@ def test_get_material():
     assert m.value == 1.33
     custom = ConstantIndex(name="x", value=2.0)
     assert get_material("x", extra={"x": custom}) is custom
-    with pytest.raises(ConfigError):
-        get_material("unobtainium")
-    with pytest.raises(ConfigError):
-        get_material("constant:zero")
-    with pytest.raises(ConfigError):
-        get_material("constant:-1.0")
+    for spec in ("unobtainium", "constant:zero", "constant:-1.0", "constant:nan", "constant:inf"):
+        with pytest.raises(ConfigError):
+            get_material(spec)
 
 
 def test_mismatched_terms_rejected():

@@ -29,7 +29,7 @@ GAMMA = 70.0
 
 @pytest.fixture(scope="module")
 def gvm_point(profile_1644):
-    return [p for p in find_fgvm_points(profile_1644) if p.delta > 0][0]
+    return find_fgvm_points(profile_1644)[0]
 
 
 @pytest.fixture(scope="module")
