@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -25,35 +26,9 @@ from .modes import FiberSpec
 from .phasematching import critical_power, matched_detunings
 from .units import omega_from_wavelength, pump_sigma_from_fwhm, wavelength_from_omega
 
-# The (required, optional) options of each section; [material NAME] sections
-# share the "material" entry.  Any other option is rejected.
-_OPTIONS = {
-    "fiber": ("core cladding radius_um length_m gamma_w_km", ""),
-    "pump": ("wavelength_nm fwhm_nm power_w", "powers_w"),
-    "grids": ("window_nm", "map_points detuning_max_rad_fs spectrum_points "
-              "jsa_points jsa_span_rad_fs"),
-    "outputs": ("", "directory"),
-    "material": ("", "kind value b c range_nm approximate"),
-}
-# Checked in order; an empty or absent option fails naming the first gap.
-_REQUIRED = [(sec, opt) for sec, (req, _) in _OPTIONS.items() for opt in req.split()]
 # The most phase, in radians over the fibre, that the dispersion proxy's
 # chopped tail (residual x length) may put into L k.
 PHASE_BUDGET_RAD = 1e-3
-
-
-@dataclass(frozen=True)
-class WavelengthSetting:
-    """Pump carrier: a fixed vacuum wavelength or the group-velocity match."""
-
-    nm: float | None = None
-
-    @property
-    def auto(self) -> bool:
-        return self.nm is None
-
-    def describe(self) -> str:
-        return "auto-gvm" if self.auto else f"{self.nm:.9g}"
 
 
 @dataclass(frozen=True)
@@ -82,6 +57,133 @@ class PowerSetting:
         return f"{self.watts:.9g}"
 
 
+# Readers turn an option's text into its value, or raise a ConfigError that
+# names its "section.option" key.
+def _number(text: str, key: str, what: str = "a number") -> float:
+    """text as a finite float, else a ConfigError naming key."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be {what}, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    return value
+
+
+def _positive(text: str, key: str, what: str = "a number") -> float:
+    value = _number(text, key, what)
+    if value <= 0:
+        raise ConfigError(f"{key} must be positive, got {value}")
+    return value
+
+
+def _nonnegative(text: str, key: str, what: str = "a number") -> float:
+    value = _number(text, key, what)
+    if value < 0:
+        raise ConfigError(f"{key} must be nonnegative, got {value}")
+    return value
+
+
+def _count(text: str, key: str, least: int = 2) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be an integer, got {text!r}") from exc
+    if value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
+    return value
+
+
+def _floats(text: str, key: str) -> tuple[float, ...]:
+    tokens = text.replace(",", " ").split()
+    return tuple(_number(tok, key, "a list of numbers") for tok in tokens)
+
+
+def _band(text: str, key: str) -> tuple[float, float]:
+    band = _floats(text, key)
+    if len(band) != 2 or not 0 < band[0] < band[1]:
+        raise ConfigError(f"{key} must be 'lo hi' in nm with lo < hi")
+    return band
+
+
+def _wavelength(text: str, key: str) -> float | None:
+    t = text.strip().lower()
+    return None if t == "auto-gvm" else _positive(t, key, "a number in nm or 'auto-gvm'")
+
+
+def _power(text: str, key: str) -> PowerSetting:
+    t = text.strip().lower()
+    if t == "auto-critical":
+        return PowerSetting(critical_fraction=1.0)
+    if t.startswith("auto-critical:"):
+        frac = _number(t.split(":", 1)[1], key, "a number after 'auto-critical:'")
+        if frac <= 0:
+            raise ConfigError(f"{key} fraction must be positive, got {frac}")
+        return PowerSetting(critical_fraction=frac)
+    what = "watts, 'auto-critical' or 'auto-critical:<fraction>'"
+    return PowerSetting(watts=_nonnegative(t, key, what))
+
+
+def _powers(text: str, key: str) -> tuple[PowerSetting, ...]:
+    if not text.split():
+        raise ConfigError(f"{key} must list at least one power")
+    return tuple(_power(tok, key) for tok in text.split())
+
+
+def _text(text: str, key: str) -> str:
+    return text.strip()
+
+
+def _flag(text: str, key: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"{key} must be true or false, got {text!r}") from None
+
+
+# Every run-file option, in echo order: (section, option, RunConfig field,
+# reader, default).  Options that default to _NEEDED are required, and are
+# checked in this order so that an empty or absent one fails naming the
+# first gap.  An absent powers_w means (power_w,).  Any other option is
+# rejected.
+_NEEDED = object()
+_ROWS = (
+    ("fiber", "core", "core", _text, _NEEDED),
+    ("fiber", "cladding", "cladding", _text, _NEEDED),
+    ("fiber", "radius_um", "radius_um", _positive, _NEEDED),
+    ("fiber", "length_m", "length_m", _positive, _NEEDED),
+    ("fiber", "gamma_w_km", "gamma", _nonnegative, _NEEDED),
+    ("pump", "wavelength_nm", "pump_wavelength", _wavelength, _NEEDED),
+    ("pump", "fwhm_nm", "pump_fwhm_nm", _positive, _NEEDED),
+    ("pump", "power_w", "pump_power", _power, _NEEDED),
+    ("pump", "powers_w", "pump_powers", _powers, None),
+    ("grids", "window_nm", "window_nm", _band, _NEEDED),
+    ("grids", "map_points", "map_points", _count, 256),
+    ("grids", "detuning_max_rad_fs", "detuning_max", _positive, 0.1),
+    # A spectrum's FWHM needs three samples.
+    ("grids", "spectrum_points", "spectrum_points", partial(_count, least=3), 2001),
+    ("grids", "jsa_points", "jsa_points", _count, 256),
+    ("grids", "jsa_span_rad_fs", "jsa_span", _positive, 0.03),
+    ("outputs", "directory", "out_dir", lambda text, key: text.strip() or ".", "."),
+)
+# The options a [material NAME] section may set, and their readers.
+_MATERIAL_OPTIONS = {
+    "kind": _text, "value": _positive, "b": _floats, "c": _floats,
+    "range_nm": _band, "approximate": _flag,
+}
+
+
+def _echo(value) -> str:
+    """A setting's value as the output headers print it."""
+    if isinstance(value, tuple):
+        return " ".join(map(_echo, value))
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    if isinstance(value, PowerSetting):
+        return value.describe()
+    return "auto-gvm" if value is None else str(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully parsed run file; auto pump fields stay symbolic until resolved."""
@@ -91,7 +193,7 @@ class RunConfig:
     radius_um: float
     length_m: float
     gamma: float
-    pump_wavelength: WavelengthSetting
+    pump_wavelength: float | None  # nm; None is auto-gvm
     pump_fwhm_nm: float
     pump_power: PowerSetting
     pump_powers: tuple[PowerSetting, ...]
@@ -139,100 +241,23 @@ class RunConfig:
         return np.linspace(s_lo, s_hi, self.spectrum_points)
 
     def echo_items(self) -> list[tuple[str, str]]:
-        """Every setting as (key, value) text, in a fixed order."""
-        lo, hi = self.window_nm
+        """Every setting but the output directory as (key, value) text, in table order."""
         items = [
-            ("fiber.core", self.core),
-            ("fiber.cladding", self.cladding),
-            ("fiber.radius_um", f"{self.radius_um:.9g}"),
-            ("fiber.length_m", f"{self.length_m:.9g}"),
-            ("fiber.gamma_w_km", f"{self.gamma:.9g}"),
-            ("pump.wavelength_nm", self.pump_wavelength.describe()),
-            ("pump.fwhm_nm", f"{self.pump_fwhm_nm:.9g}"),
-            ("pump.power_w", self.pump_power.describe()),
-            ("pump.powers_w", " ".join(p.describe() for p in self.pump_powers)),
-            ("grids.window_nm", f"{lo:.9g} {hi:.9g}"),
-            ("grids.map_points", str(self.map_points)),
-            ("grids.detuning_max_rad_fs", f"{self.detuning_max:.9g}"),
-            ("grids.spectrum_points", str(self.spectrum_points)),
-            ("grids.jsa_points", str(self.jsa_points)),
-            ("grids.jsa_span_rad_fs", f"{self.jsa_span:.9g}"),
+            (f"{section}.{option}", _echo(getattr(self, name)))
+            for section, option, name, _, _ in _ROWS
+            if section != "outputs"
         ]
-        for name in sorted(self.materials):
-            items.append((f"material.{name}", self.materials[name].name))
-        return items
-
-
-def _number(text: str, key: str, what: str = "a number") -> float:
-    """text as a finite float, else a ConfigError naming key."""
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be {what}, got {text!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {text!r}")
-    return value
-
-
-def _parse_wavelength(text: str) -> WavelengthSetting:
-    t = text.strip().lower()
-    if t == "auto-gvm":
-        return WavelengthSetting(nm=None)
-    nm = _number(t, "pump.wavelength_nm", "a number in nm or 'auto-gvm'")
-    if nm <= 0:
-        raise ConfigError(f"pump.wavelength_nm must be positive, got {nm}")
-    return WavelengthSetting(nm=nm)
-
-
-def _parse_power(text: str, key: str) -> PowerSetting:
-    t = text.strip().lower()
-    if t == "auto-critical":
-        return PowerSetting(critical_fraction=1.0)
-    if t.startswith("auto-critical:"):
-        frac = _number(t.split(":", 1)[1], key, "a number after 'auto-critical:'")
-        if frac <= 0:
-            raise ConfigError(f"{key} fraction must be positive, got {frac}")
-        return PowerSetting(critical_fraction=frac)
-    watts = _number(t, key, "watts, 'auto-critical' or 'auto-critical:<fraction>'")
-    if watts < 0:
-        raise ConfigError(f"{key} must be nonnegative, got {watts}")
-    return PowerSetting(watts=watts)
-
-
-def _floats(text: str, key: str) -> list[float]:
-    tokens = text.replace(",", " ").split()
-    return [_number(tok, key, "a list of numbers") for tok in tokens]
-
-
-def _int_opt(cp, section: str, option: str, default: int) -> int:
-    if not cp.has_option(section, option):
-        return default
-    raw = cp.get(section, option)
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{option} must be an integer, got {raw!r}") from exc
-    if value < 2:
-        raise ConfigError(f"{section}.{option} must be >= 2, got {value}")
-    return value
-
-
-def _positive(cp, section: str, option: str, default: float | None = None) -> float:
-    if not cp.has_option(section, option):
-        return default
-    value = _number(cp.get(section, option), f"{section}.{option}")
-    if value <= 0:
-        raise ConfigError(f"{section}.{option} must be positive, got {value}")
-    return value
+        return items + [(f"material.{k}", self.materials[k].name) for k in sorted(self.materials)]
 
 
 def _check_names(cp):
     """Reject unknown sections and options, so a typo never falls back silently."""
     for section in cp.sections():
-        key = "material" if section.startswith("material") else section
-        if key not in _OPTIONS:
+        known = [opt for sec, opt, *_ in _ROWS if sec == section]
+        if section.startswith("material"):
+            known = _MATERIAL_OPTIONS
+        elif not known:
             raise ConfigError(f"unknown config section [{section}]")
-        known = " ".join(_OPTIONS[key]).split()
         for option in cp.options(section):
             if option not in known:
                 raise ConfigError(f"unknown config option {section}.{option}")
@@ -247,37 +272,27 @@ def _custom_materials(cp) -> dict[str, Material]:
         if len(parts) != 2 or not parts[1].strip():
             raise ConfigError("material sections need a name: [material NAME]")
         name = parts[1].strip()
-        kind = cp.get(section, "kind", fallback="sellmeier").strip().lower()
-        if kind == "constant":
-            value = _positive(cp, section, "value")
-            if value is None:
-                raise ConfigError(f"material {name!r} needs a 'value' field")
-            out[name] = ConstantIndex(name=name, value=value)
-            continue
-        if kind != "sellmeier":
-            raise ConfigError(
-                f"material {name!r}: kind must be 'sellmeier' or 'constant'"
-            )
-        for opt in ("b", "c", "range_nm"):
-            if not cp.has_option(section, opt):
+        read = {
+            opt: _MATERIAL_OPTIONS[opt](cp.get(section, opt), f"{section}.{opt}")
+            for opt in cp.options(section)
+        }
+        kind = read.get("kind", "sellmeier").lower()
+        if kind not in ("sellmeier", "constant"):
+            raise ConfigError(f"material {name!r}: kind must be 'sellmeier' or 'constant'")
+        for opt in ("value",) if kind == "constant" else ("b", "c", "range_nm"):
+            if opt not in read:
                 raise ConfigError(f"material {name!r} needs a {opt!r} field")
-        b = _floats(cp.get(section, "b"), f"{section}.b")
-        c = _floats(cp.get(section, "c"), f"{section}.c")
-        if not b or len(b) != len(c):
+        if kind == "constant":
+            out[name] = ConstantIndex(name=name, value=read["value"])
+        elif not read["b"] or len(read["b"]) != len(read["c"]):
             raise ConfigError(
                 f"material {name!r}: b and c need the same nonzero length"
             )
-        rng = _floats(cp.get(section, "range_nm"), f"{section}.range_nm")
-        if len(rng) != 2 or not 0 < rng[0] < rng[1]:
-            raise ConfigError(f"material {name!r}: range_nm must be 'lo hi' in nm")
-        approx = cp.getboolean(section, "approximate", fallback=False)
-        out[name] = SellmeierModel(
-            name=name,
-            b=tuple(b),
-            c=tuple(c),
-            valid_range_nm=(rng[0], rng[1]),
-            approximate=approx,
-        )
+        else:
+            out[name] = SellmeierModel(
+                name=name, b=read["b"], c=read["c"], valid_range_nm=read["range_nm"],
+                approximate=read.get("approximate", False),
+            )
     return out
 
 
@@ -290,59 +305,30 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config syntax error: {exc}") from exc
 
     _check_names(cp)
-    for section, option in _REQUIRED:
-        if not cp.has_option(section, option) or not cp.get(section, option).strip():
+    for section, option, _, _, default in _ROWS:
+        if default is _NEEDED and not cp.get(section, option, fallback="").strip():
             raise ConfigError(f"config missing required field {section}.{option}")
-
     materials = _custom_materials(cp)
-
-    radius_um = _positive(cp, "fiber", "radius_um")
-    length_m = _positive(cp, "fiber", "length_m")
-    gamma = _number(cp.get("fiber", "gamma_w_km"), "fiber.gamma_w_km")
-    if gamma < 0:
-        raise ConfigError(f"fiber.gamma_w_km must be nonnegative, got {gamma}")
-
-    fwhm_nm = _positive(cp, "pump", "fwhm_nm")
-    power = _parse_power(cp.get("pump", "power_w"), "pump.power_w")
-    if cp.has_option("pump", "powers_w"):
-        tokens = cp.get("pump", "powers_w").split()
-        if not tokens:
-            raise ConfigError("pump.powers_w must list at least one power")
-        powers = tuple(_parse_power(tok, "pump.powers_w") for tok in tokens)
-    else:
-        powers = (power,)
-
-    window = _floats(cp.get("grids", "window_nm"), "grids.window_nm")
-    if len(window) != 2 or not 0 < window[0] < window[1]:
-        raise ConfigError("grids.window_nm must be 'lo hi' in nm with lo < hi")
-
-    config = RunConfig(
-        core=cp.get("fiber", "core").strip(),
-        cladding=cp.get("fiber", "cladding").strip(),
-        radius_um=radius_um,
-        length_m=length_m,
-        gamma=gamma,
-        pump_wavelength=_parse_wavelength(cp.get("pump", "wavelength_nm")),
-        pump_fwhm_nm=fwhm_nm,
-        pump_power=power,
-        pump_powers=powers,
-        window_nm=(window[0], window[1]),
-        map_points=_int_opt(cp, "grids", "map_points", 256),
-        detuning_max=_positive(cp, "grids", "detuning_max_rad_fs", 0.1),
-        spectrum_points=_int_opt(cp, "grids", "spectrum_points", 2001),
-        jsa_points=_int_opt(cp, "grids", "jsa_points", 256),
-        jsa_span=_positive(cp, "grids", "jsa_span_rad_fs", 0.03),
-        out_dir=cp.get("outputs", "directory", fallback=".").strip() or ".",
-        materials=materials,
-    )
+    values = {
+        name: read(cp.get(section, option), f"{section}.{option}")
+        if cp.has_option(section, option)
+        else default
+        for section, option, name, read, default in _ROWS
+    }
+    values["pump_powers"] = values["pump_powers"] or (values["pump_power"],)
+    config = RunConfig(**values, materials=materials)
     config.fiber()  # material names and the contrast validate eagerly
     return config
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse the run file at `path` (I/O errors propagate as OSError)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Parse the run file at `path` (OSError on I/O, ConfigError unless UTF-8)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 def available_presets() -> list[str]:
@@ -381,7 +367,7 @@ def resolve_pump(config: RunConfig, profile: DispersionProfile) -> ResolvedPump:
     critical power at that match, which must be positive (EvaluationError
     otherwise).
     """
-    need_gvm = config.pump_wavelength.auto
+    need_gvm = config.pump_wavelength is None
     need_crit = config.pump_power.auto or any(p.auto for p in config.pump_powers)
     gvm = None
     p_star = None
@@ -405,11 +391,7 @@ def resolve_pump(config: RunConfig, profile: DispersionProfile) -> ResolvedPump:
                 f"{wavelength_from_omega(gvm.omega_p):.9g} nm (delta {gvm.delta:.9g} "
                 "rad/fs) is not positive; give pump.power_w in W"
             )
-    omega_p = (
-        gvm.omega_p
-        if config.pump_wavelength.auto
-        else omega_from_wavelength(config.pump_wavelength.nm)
-    )
+    omega_p = gvm.omega_p if need_gvm else omega_from_wavelength(config.pump_wavelength)
     return ResolvedPump(
         omega_p=omega_p,
         sigma=pump_sigma_from_fwhm(config.pump_fwhm_nm, wavelength_from_omega(omega_p)),
@@ -462,7 +444,7 @@ def _matched_delta(config: RunConfig, profile, rp: ResolvedPump) -> float:
     `matched_detunings`), the root nearest the match is used when one is
     known, else the outermost.
     """
-    if rp.gvm is not None and config.pump_wavelength.auto and config.gamma > 0:
+    if rp.gvm is not None and config.pump_wavelength is None and config.gamma > 0:
         p_star = rp.p_star
         if p_star is None:  # a fixed power, possibly P* itself
             p_star = critical_power(profile, rp.gvm.omega_p, rp.gvm.delta, config.gamma)

@@ -331,6 +331,21 @@ def test_non_finite_numbers_exit_2(old, new, key, tmp_path, capsys):
     assert f"{key} must be finite" in capsys.readouterr().err
 
 
+def test_non_boolean_approximate_flag_exits_2(tmp_path, capsys):
+    material = "[material glass2]\nb = 1.0\nc = 0.01\nrange_nm = 400 2200\n"
+    cfg = tmp_path / "flag.cfg"
+    cfg.write_text(material + "approximate = maybe\n" + TINY)
+    assert _run(["dispersion", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "material glass2.approximate must be true or false" in capsys.readouterr().err
+
+
+def test_run_file_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(TINY.encode() + b"# caf\xe9\n")
+    assert _run(["dispersion", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"{cfg} is not UTF-8 text" in capsys.readouterr().err
+
+
 def test_proxy_over_phase_budget_exits_3(tmp_path, capsys):
     # The chopped tail of the proxy is ~1e-17 rad/nm; over 1e9 m it is more
     # phase than the budget allows.

@@ -1,6 +1,8 @@
 """Run-file parsing, validation order, presets and pump resolution."""
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ import pytest
 from sfwm.biphoton import PumpSpec
 from sfwm.config import (
     PowerSetting,
-    WavelengthSetting,
     available_presets,
     load_preset,
     parse_config,
@@ -46,7 +47,7 @@ def test_minimal_round_trip():
     assert config.radius_um == 1.644
     assert config.length_nm == 5e8
     assert config.gamma == 70.0
-    assert config.pump_wavelength.auto
+    assert config.pump_wavelength is None
     assert config.pump_power.critical_fraction == 1.0
     assert config.pump_powers == (config.pump_power,)
     assert config.window_nm == (1300.0, 2000.0)
@@ -107,11 +108,28 @@ def test_empty_value_counts_as_missing():
         ("window_nm = 1300 2000", "window_nm = 2000 1300"),
         ("window_nm = 1300 2000", "window_nm = 1300"),
         ("radius_um = 1.644", "radius_um = wide"),
+        ("power_w = auto-critical", "power_w = auto-critical\npowers_w = 0.1 lots"),
+        ("power_w = auto-critical", "power_w = auto-critical\npowers_w ="),
+        ("window_nm = 1300 2000", "window_nm = 1300 2000\nmap_points = 1"),
+        ("window_nm = 1300 2000", "window_nm = 1300 2000\ndetuning_max_rad_fs = 0"),
+        ("window_nm = 1300 2000", "window_nm = 1300 2000\nspectrum_points = x"),
+        ("window_nm = 1300 2000", "window_nm = 1300 2000\njsa_points = 1.5"),
+        ("window_nm = 1300 2000", "window_nm = 1300 2000\njsa_span_rad_fs = -0.1"),
     ],
 )
 def test_bad_values_rejected(field, bad):
-    with pytest.raises(ConfigError):
+    option = bad.splitlines()[-1].split(" =")[0]
+    with pytest.raises(ConfigError, match=rf"\.{option} must"):
         parse_config(MINIMAL.replace(field, bad))
+
+
+def test_count_minimums():
+    # The FWHM of a spectrum needs three samples; the other grids need two.
+    grids = MINIMAL + "map_points = 2\njsa_points = 2\nspectrum_points = 3\n"
+    config = parse_config(grids)
+    assert (config.map_points, config.jsa_points, config.spectrum_points) == (2, 2, 3)
+    with pytest.raises(ConfigError, match=r"grids\.spectrum_points must be >= 3, got 2"):
+        parse_config(grids.replace("spectrum_points = 3", "spectrum_points = 2"))
 
 
 def test_unknown_section_rejected():
@@ -168,9 +186,8 @@ def test_power_list_parsed():
 
 
 def test_wavelength_setting_forms():
-    assert WavelengthSetting(nm=1550.0).describe() == "1550"
     explicit = parse_config(MINIMAL.replace("auto-gvm", "1552.5"))
-    assert explicit.pump_wavelength.nm == 1552.5
+    assert explicit.pump_wavelength == 1552.5
     with pytest.raises(ConfigError):
         parse_config(MINIMAL.replace("auto-gvm", "0"))
     with pytest.raises(ConfigError):
@@ -223,6 +240,7 @@ def test_custom_material_sections():
         ("b = 1.0", "b = 1.0 2.0"),
         ("range_nm = 400 2200", "range_nm = 2200 400"),
         ("value = 1.40", "value = -1"),
+        ("range_nm = 400 2200", "range_nm = 400 2200\napproximate = maybe"),
         ("[material glass2]", "[material]"),
     ],
 )
@@ -259,12 +277,38 @@ def test_fig2b_power_ladder():
 
 def test_echo_items_ordered_and_complete():
     items = parse_config(MINIMAL).echo_items()
-    keys = [k for k, _ in items]
-    assert keys[0] == "fiber.core"
-    assert "pump.power_w" in keys
-    assert "grids.jsa_span_rad_fs" in keys
-    assert "grids.jsa_nodes" not in keys
-    assert len(keys) == len(set(keys))
+    assert [k for k, _ in items] == [
+        "fiber.core",
+        "fiber.cladding",
+        "fiber.radius_um",
+        "fiber.length_m",
+        "fiber.gamma_w_km",
+        "pump.wavelength_nm",
+        "pump.fwhm_nm",
+        "pump.power_w",
+        "pump.powers_w",
+        "grids.window_nm",
+        "grids.map_points",
+        "grids.detuning_max_rad_fs",
+        "grids.spectrum_points",
+        "grids.jsa_points",
+        "grids.jsa_span_rad_fs",
+    ]
+    assert dict(items)["pump.wavelength_nm"] == "auto-gvm"
+    fixed = parse_config(MINIMAL.replace("auto-gvm", "1550")).echo_items()
+    assert dict(fixed)["pump.wavelength_nm"] == "1550"
+
+
+def test_readme_run_file_parses():
+    # The run file README documents, and the defaults its comment states.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    echo = dict(parse_config(block).echo_items())
+    comments = "\n".join(ln for ln in block.splitlines() if ln.startswith("#"))
+    defaults = re.findall(r"(\w+) = ([\d.]+)", comments)
+    assert len(defaults) == 5
+    for option, value in defaults:
+        assert echo[f"grids.{option}"] == value
 
 
 def test_resolve_pump_auto_gvm(profile_1644):
