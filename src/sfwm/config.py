@@ -125,9 +125,10 @@ def _power(text: str, key: str) -> PowerSetting:
 
 
 def _powers(text: str, key: str) -> tuple[PowerSetting, ...]:
-    if not text.split():
+    tokens = text.replace(",", " ").split()
+    if not tokens:
         raise ConfigError(f"{key} must list at least one power")
-    return tuple(_power(tok, key) for tok in text.split())
+    return tuple(_power(tok, key) for tok in tokens)
 
 
 def _text(text: str, key: str) -> str:
@@ -254,7 +255,7 @@ def _check_names(cp):
     """Reject unknown sections and options, so a typo never falls back silently."""
     for section in cp.sections():
         known = [opt for sec, opt, *_ in _ROWS if sec == section]
-        if section.startswith("material"):
+        if section.split()[:1] == ["material"]:
             known = _MATERIAL_OPTIONS
         elif not known:
             raise ConfigError(f"unknown config section [{section}]")
@@ -266,7 +267,7 @@ def _check_names(cp):
 def _custom_materials(cp) -> dict[str, Material]:
     out: dict[str, Material] = {}
     for section in cp.sections():
-        if not section.startswith("material"):
+        if section.split()[:1] != ["material"]:
             continue
         parts = section.split(None, 1)
         if len(parts) != 2 or not parts[1].strip():

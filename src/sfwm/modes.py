@@ -17,9 +17,9 @@ and the HE11 effective index is its largest root in (n_cl, n_co).  The
 residual is evaluated in a pole-free form (multiplied through by (u J1)^2)
 and the modified-Bessel ratio uses exponentially scaled functions, so the
 solver stays well conditioned from near-cutoff to the heavily multimode
-regime.  Every wavelength's residual is scanned on 400 indices at once; the
-last sign change brackets the root, and all brackets are refined together
-by bisection to the last bit.
+regime.  Its roots lie about pi apart in u (Snyder & Love, 1983), so scanning
+8 + 4 ceil(max V) indices uniform in u (V^2 = u^2 + w^2, steps below 1/4)
+brackets HE11 at the first sign change from n_co down; bisection closes it.
 
 The Bessel functions are computed here with numpy alone, each by the
 trapezoid rule on an integral representation, which converges exponentially
@@ -41,7 +41,6 @@ from .errors import ConfigError, ModeSolveError
 from .materials import Material, refractive_index
 from .units import c as c_nm_fs
 
-_GRID_POINTS = 400
 _EDGE_INSET = 1e-9
 # Trapezoid rules for the Bessel functions (see _bessel_j01, _bessel_k01e).
 _K_TAIL = 40.0
@@ -125,7 +124,6 @@ def _he11_residual(neff, n_co, n_cl, ka):
     Zeros coincide with the true roots: multiplying through by (u J1)^2
     removes the poles at J1 zeros, where the residual becomes J1'^2 > 0.
     """
-    neff = np.asarray(neff, dtype=float)
     u = ka * np.sqrt(n_co**2 - neff**2)
     w = ka * np.sqrt(neff**2 - n_cl**2)
     # K1'(w)/(w K1(w)) via scaled Bessels; the e^w factors cancel in the ratio.
@@ -157,10 +155,11 @@ def bisect(f, a, b):
 
 def _solve_he11(n_co, n_cl, ka):
     """HE11 indices for arrays of core and cladding indices and of k a."""
-    span = n_co - n_cl
-    grid = np.linspace(
-        n_cl + _EDGE_INSET * span, n_co - _EDGE_INSET * span, _GRID_POINTS, axis=-1
-    )
+    hi, lo = n_co - _EDGE_INSET * (n_co - n_cl), n_cl + _EDGE_INSET * (n_co - n_cl)
+    points = 8 + 4 * math.ceil(float(np.max(ka * np.sqrt(n_co**2 - n_cl**2))))
+    t = np.linspace(np.sqrt(n_co**2 - hi**2), np.sqrt(n_co**2 - lo**2), points, axis=-1)
+    grid = np.sqrt(n_co[:, None] ** 2 - t**2)  # u = ka t, from the core index down
+    grid[:, 0], grid[:, -1] = hi, lo  # ends exact: the round trip through t is not
     vals = _he11_residual(grid, n_co[:, None], n_cl[:, None], ka[:, None])
     if not np.all(np.isfinite(vals)):
         raise ModeSolveError("characteristic function not finite on search grid")
@@ -170,10 +169,10 @@ def _solve_he11(n_co, n_cl, ka):
             "no root of the HE11 characteristic equation found; geometry may "
             "not guide at this wavelength"
         )
-    i = _GRID_POINTS - 2 - np.argmax(flips[:, ::-1], axis=1)
+    i = np.argmax(flips, axis=1)
     rows = np.arange(grid.shape[0])
     return bisect(
-        lambda n: _he11_residual(n, n_co, n_cl, ka), grid[rows, i], grid[rows, i + 1]
+        lambda n: _he11_residual(n, n_co, n_cl, ka), grid[rows, i + 1], grid[rows, i]
     )
 
 

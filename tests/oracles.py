@@ -2,14 +2,15 @@
 
 Everything here is written against textbook formulas with none of the
 package's numerics shared, so agreement is meaningful: a scalar weak-guidance
-mode solver, the vector HE11 residual on scipy's Bessel functions, a 30-digit
-Faddeeva function, a brute-force quadrature for the pair-generation pump
-integral, the folded Gauss-Legendre pump rule `jsa_numeric` once used, a
-symbolic zero-dispersion solve for bulk silica, 50-digit roots of the phase
-mismatch and of the full group-velocity match on a Chebyshev proxy, a
-marching-squares tracer that visits the map one cell at a time, the pump
-sum `jsa_numeric` once formed with a phase and `sinc_phase` per point and
-the jsa.csv formatter that printed every grid cell's four numbers anew.
+mode solver, the vector HE11 residual on scipy's Bessel functions and the
+HE11 index from a dense scan of it, a 30-digit Faddeeva function, a
+brute-force quadrature for the pair-generation pump integral, the folded
+Gauss-Legendre pump rule `jsa_numeric` once used, a symbolic zero-dispersion
+solve for bulk silica, 50-digit roots of the phase mismatch and of the full
+group-velocity match on a Chebyshev proxy, a marching-squares tracer that
+visits the map one cell at a time, the pump sum `jsa_numeric` once formed
+with a phase and `sinc_phase` per point and the jsa.csv formatter that
+printed every grid cell's four numbers anew.
 """
 
 import math
@@ -68,6 +69,36 @@ def he11_residual_scipy(neff, n_co, n_cl, ka):
     r = (neff / n_co) * (1.0 / u**2 + 1.0 / w**2)
     uj1 = u * jv(1, u)
     return (j1p + b * uj1) * (j1p + rho * b * uj1) - (r * uj1) ** 2
+
+
+def he11_index_dense_scan(n_co, n_cl, ka):
+    """HE11 index from `he11_residual_scipy` scanned densely in u.
+
+    The order-1 roots lie about pi apart in u, so 32 points per pi of u
+    across n_cl + 1e-9 span .. n_co - 1e-9 span cannot miss one.  The first
+    sign change from the core index down (smallest u) is HE11; it is
+    bisected one index at a time until no midpoint lies between the ends.
+    """
+    span = n_co - n_cl
+    hi, lo = n_co - 1e-9 * span, n_cl + 1e-9 * span
+    u_hi, u_lo = ka * math.sqrt(n_co**2 - hi**2), ka * math.sqrt(n_co**2 - lo**2)
+    u = np.linspace(u_hi, u_lo, math.ceil(32.0 * (u_lo - u_hi) / math.pi) + 2)
+    n = np.sqrt(n_co**2 - (u / ka) ** 2)
+    n[0], n[-1] = hi, lo
+
+    def sign(x):
+        return np.sign(he11_residual_scipy(x, n_co, n_cl, ka))
+
+    i = np.nonzero(np.diff(sign(n)))[0][0]
+    a, b = n[i + 1], n[i]
+    sign_a = sign(a)
+    while a < 0.5 * (a + b) < b:
+        m = 0.5 * (a + b)
+        if sign(m) == sign_a:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
 
 
 def faddeeva_mp(z):

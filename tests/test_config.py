@@ -185,6 +185,13 @@ def test_power_list_parsed():
     assert config.pump_powers[1].critical_fraction == 0.9
 
 
+def test_power_list_takes_commas():
+    text = MINIMAL.replace(
+        "power_w = auto-critical", "power_w = auto-critical\npowers_w = 0.1, 0.2"
+    )
+    assert [p.watts for p in parse_config(text).pump_powers] == [0.1, 0.2]
+
+
 def test_wavelength_setting_forms():
     explicit = parse_config(MINIMAL.replace("auto-gvm", "1552.5"))
     assert explicit.pump_wavelength == 1552.5
@@ -242,6 +249,8 @@ def test_custom_material_sections():
         ("value = 1.40", "value = -1"),
         ("range_nm = 400 2200", "range_nm = 400 2200\napproximate = maybe"),
         ("[material glass2]", "[material]"),
+        ("[material glass2]", "[materials glass2]"),
+        ("[material lowclad]", "[materialX lowclad]"),
     ],
 )
 def test_bad_material_sections(old, new):

@@ -13,7 +13,7 @@ from sfwm.modes import (
 )
 from sfwm.units import c
 
-from oracles import he11_residual_scipy, lp01_effective_index
+from oracles import he11_index_dense_scan, he11_residual_scipy, lp01_effective_index
 
 
 def test_bessel_j01_against_mpmath():
@@ -56,6 +56,18 @@ def test_solver_matches_scipy_residual(monkeypatch, case):
     ours = effective_index(fiber, lam)
     monkeypatch.setattr(modes, "_he11_residual", he11_residual_scipy)
     assert np.max(np.abs(ours - effective_index(fiber, lam))) <= 1e-15
+
+
+@pytest.mark.parametrize("radius_um", [0.6, 1.652, 5.0, 20.0, 44.0, 150.0])
+def test_he11_root_matches_dense_scan(radius_um):
+    # V = 0.8 to 210 at 1550 nm.  Order-1 roots crowd at large V (about pi
+    # apart in u), and a scan too coarse there brackets a higher mode.
+    core = ScaledIndex(base=FUSED_SILICA, contrast=0.0274)
+    fiber = FiberSpec(core=core, cladding=FUSED_SILICA, radius_um=radius_um)
+    lam = 1550.0
+    n_co, n_cl = float(core.index(lam)), float(FUSED_SILICA.index(lam))
+    want = he11_index_dense_scan(n_co, n_cl, 2.0 * np.pi / lam * fiber.radius_nm)
+    assert abs(effective_index(fiber, lam) - want) <= 2 * np.spacing(want)
 
 
 def test_bounds_and_monotony():
