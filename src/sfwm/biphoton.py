@@ -49,7 +49,9 @@ _AXIS_STEP_RTOL = 1e-6
 _DRIFT_TOL = 1e-6
 _PUMP_SPAN = next(s for s in range(1, 10) if math.erfc(math.sqrt(2.0) * s) < _DRIFT_TOL)
 _MAX_NODES = 2049
-_BLOCK_POINTS = 1 << 17
+# JSA blocks: jsa_numeric's hold ~_BLOCK_POINTS integrand points (cells x nodes,
+# 256 kB per real temporary), jsa_analytic's _BLOCK_POINTS / 4 cells (128 kB each).
+_BLOCK_POINTS = 1 << 15
 # Pump-sum points with |L dk| below the cut take sinc_phase.  Phase roundoff and
 # the cancelling split sums err by ~eps (1 + max|L K| + max|L C|) / cut per weight
 # on the rest: 5e-14 on fig1-fig3 (phases < 1 rad), 2e-11 on fig4 (~950 rad).
@@ -216,7 +218,7 @@ class JsaGrid:
 
     def normalize(self) -> "JsaGrid":
         ds, di = (np.mean(np.diff(x)) for x in (self.signal_axis, self.idler_axis))
-        norm = np.sqrt(np.sum(self.intensity()) * ds * di)
+        norm = np.sqrt(np.vdot(self.amplitude, self.amplitude).real * ds * di)
         if norm == 0:
             raise EvaluationError("cannot normalize an identically zero amplitude")
         return replace(self, amplitude=self.amplitude / norm)
@@ -255,23 +257,23 @@ def jsa_analytic(
     _check_working_point(tau, pump)
     signal_axis = np.asarray(signal_axis, dtype=float)
     idler_axis = np.asarray(idler_axis, dtype=float)
-    nu_s = (signal_axis - tau.omega_s0)[:, np.newaxis]
     nu_i = (idler_axis - tau.omega_i0)[np.newaxis, :]
-    nu = nu_s + nu_i
-    beta = tau.beta(nu_s, nu_i)
-    envelope = np.exp(-(nu**2) / (2.0 * pump.sigma**2))
-    if tau.tau_p2 == 0.0:
-        profile_factor = sinc_phase(beta) / np.sqrt(np.pi)
-    else:
-        a = 0.5 * tau.tau_p2 * pump.sigma**2
-        radicand = (nu**2 - 4.0 * beta / tau.tau_p2).astype(complex)
-        x = np.sqrt(radicand) / (np.sqrt(2.0) * pump.sigma)
-        profile_factor = phi_function(a, x)
-    grid = JsaGrid(
-        signal_axis=signal_axis,
-        idler_axis=idler_axis,
-        amplitude=envelope * profile_factor,
-    )
+    a = 0.5 * tau.tau_p2 * pump.sigma**2
+    amplitude = np.empty((signal_axis.size, idler_axis.size), dtype=complex)
+    rows = max(1, _BLOCK_POINTS // (4 * max(idler_axis.size, 1)))
+    for start in range(0, signal_axis.size, rows):
+        nu_s = (signal_axis[start : start + rows] - tau.omega_s0)[:, np.newaxis]
+        nu = nu_s + nu_i
+        beta = tau.beta(nu_s, nu_i)
+        envelope = np.exp(-(nu**2) / (2.0 * pump.sigma**2))
+        if tau.tau_p2 == 0.0:
+            profile_factor = sinc_phase(beta) / np.sqrt(np.pi)
+        else:
+            radicand = (nu**2 - 4.0 * beta / tau.tau_p2).astype(complex)
+            x = np.sqrt(radicand) / (np.sqrt(2.0) * pump.sigma)
+            profile_factor = phi_function(a, x)
+        np.multiply(envelope, profile_factor, out=amplitude[start : start + rows])
+    grid = JsaGrid(signal_axis=signal_axis, idler_axis=idler_axis, amplitude=amplitude)
     return grid.normalize() if normalize else grid
 
 
@@ -295,28 +297,38 @@ def _jsa_numeric_raw(profile, pump, signal_axis, idler_axis, length_nm, gp, rule
         profile.check_window(omega)
         return p((omega - pump.omega_p) / h)
 
-    lc = length_nm * (k(signal_axis)[:, np.newaxis] + k(idler_axis) + 2.0 * gp).ravel()
-    sums = (signal_axis[:, np.newaxis] + idler_axis).ravel()
-    order = np.argsort(sums, kind="stable")
-    out = np.empty(sums.size, dtype=complex)
-    # Cells by sum S in blocks of ~_BLOCK_POINTS points (1 MB real temporaries for
-    # any axes), with L K_S and w e^{i L K_S} once per distinct S and block.
+    k_s, k_i = k(signal_axis), k(idler_axis)
+    order = np.argsort((signal_axis[:, np.newaxis] + idler_axis).ravel(), kind="stable")
+    distinct = np.unique(signal_axis[:, np.newaxis] + idler_axis)
+    envelope = np.exp(-((distinct - 2.0 * pump.omega_p) ** 2) / (2.0 * pump.sigma**2))
+    out = np.empty(order.size, dtype=complex)
+    # Cells by sum S in blocks of ~_BLOCK_POINTS points.  L K_S is tabulated over a
+    # window of >= block // 4 distinct sums at a time, so that for any axes k's
+    # temporaries stay under a block's and its per-call cost is shared by many blocks.
     block = _BLOCK_POINTS // max(u.size, 16)
-    for start in range(0, sums.size, block):
+    first = end = 0  # the window holds distinct[first:end]
+    for start in range(0, order.size, block):
         cells = order[start : start + block]
-        distinct, inv = np.unique(sums[cells], return_inverse=True)
-        mid = 0.5 * distinct[:, np.newaxis]
-        lks = length_nm * (k(mid + u) + k(mid - u))
-        x = lks[inv] - lc[cells, np.newaxis]
+        row, col = np.divmod(cells, idler_axis.size)
+        # The same additions as `distinct`'s, so each finds its own entry exactly.
+        inv = np.searchsorted(distinct, signal_axis[row] + idler_axis[col])
+        if inv[-1] >= end:
+            first, end = inv[0], max(inv[-1] + 1, inv[0] + block // 4)
+            mid = 0.5 * distinct[first:end, np.newaxis]
+            lks = length_nm * (k(mid + u) + k(mid - u))
+        at = inv - first
+        lc = length_nm * (k_s[row] + k_i[col] + 2.0 * gp)
+        x = lks[at] - lc[:, np.newaxis]
         rows, cols = np.divmod(np.flatnonzero(np.abs(x) < _SPLIT_CUT), u.size)
         direct = w[cols] * sinc_phase(x[rows, cols])
         x[rows, cols] = np.inf
         r = np.reciprocal(x, out=x)
-        e = w * np.exp(1j * lks)
-        split = np.einsum("cu,cu->c", r, e.real[inv]) + 1j * np.einsum("cu,cu->c", r, e.imag[inv])
-        total = -1j * (np.exp(-1j * lc[cells]) * split - r @ w)
+        e = w * np.exp(1j * lks[at[0] : at[-1] + 1])
+        e_re, e_im = e.real[at - at[0]], e.imag[at - at[0]]
+        split = np.einsum("cu,cu->c", r, e_re) + 1j * np.einsum("cu,cu->c", r, e_im)
+        # einsum sums each row alone; BLAS r @ w rounds by the row's place in the block.
+        total = -1j * (np.exp(-1j * lc) * split - np.einsum("cu,u->c", r, w))
         np.add.at(total, rows, direct)
-        envelope = np.exp(-((distinct - 2.0 * pump.omega_p) ** 2) / (2.0 * pump.sigma**2))
         out[cells] = envelope[inv] * total + 0j  # cells the envelope underflows hold +0, not -0
     return out.reshape(signal_axis.size, idler_axis.size)
 
@@ -338,8 +350,8 @@ def jsa_numeric(
     pump product is exp(-(S - 2 omega_p)^2 / (2 sigma^2)) exp(-2 u^2 / sigma^2)
     and the mismatch is even in u, so one trapezoid rule of `nodes` points on
     0 <= u <= 3 sigma, geometric for this weight (Trefethen & Weideman, SIAM
-    Rev. 56 (2014) 385), serves every cell, and k is evaluated once per
-    distinct S.  k is the proxy's Taylor series about the pump with its
+    Rev. 56 (2014) 385), serves every cell, and k is evaluated per distinct
+    S, not per cell.  k is the proxy's Taylor series about the pump with its
     tangent line dropped; energy conservation cancels that line exactly, so
     L times the mismatch never subtracts terms of L k (~1e9 rad on 100 m).
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -473,6 +474,94 @@ def test_jsa_numeric_fig4_matches_gauss_legendre(profile_bismuth):
     rule = folded_gauss_legendre_rule(1023, pump.sigma)
     want = biphoton._jsa_numeric_raw(profile_bismuth, pump, *sub, config.length_nm, gp, rule)
     assert np.max(np.abs(got.amplitude - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def _preset_kernel(request, name, fixture, kernel):
+    """A zero-argument call of the preset's 256^2 analytic or numeric JSA."""
+    profile = request.getfixturevalue(fixture)
+    config = load_preset(name)
+    wp = working_point(config, profile)
+    axes = wp.axes(config.jsa_span, config.jsa_points)
+    if kernel == "numeric":
+        return lambda: jsa_numeric(profile, wp.pump, *axes, config.length_nm, gamma=config.gamma)
+    tau = tau_coefficients(profile, wp.pump.omega_p, wp.omega_s, wp.omega_i,
+                           config.length_nm, gamma=config.gamma, power=wp.pump.power)
+    return lambda: jsa_analytic(tau, wp.pump, *axes)
+
+
+@pytest.mark.parametrize("kernel", ["analytic", "numeric"])
+@pytest.mark.parametrize("name, fixture", [("fig3", "profile_1644"), ("fig4", "profile_bismuth")])
+def test_jsa_kernels_work_in_bounded_memory(request, name, fixture, kernel):
+    # The kernel holds the amplitude, its normalised copy and block-sized
+    # temporaries; a full-grid phi_function or L C array would show here.
+    run = _preset_kernel(request, name, fixture, kernel)
+    run()  # caches filled outside the trace
+    tracemalloc.start()
+    try:
+        grid = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.amplitude.shape == (256, 256)
+    assert peak <= 4 * grid.amplitude.nbytes
+
+
+def test_jsa_numeric_memory_when_no_sums_repeat():
+    # Axis steps in the ratio 1/sqrt(2): every one of the 256^2 cells has its
+    # own sum, so a table of L K_S over all sums would hold cells x nodes
+    # (34 MB at 65 points).  The windowed table stays block-sized.
+    prof, exp = hermite_polynomial_profile(
+        1.2, 0.06, 1e7, tau_s1=400.0, tau_i1=-250.0, tau_s2=8000.0,
+        tau_i2=5000.0, tau_p2=1e3, window_factor=1.5,
+    )
+    pump = PumpSpec(omega_p=1.2, sigma=0.004)
+    signal = exp["omega_s0"] + np.linspace(-0.010, 0.012, 256)
+    idler = exp["omega_i0"] + np.linspace(-0.015, -0.015 + 0.024 / math.sqrt(2.0), 256)
+    assert np.unique(signal[:, None] + idler).size == 256**2
+    tracemalloc.start()
+    try:
+        grid = jsa_numeric(prof, pump, signal, idler, 1e7, nodes=65, check=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * grid.amplitude.nbytes
+
+
+def test_jsa_kernels_do_not_depend_on_block_size(monkeypatch, profile_bismuth):
+    # Blocks of a few cells (or three rows), so that a sum frequency's cells
+    # span several blocks and the last block is short, give the default
+    # blocks' result bit for bit.  Rules reach 129 points here (the check's
+    # finer rule on the unequal axes), so 387 points are 3 to 24 cells.
+    prof, exp = hermite_polynomial_profile(
+        1.2, 0.06, 1e7, tau_s1=400.0, tau_i1=-250.0, tau_s2=8000.0,
+        tau_i2=5000.0, tau_p2=1e3, window_factor=1.5,
+    )
+    pump = PumpSpec(omega_p=1.2, sigma=0.004)
+    unequal = (exp["omega_s0"] + np.linspace(-0.010, 0.012, 13),
+               exp["omega_i0"] + np.linspace(-0.015, 0.009, 17))
+    config, fig4_pump, axes = _fig4_jsa_inputs(profile_bismuth)
+    sub = [a[::8] for a in axes]
+    _, counts = np.unique(sub[0][:, None] + sub[1], return_counts=True)
+    assert sub[0].size == 32 and counts.max() > 3
+    wp = working_point(config, profile_bismuth)
+    tau = tau_coefficients(profile_bismuth, wp.pump.omega_p, wp.omega_s, wp.omega_i,
+                           config.length_nm, gamma=config.gamma, power=wp.pump.power)
+    rows = (axes[0][::7], axes[1][::9])
+    assert rows[0].size % 3 != 0
+    cases = [
+        (3 * 129, lambda: jsa_numeric(prof, pump, *unequal, 1e7, normalize=False)),
+        (3 * 129, lambda: jsa_numeric(profile_bismuth, fig4_pump, *sub, config.length_nm,
+                                      gamma=config.gamma, nodes=129, check=False,
+                                      normalize=False)),
+        (4 * 3 * rows[1].size, lambda: jsa_analytic(tau, wp.pump, *rows, normalize=False)),
+    ]
+    for points, kernel in cases:
+        default = kernel()
+        with monkeypatch.context() as m:
+            m.setattr(biphoton, "_BLOCK_POINTS", points)
+            small = kernel()
+        assert np.array_equal(small.amplitude, default.amplitude)
+        assert small.quadrature == default.quadrature
 
 
 # ---------------------------------------------------------------- Schmidt modes
