@@ -192,8 +192,8 @@ class JsaGrid:
     """Joint spectral amplitude sampled on a rectangular frequency grid.
 
     amplitude[m, n] belongs to signal_axis[m], idler_axis[n] (rad/fs), both
-    equally spaced.  `normalize` keeps the rectangle norm sum |F|^2 ds di = 1
-    (ds, di the axis steps), which readers recompute from jsa.csv.
+    equally spaced, at least 2 points each.  `normalize` keeps the rectangle norm
+    sum |F|^2 ds di = 1 (ds, di the axis steps), which readers recompute from jsa.csv.
     """
 
     signal_axis: np.ndarray
@@ -208,8 +208,10 @@ class JsaGrid:
                 f"({self.signal_axis.size}, {self.idler_axis.size})"
             )
         for name, axis in (("signal", self.signal_axis), ("idler", self.idler_axis)):
+            if axis.size < 2:
+                raise ConfigError(f"JSA {name} axis needs at least 2 points, got {axis.size}")
             steps = np.diff(axis)
-            mean = steps.mean() if steps.size else 0.0
+            mean = steps.mean()
             if np.any(np.abs(steps - mean) > _AXIS_STEP_RTOL * abs(mean)):
                 raise ConfigError(f"JSA {name} axis is not equally spaced")
 
@@ -318,14 +320,15 @@ def _jsa_numeric_raw(profile, pump, signal_axis, idler_axis, length_nm, gp, rule
             lks = length_nm * (k(mid + u) + k(mid - u))
         at = inv - first
         lc = length_nm * (k_s[row] + k_i[col] + 2.0 * gp)
-        x = lks[at] - lc[:, np.newaxis]
-        rows, cols = np.divmod(np.flatnonzero(np.abs(x) < _SPLIT_CUT), u.size)
+        x = lks[at]
+        x -= lc[:, np.newaxis]
+        rows, cols = np.divmod(np.flatnonzero((x < _SPLIT_CUT) & (x > -_SPLIT_CUT)), u.size)
         direct = w[cols] * sinc_phase(x[rows, cols])
         x[rows, cols] = np.inf
         r = np.reciprocal(x, out=x)
         e = w * np.exp(1j * lks[at[0] : at[-1] + 1])
-        e_re, e_im = e.real[at - at[0]], e.imag[at - at[0]]
-        split = np.einsum("cu,cu->c", r, e_re) + 1j * np.einsum("cu,cu->c", r, e_im)
+        at -= at[0]  # into e; each einsum gathers its own part, one at a time
+        split = np.einsum("cu,cu->c", r, e.real[at]) + 1j * np.einsum("cu,cu->c", r, e.imag[at])
         # einsum sums each row alone; BLAS r @ w rounds by the row's place in the block.
         total = -1j * (np.exp(-1j * lc) * split - np.einsum("cu,u->c", r, w))
         np.add.at(total, rows, direct)
@@ -416,12 +419,15 @@ def schmidt_metrics(jsa: JsaGrid) -> SchmidtResult:
     values s_n of sqrt(w_s) F sqrt(w_i), w each axis' trapezoid weights, give
     lambda_n = s_n^2 / sum s^2, spectrally accurate in the step for a JSA that
     decays to the border; purity is sum lambda_n^2, the Schmidt number 1/purity.
+    Working memory is one weighted copy of the amplitude, plus numpy.linalg's own.
     """
     ws, wi = (
         np.sqrt(np.convolve(np.abs(np.diff(x)), [0.5, 0.5]))
         for x in (jsa.signal_axis, jsa.idler_axis)
     )
-    s = np.linalg.svd(ws[:, np.newaxis] * jsa.amplitude * wi, compute_uv=False)
+    weighted = ws[:, np.newaxis] * jsa.amplitude
+    weighted *= wi
+    s = np.linalg.svd(weighted, compute_uv=False)
     total = np.sum(s**2)
     if total == 0:
         raise EvaluationError("cannot decompose an identically zero amplitude")

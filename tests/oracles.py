@@ -9,8 +9,9 @@ Gauss-Legendre pump rule `jsa_numeric` once used, a symbolic zero-dispersion
 solve for bulk silica, 50-digit roots of the phase mismatch and of the full
 group-velocity match on a Chebyshev proxy, a marching-squares tracer that
 visits the map one cell at a time, the pump sum `jsa_numeric` once formed
-with a phase and `sinc_phase` per point and the jsa.csv formatter that
-printed every grid cell's four numbers anew.
+with a phase and `sinc_phase` per point, the jsa.csv formatter that
+printed every grid cell's four numbers anew and the Schmidt coefficients
+of the weighted SVD written as one expression.
 """
 
 import math
@@ -177,6 +178,21 @@ def jsa_pump_sum_per_point(profile, pump, signal_axis, idler_axis, length_nm, gp
         envelope = np.exp(-((distinct - 2.0 * pump.omega_p) ** 2) / (2.0 * pump.sigma**2))
         out[cells] = envelope[inv] * (sinc_phase(length_nm * dk) @ w)
     return out.reshape(signal_axis.size, idler_axis.size)
+
+
+def schmidt_coefficients_one_expression(jsa):
+    """`biphoton.schmidt_metrics`' coefficients, weighted in a single expression.
+
+    The SVD of ws[:, None] * F * wi (ws, wi the square roots of each axis'
+    trapezoid weights), as the package formed it before it weighted one copy
+    in place; numpy evaluates the product left to right, ws first.
+    """
+    ws, wi = (
+        np.sqrt(np.convolve(np.abs(np.diff(x)), [0.5, 0.5]))
+        for x in (jsa.signal_axis, jsa.idler_axis)
+    )
+    s = np.linalg.svd(ws[:, np.newaxis] * jsa.amplitude * wi, compute_uv=False)
+    return s**2 / np.sum(s**2)
 
 
 def jsa_csv_rows_per_cell(jsa):

@@ -26,6 +26,7 @@ from oracles import (
     folded_gauss_legendre_rule,
     jsa_pump_sum_per_point,
     pair_integral_quadrature,
+    schmidt_coefficients_one_expression,
 )
 from synthetic import hermite_polynomial_profile, quadratic_profile, with_line
 
@@ -142,6 +143,15 @@ def test_jsa_grid_rejects_unequal_steps():
     nudged = axis.copy()
     nudged[50] += 1e-9 * (axis[1] - axis[0])  # far below the 1e-6 bound
     JsaGrid(signal_axis=nudged, idler_axis=nudged[::-1], amplitude=amp)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1), (0, 5)])
+def test_jsa_grid_rejects_axes_of_fewer_than_two_points(shape):
+    # One point has no step: its outer rows (or columns) are the same cells,
+    # which border_mass would count twice, and the trapezoid weights are empty.
+    axes = [np.linspace(1.0, 1.1, n) for n in shape]
+    with pytest.raises(ConfigError, match="axis needs at least 2 points"):
+        JsaGrid(*axes, amplitude=np.ones(shape, dtype=complex))
 
 
 # ----------------------------------------------------------------- analytic JSA
@@ -506,6 +516,24 @@ def test_jsa_kernels_work_in_bounded_memory(request, name, fixture, kernel):
     assert peak <= 4 * grid.amplitude.nbytes
 
 
+@pytest.mark.parametrize("name, fixture", [("fig3", "profile_1644"), ("fig4", "profile_bismuth")])
+def test_schmidt_metrics_holds_one_weighted_copy(request, name, fixture):
+    # One weighted copy of the amplitude, weighted in place; a second
+    # full-grid temporary (ws * F before * wi) would read 2.13x here.
+    # tracemalloc does not see the copy numpy.linalg makes for LAPACK, so this
+    # bounds only what sfwm allocates.
+    grid = _preset_kernel(request, name, fixture, "analytic")()
+    schmidt_metrics(grid)  # caches filled outside the trace
+    tracemalloc.start()
+    try:
+        schmidt_metrics(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.amplitude.shape == (256, 256)
+    assert peak <= 1.5 * grid.amplitude.nbytes
+
+
 def test_jsa_numeric_memory_when_no_sums_repeat():
     # Axis steps in the ratio 1/sqrt(2): every one of the 256^2 cells has its
     # own sum, so a table of L K_S over all sums would hold cells x nodes
@@ -640,6 +668,24 @@ def test_border_mass_counts_each_edge_cell_once():
     # 2 * 4 + 2 * 3 = 14 border cells of 20, each |F|^2 = 1.
     assert grid.border_mass() == pytest.approx(14.0 / 28.0, rel=1e-15)
     assert grid.normalize().border_mass() == pytest.approx(14.0 / 28.0, rel=1e-15)
+
+
+def test_schmidt_weighting_order_matches_one_expression(profile_bismuth):
+    # purity.txt and design_report.txt stay byte-identical only while ws
+    # multiplies before wi, as in the one-expression product.
+    config = load_preset("fig4")
+    wp = working_point(config, profile_bismuth)
+    tau = tau_coefficients(profile_bismuth, wp.pump.omega_p, wp.omega_s, wp.omega_i,
+                           config.length_nm, gamma=config.gamma, power=wp.pump.power)
+    rng = np.random.default_rng(3)
+    grids = [
+        jsa_analytic(tau, wp.pump, *wp.axes(config.jsa_span, config.jsa_points)),
+        JsaGrid(np.linspace(1.20, 1.23, 13), np.linspace(1.34, 1.30, 17),
+                rng.standard_normal((13, 17)) + 1j * rng.standard_normal((13, 17))),
+    ]
+    for grid in grids:
+        assert np.array_equal(schmidt_metrics(grid).coefficients,
+                              schmidt_coefficients_one_expression(grid))
 
 
 def test_schmidt_scale_invariance():
