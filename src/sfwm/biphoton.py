@@ -35,7 +35,7 @@ from numpy.polynomial import Polynomial
 # Only perfbench's trace hooks read leggauss; it goes with ROADMAP item 1's library trace.
 from numpy.polynomial.legendre import leggauss  # noqa: F401
 
-from .dispersion import DispersionProfile, TauSet
+from .dispersion import DispersionProfile, TauSet, distinct_sorted
 from .errors import ConfigError, EvaluationError
 from .phasematching import sinc_phase
 from .units import nonlinear_mismatch
@@ -300,8 +300,9 @@ def _jsa_numeric_raw(profile, pump, signal_axis, idler_axis, length_nm, gp, rule
         return p((omega - pump.omega_p) / h)
 
     k_s, k_i = k(signal_axis), k(idler_axis)
-    order = np.argsort((signal_axis[:, np.newaxis] + idler_axis).ravel(), kind="stable")
-    distinct = np.unique(signal_axis[:, np.newaxis] + idler_axis)
+    distinct = (signal_axis[:, np.newaxis] + idler_axis).ravel()  # every sum until sorted
+    order = np.argsort(distinct, kind="stable")
+    distinct = distinct_sorted(distinct[order])
     envelope = np.exp(-((distinct - 2.0 * pump.omega_p) ** 2) / (2.0 * pump.sigma**2))
     out = np.empty(order.size, dtype=complex)
     # Cells by sum S in blocks of ~_BLOCK_POINTS points.  L K_S is tabulated over a

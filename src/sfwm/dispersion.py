@@ -164,6 +164,13 @@ def mismatch_coefficients(profile: DispersionProfile, omega_p, gp: float = 0.0):
     return np.concatenate((np.full((1,) + a.shape[1:], -2.0 * gp), -2.0 * a[2::2])), h
 
 
+def distinct_sorted(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) of ascending 1-D x by neighbour comparison, without numpy.ma; NaNs all stay."""
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def sign_change_roots(series, lo: float, hi: float) -> np.ndarray:
     """Ascending points in (lo, hi) where a numpy polynomial series changes sign.
 
@@ -173,7 +180,7 @@ def sign_change_roots(series, lo: float, hi: float) -> np.ndarray:
     does not depend on the conditioning of the eigenvalue problem; complex
     pairs and roots of even multiplicity drop out.
     """
-    cand = np.unique(series.roots().real)
+    cand = distinct_sorted(np.sort(series.roots().real))
     cand = cand[(lo < cand) & (cand < hi)]
     edges = np.concatenate(([lo], cand, [hi]))
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -275,7 +282,7 @@ def find_fgvm_points(profile: DispersionProfile) -> list[FgvmPoint]:
     v_lo, v_hi = np.sort([ends[:-1], ends[1:]], axis=0)
     # Cosine spacing resolves the square-root behaviour of roots at band ends.
     theta = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, _BAND_SAMPLES)))
-    levels = np.unique(ends)
+    levels = distinct_sorted(np.sort(ends))
     for v0, v1 in zip(levels[:-1], levels[1:]):
         live = np.nonzero((v_lo <= v0) & (v_hi >= v1))[0]
         if live.size < 3:

@@ -394,6 +394,33 @@ def test_cli_import_leaves_out_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_commands_load_neither_numpy_ma_nor_scipy(tmp_path):
+    # Distinct values come from a sort and a neighbour comparison, not from
+    # np.unique, which imports numpy.ma on first use (~1 MB).  Whole names are
+    # matched: numpy.matrixlib is always loaded.
+    src = os.path.dirname(os.path.dirname(sfwm.__file__))
+    runs = [[name, "--preset", "fig4"] for name in
+            ("dispersion", "contours", "spectrum", "design-report", "jsa", "purity")]
+    runs.append(["contours", "--preset", "fig2b"])
+    code = (
+        "import contextlib, io, sys\n"
+        "from sfwm.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert main(argv + ['--out', {str(tmp_path)!r}]) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')"
+        " or m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_benchmark_hooks_find_every_target():
     # perfbench/trace_cmd.py patches library names given as strings; one that
     # no longer resolves reads as a missing per-layer metric.

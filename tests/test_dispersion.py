@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.polynomial import Polynomial
 
 from sfwm import dispersion
@@ -10,8 +13,10 @@ from sfwm.config import PHASE_BUDGET_RAD, load_preset, working_point
 from sfwm.dispersion import (
     DispersionProfile,
     build_profile,
+    distinct_sorted,
     find_fgvm_points,
     find_zdfs,
+    sign_change_roots,
     tau_coefficients,
     theta_pm,
     zero_dispersion_wavelengths,
@@ -224,6 +229,39 @@ def test_fgvm_polish_step_ceiling(monkeypatch, profile_bismuth):
     monkeypatch.setattr(dispersion, "_POLISH_STEPS", 1)
     with pytest.raises(EvaluationError, match="did not converge"):
         find_fgvm_points(profile_bismuth)
+
+
+# Few distinct values, so draws repeat; -0.0 and 0.0 compare equal but differ in bits.
+_REPEATING_FLOATS = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 1e-300]) | st.floats(allow_nan=False)
+
+
+@settings(deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=9),
+              elements=_REPEATING_FLOATS))
+@example(np.array([]))
+@example(np.array([3.5]))
+@example(np.array([0.0, -0.0, 0.0, 2.0, 2.0]))
+@example(np.array([[-0.0, 1.0], [0.0, 1.0]]))
+def test_distinct_sorted_matches_np_unique(x):
+    # Same sort as np.unique's, so even the sign of a kept zero agrees.
+    got, want = distinct_sorted(np.sort(x, axis=None)), np.unique(x)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_distinct_sorted_keeps_every_nan():
+    # np.unique folds NaNs into one; no caller passes NaN, so the helper leaves them.
+    assert distinct_sorted(np.array([1.0, 1.0, np.nan, np.nan])).size == 3
+
+
+@pytest.mark.parametrize("series", [
+    Polynomial([2.0]),                                             # no roots at all
+    Polynomial([1.0, 0.0, 1.0]) * Polynomial([4.25, -1.0, 1.0]),  # two complex pairs
+    Polynomial([1.09, -0.6, 1.0]),                                 # 0.3 +- 1i: one real part twice
+])
+def test_sign_change_roots_empty_without_real_roots(series):
+    roots = sign_change_roots(series, -2.0, 2.0)
+    assert roots.shape == (0,)
 
 
 def test_no_nondegenerate_match_for_quadratic():
