@@ -77,9 +77,9 @@ def _faddeeva(z):
     Weideman's expansion w(z) = 2 p(Z) / (L - i z)^2 + 1 / (sqrt(pi) (L - i z))
     with Z = (L + i z) / (L - i z) and p a polynomial of degree 39; its
     relative error is below 5e-14 on the closed upper half-plane.  Below it
-    the expansion is wrong; each of phi_function's four branches passes an
-    argument with Im >= 0 (x, u or their negatives, by the half-plane of
-    each), which is the precondition here.
+    the expansion is wrong; phi_function folds x onto the upper half-plane
+    and passes x and whichever of u, -u has Im >= 0, which is the
+    precondition here.
     """
     lz = _WEIDEMAN_L - 1j * z
     zz = (_WEIDEMAN_L + 1j * z) / lz
@@ -99,9 +99,10 @@ def phi_function(a: float, x):
 
     Three regimes keep full accuracy: a Taylor expansion in a when
     |a| (1 + |x|^2) is tiny, a short series in x near x = 0 where the closed
-    form divides 0 by 0, and otherwise a four-branch Faddeeva form in which
-    the exponentially large pieces cancel analytically instead of
-    numerically.
+    form divides 0 by 0, and otherwise a Faddeeva form in which the
+    exponentially large pieces cancel analytically instead of numerically.
+    Phi is even in x, so that form takes x on the upper half-plane and
+    branches only on the half-plane of u = x sqrt(1 - i a).
     """
     a = float(a)
     x = np.asarray(x, dtype=complex)
@@ -131,27 +132,18 @@ def phi_function(a: float, x):
     rest = ~(taylor | small)
     if np.any(rest):
         xl = x[rest]
+        xl[xl.imag < 0] *= -1  # Phi is even in x
         ul = xl * rt
         ph = np.exp(-1j * a * xl * xl)
-        upx = xl.imag >= 0
-        upu = ul.imag >= 0
+        up = ul.imag >= 0
         diff = np.empty_like(xl)
         # Same half-plane: the e^{-x^2} constants cancel exactly in the
         # difference of scaled Faddeeva values.
-        bb = upx & upu
-        diff[bb] = ph[bb] * _faddeeva(ul[bb]) - _faddeeva(xl[bb])
-        ll = ~upx & ~upu
-        diff[ll] = _faddeeva(-xl[ll]) - ph[ll] * _faddeeva(-ul[ll])
-        # Mixed half-planes only occur near the real axis, where the
-        # remaining 2 e^{-x^2} term is bounded.
-        m1 = upx & ~upu
-        diff[m1] = (
-            2.0 * np.exp(-xl[m1] ** 2) - ph[m1] * _faddeeva(-ul[m1]) - _faddeeva(xl[m1])
-        )
-        m2_ = ~upx & upu
-        diff[m2_] = (
-            ph[m2_] * _faddeeva(ul[m2_]) + _faddeeva(-xl[m2_]) - 2.0 * np.exp(-xl[m2_] ** 2)
-        )
+        diff[up] = ph[up] * _faddeeva(ul[up]) - _faddeeva(xl[up])
+        # u below the real axis needs x near it, where the remaining
+        # 2 e^{-x^2} term is bounded.
+        lo = ~up
+        diff[lo] = 2.0 * np.exp(-xl[lo] ** 2) - ph[lo] * _faddeeva(-ul[lo]) - _faddeeva(xl[lo])
         out[rest] = diff / (a * xl)
 
     if not np.all(np.isfinite(out)):
@@ -187,6 +179,17 @@ class PumpQuadrature:
     truncation: float = math.erfc(math.sqrt(2.0) * _PUMP_SPAN)
 
 
+def _check_axes(signal_axis, idler_axis):
+    """Raise ConfigError unless both JSA axes are equally spaced, >= 2 points each."""
+    for name, axis in (("signal", signal_axis), ("idler", idler_axis)):
+        if axis.size < 2:
+            raise ConfigError(f"JSA {name} axis needs at least 2 points, got {axis.size}")
+        steps = np.diff(axis)
+        mean = steps.mean()
+        if np.any(np.abs(steps - mean) > _AXIS_STEP_RTOL * abs(mean)):
+            raise ConfigError(f"JSA {name} axis is not equally spaced")
+
+
 @dataclass(frozen=True)
 class JsaGrid:
     """Joint spectral amplitude sampled on a rectangular frequency grid.
@@ -207,13 +210,7 @@ class JsaGrid:
                 f"amplitude shape {self.amplitude.shape} does not match axes "
                 f"({self.signal_axis.size}, {self.idler_axis.size})"
             )
-        for name, axis in (("signal", self.signal_axis), ("idler", self.idler_axis)):
-            if axis.size < 2:
-                raise ConfigError(f"JSA {name} axis needs at least 2 points, got {axis.size}")
-            steps = np.diff(axis)
-            mean = steps.mean()
-            if np.any(np.abs(steps - mean) > _AXIS_STEP_RTOL * abs(mean)):
-                raise ConfigError(f"JSA {name} axis is not equally spaced")
+        _check_axes(self.signal_axis, self.idler_axis)
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.amplitude) ** 2
@@ -243,14 +240,8 @@ def _check_working_point(tau: TauSet, pump: PumpSpec):
         raise ConfigError("pump carrier differs from the TauSet pump frequency")
 
 
-def jsa_analytic(
-    tau: TauSet,
-    pump: PumpSpec,
-    signal_axis,
-    idler_axis,
-    normalize: bool = True,
-) -> JsaGrid:
-    """Closed-form JSA of the quadratic mismatch model on a frequency grid.
+def jsa_analytic(tau: TauSet, pump: PumpSpec, signal_axis, idler_axis) -> JsaGrid:
+    """Closed-form JSA of the quadratic mismatch model on a frequency grid, normalised.
 
     Valid wherever the TauSet's second-order expansion of the mismatch is;
     axes are absolute frequencies in rad/fs centred near the TauSet working
@@ -259,10 +250,11 @@ def jsa_analytic(
     _check_working_point(tau, pump)
     signal_axis = np.asarray(signal_axis, dtype=float)
     idler_axis = np.asarray(idler_axis, dtype=float)
+    _check_axes(signal_axis, idler_axis)
     nu_i = (idler_axis - tau.omega_i0)[np.newaxis, :]
     a = 0.5 * tau.tau_p2 * pump.sigma**2
     amplitude = np.empty((signal_axis.size, idler_axis.size), dtype=complex)
-    rows = max(1, _BLOCK_POINTS // (4 * max(idler_axis.size, 1)))
+    rows = max(1, _BLOCK_POINTS // (4 * idler_axis.size))
     for start in range(0, signal_axis.size, rows):
         nu_s = (signal_axis[start : start + rows] - tau.omega_s0)[:, np.newaxis]
         nu = nu_s + nu_i
@@ -275,8 +267,7 @@ def jsa_analytic(
             x = np.sqrt(radicand) / (np.sqrt(2.0) * pump.sigma)
             profile_factor = phi_function(a, x)
         np.multiply(envelope, profile_factor, out=amplitude[start : start + rows])
-    grid = JsaGrid(signal_axis=signal_axis, idler_axis=idler_axis, amplitude=amplitude)
-    return grid.normalize() if normalize else grid
+    return JsaGrid(signal_axis=signal_axis, idler_axis=idler_axis, amplitude=amplitude).normalize()
 
 
 def _pump_rule(points, sigma):
@@ -346,7 +337,6 @@ def jsa_numeric(
     gamma: float = 0.0,
     nodes: int = 9,
     check: bool = True,
-    normalize: bool = True,
 ) -> JsaGrid:
     """JSA by direct quadrature of the pump integral against the full proxy.
 
@@ -372,7 +362,8 @@ def jsa_numeric(
     holds n, that drift and the share of the pump weight the span drops,
     erfc(3 sqrt 2) = 2e-9.  check=False uses exactly `nodes`.  The pump
     power enters through pump.power and gamma (1/(W km)); all frequencies
-    the integrand touches must lie inside the profile's query window.
+    the integrand touches must lie inside the profile's query window.  The
+    axes are checked before any integration; the grid comes back normalised.
     """
     if not length_nm > 0:
         raise ConfigError(f"fibre length must be positive, got {length_nm}")
@@ -380,9 +371,10 @@ def jsa_numeric(
         raise ConfigError(f"need at least one quadrature node, got {nodes}")
     signal_axis = np.asarray(signal_axis, dtype=float)
     idler_axis = np.asarray(idler_axis, dtype=float)
+    _check_axes(signal_axis, idler_axis)
     gp = nonlinear_mismatch(gamma, pump.power)
     rule, drift = _pump_rule(nodes, pump.sigma), None
-    if check and signal_axis.size >= 2 and idler_axis.size >= 2:
+    if check:
         sub_s, sub_i = (x[:: max(1, x.size // 8)] for x in (signal_axis, idler_axis))
         coarse = _jsa_numeric_raw(profile, pump, sub_s, sub_i, length_nm, gp, rule)
         while True:
@@ -400,8 +392,7 @@ def jsa_numeric(
                 )
             nodes, rule, coarse = finer, fine_rule, fine
     amp = _jsa_numeric_raw(profile, pump, signal_axis, idler_axis, length_nm, gp, rule)
-    grid = JsaGrid(signal_axis, idler_axis, amp, PumpQuadrature(nodes, drift))
-    return grid.normalize() if normalize else grid
+    return JsaGrid(signal_axis, idler_axis, amp, PumpQuadrature(nodes, drift)).normalize()
 
 
 @dataclass(frozen=True)

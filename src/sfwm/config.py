@@ -20,7 +20,7 @@ import numpy as np
 
 from .biphoton import PumpSpec
 from .dispersion import DispersionProfile, FgvmPoint, build_profile, find_fgvm_points
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, RangeError
 from .materials import ConstantIndex, Material, SellmeierModel, get_material
 from .modes import FiberSpec
 from .phasematching import critical_power, matched_detunings
@@ -451,9 +451,11 @@ def _matched_delta(config: RunConfig, profile, rp: ResolvedPump) -> float:
             p_star = critical_power(profile, rp.gvm.omega_p, rp.gvm.delta, config.gamma)
         if abs(rp.power - p_star) <= _CRITICAL_POWER_RTOL * abs(p_star):
             return rp.gvm.delta
-    roots = matched_detunings(
-        profile, rp.omega_p, config.detuning_max, gamma=config.gamma, power=rp.power
-    )
+    try:  # matched_detunings' only window check: omega_p +- detuning_max
+        roots = matched_detunings(profile, rp.omega_p, config.detuning_max, config.gamma, rp.power)
+    except RangeError as err:
+        dmax = config.detuning_max
+        raise ConfigError(f"grids.detuning_max_rad_fs = {dmax:.9g} puts a {err}") from None
     if roots.size == 0:
         raise EvaluationError(
             "no phase-matched signal/idler pair within grids.detuning_max_rad_fs "

@@ -130,7 +130,7 @@ class Contour:
 # Segments of each cell case between the edges b(ottom), l(eft), t(op) and
 # r(ight).  Bit 0 of the case is the lower-left corner, bits 1-3 follow
 # counter-clockwise; the saddles 5 and 10 list their pairing for a cell
-# centre below the level, then "|" and the pairing for one at or above it.
+# centre below zero, then "|" and the pairing for one at or above it.
 _CASES = (
     "", "lb", "br", "lr", "rt", "bl rt|br tl", "bt", "lt",
     "lt", "bt", "br tl|lb rt", "rt", "lr", "br", "lb", "",
@@ -138,7 +138,7 @@ _CASES = (
 
 
 def _segment_table() -> np.ndarray:
-    """Edges by [case, centre >= level, segment, end], padded with -1."""
+    """Edges by [case, centre >= 0, segment, end], padded with -1."""
     table = np.full((16, 2, 2, 2), -1)
     for case, spec in enumerate(_CASES):
         below, _, above = spec.partition("|")
@@ -151,12 +151,12 @@ def _segment_table() -> np.ndarray:
 _SEGMENTS = _segment_table()
 
 
-def trace_contours(pm: PmMap, level: float = 0.0) -> list[Contour]:
-    """March the level set of a map into polylines.
+def trace_contours(pm: PmMap) -> list[Contour]:
+    """March the zero level set of a map into polylines.
 
     Returns contours as (N, 2) point arrays in (pump, detuning) coordinates.
     Open paths terminate on the map boundary; closed ones are loops (first
-    point not repeated).  A corner exactly at `level` counts as inside.
+    point not repeated).  A corner exactly at zero counts as inside.
 
     Cell cases, segments and edge crossings are array operations; an edge is
     named 2 c + vertical, c the flat index of its lower-left grid point, so
@@ -166,12 +166,12 @@ def trace_contours(pm: PmMap, level: float = 0.0) -> list[Contour]:
     v = pm.values
     x, y = pm.pump_axis, pm.detuning_axis
     nx = v.shape[1]
-    inside = (v >= level).astype(np.uint8)
+    inside = (v >= 0).astype(np.uint8)
     case = inside[:-1, :-1] | inside[:-1, 1:] << 1
     case |= inside[1:, 1:] << 2 | inside[1:, :-1] << 3
     i, j = np.nonzero((case > 0) & (case < 15))
     centre = 0.25 * (v[i, j] + v[i, j + 1] + v[i + 1, j] + v[i + 1, j + 1])
-    segments = _SEGMENTS[case[i, j], (centre >= level).astype(np.uint8)]
+    segments = _SEGMENTS[case[i, j], (centre >= 0).astype(np.uint8)]
     offsets = np.array([0, 1, 2 * nx, 3])  # ids of edges b, l, t, r minus 2 c
     ends = (2 * (i * nx + j))[:, np.newaxis, np.newaxis] + offsets[segments]
     ends = ends[segments[:, :, 0] >= 0].ravel()
@@ -180,7 +180,7 @@ def trace_contours(pm: PmMap, level: float = 0.0) -> list[Contour]:
     c, vertical = np.divmod(edges, 2)
     ia, ja = np.divmod(c, nx)
     ib, jb = ia + vertical, ja + 1 - vertical
-    t = (level - v[ia, ja]) / (v[ib, jb] - v[ia, ja])
+    t = -v[ia, ja] / (v[ib, jb] - v[ia, ja])
     xy = np.column_stack((x[ja] + t * (x[jb] - x[ja]), y[ia] + t * (y[ib] - y[ia])))
 
     seg_edges = inv.reshape(-1, 2).tolist()

@@ -115,7 +115,7 @@ def pair_integral_quadrature(a, x, limit=400):
     """Direct quadrature of I(a; x) = (1/pi) Int dq e^{-q^2} g(a (q^2 - x^2))
     with g(y) = (e^{i y} - 1)/(i y), over the real line.
 
-    x may be real or purely imaginary.  A short series replaces g near y = 0.
+    x may be any complex number.  A short series replaces g near y = 0.
     """
     a = float(a)
     x2 = complex(x) ** 2
@@ -299,7 +299,7 @@ def proxy_fgvm_point(fit, omega_p, delta):
         return float(w), float(d)
 
 
-def _edge_point(kind, i, j, axes, values, level):
+def _edge_point(kind, i, j, axes, values):
     """Crossing position on grid edge ('h': V[i,j]-V[i,j+1], 'v': V[i,j]-V[i+1,j])."""
     x, y = axes
     if kind == "h":
@@ -310,7 +310,7 @@ def _edge_point(kind, i, j, axes, values, level):
         va, vb = values[i, j], values[i + 1, j]
         pa = (x[j], y[i])
         pb = (x[j], y[i + 1])
-    t = (level - va) / (vb - va)
+    t = -va / (vb - va)
     return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
 
 
@@ -338,7 +338,7 @@ def _cell_segments(case, center_inside):
     return _SEGMENT_TABLE.get(case, [])
 
 
-def trace_contours_per_cell(pm, level=0.0):
+def trace_contours_per_cell(pm):
     """`trace_contours` one cell at a time, with tuple-named edges.
 
     The package's array tracer must reproduce these contours exactly: count,
@@ -346,12 +346,12 @@ def trace_contours_per_cell(pm, level=0.0):
 
     Returns contours as (N, 2) point arrays in (pump, detuning) coordinates.
     Open paths terminate on the map boundary; closed ones are loops (first
-    point not repeated).  A corner exactly at `level` counts as inside.
+    point not repeated).  A corner exactly at zero counts as inside.
     """
     v = pm.values
     x, y = pm.pump_axis, pm.detuning_axis
     ny, nx = v.shape
-    inside = v >= level
+    inside = v >= 0
 
     # Edge name -> global edge id for a given cell (i, j): bottom/top are
     # horizontal edges at rows i / i+1, left/right vertical edges at cols
@@ -377,7 +377,7 @@ def trace_contours_per_cell(pm, level=0.0):
             if case in (0, 15):
                 continue
             center = 0.25 * (v[i, j] + v[i, j + 1] + v[i + 1, j] + v[i + 1, j + 1])
-            for ea, eb in _cell_segments(case, center >= level):
+            for ea, eb in _cell_segments(case, center >= 0):
                 segments.append((edge_id(ea, i, j), edge_id(eb, i, j)))
 
     if not segments:
@@ -387,7 +387,7 @@ def trace_contours_per_cell(pm, level=0.0):
     for ea, eb in segments:
         for kind, i, j in (ea, eb):
             if (kind, i, j) not in points:
-                points[(kind, i, j)] = _edge_point(kind, i, j, (x, y), v, level)
+                points[(kind, i, j)] = _edge_point(kind, i, j, (x, y), v)
 
     adj: dict[tuple, list[int]] = {}
     for idx, (ea, eb) in enumerate(segments):

@@ -51,7 +51,13 @@ def test_phi_against_quadrature_box():
 
 
 def test_phi_against_quadrature_negative_chirp_and_imaginary():
-    cases = [(-2.0, 1.0), (-0.5, 0.3), (2.0, 1.0j), (-10.0, 3.0j), (0.5, 6.0j)]
+    # Below the real axis phi_function takes -x, so the lower-half cases
+    # check the fold against the oracle on both of its branches: u = x rt
+    # (rt = sqrt(1 - i a)) falls below the real axis for (2.0, -1 - 0.1j),
+    # (0.5, -0.3 - 0.05j) and (-2.0, 1 - 0.2j), and stays above it for the rest.
+    cases = [(-2.0, 1.0), (-0.5, 0.3), (2.0, 1.0j), (-10.0, 3.0j), (0.5, 6.0j),
+             (2.0, -1.0 - 0.1j), (0.5, -0.3 - 0.05j), (-2.0, 1.0 - 0.2j),
+             (0.5, 0.8 - 0.6j), (-3.0, -0.5 - 2.0j), (-10.0, -3.0j)]
     for a, x in cases:
         want = pair_integral_quadrature(a, x)
         got = phi_function(a, x)
@@ -263,8 +269,7 @@ def _cw_line(prof, signal):
 def test_jsa_numeric_single_node_equals_cw():
     prof, signal, idler = _cw_setup()
     pump = PumpSpec(omega_p=1.2, sigma=0.004)
-    grid = jsa_numeric(prof, pump, signal, idler, 1e6, nodes=1, check=False,
-                       normalize=False)
+    grid = jsa_numeric(prof, pump, signal, idler, 1e6, nodes=1, check=False)
     assert grid.quadrature == PumpQuadrature(1, None, math.erfc(3.0 * math.sqrt(2.0)))
     line = _cw_line(prof, signal)
     diag = np.array([grid.amplitude[m, signal.size - 1 - m] for m in range(signal.size)])
@@ -332,8 +337,8 @@ def test_jsa_numeric_ignores_affine_part_of_k():
     pump = PumpSpec(omega_p=1.2, sigma=0.004)
     nu = np.linspace(-0.008, 0.008, 17)
     args = (pump, exp["omega_s0"] + nu, exp["omega_i0"] + nu, 1e8)
-    base = jsa_numeric(prof, *args, normalize=False)
-    moved = jsa_numeric(shifted, *args, normalize=False)
+    base = jsa_numeric(prof, *args)
+    moved = jsa_numeric(shifted, *args)
     peak = np.max(np.abs(base.amplitude))
     assert np.max(np.abs(moved.amplitude - base.amplitude)) < 1e-9 * peak
 
@@ -362,9 +367,32 @@ def test_jsa_numeric_unequal_axes_match_shared_rule():
     pump = PumpSpec(omega_p=1.2, sigma=0.004)
     signal = exp["omega_s0"] + np.linspace(-0.010, 0.012, 13)
     idler = exp["omega_i0"] + np.linspace(-0.015, 0.009, 17)
-    got = jsa_numeric(prof, pump, signal, idler, 1e7, normalize=False)
-    want = _shared_rule_jsa(prof, pump, signal, idler, 1e7, 1601)
+    got = jsa_numeric(prof, pump, signal, idler, 1e7)
+    want = JsaGrid(signal, idler, _shared_rule_jsa(prof, pump, signal, idler, 1e7, 1601))
+    want = want.normalize().amplitude
     assert np.max(np.abs(got.amplitude - want)) < 1e-6 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kernel", ["analytic", "numeric"])
+@pytest.mark.parametrize("axes, message", [
+    ((np.geomspace(1.245, 1.275, 21), np.linspace(1.125, 1.155, 21)),
+     "signal axis is not equally spaced"),
+    ((np.linspace(1.245, 1.275, 21), np.array([1.14])),
+     "idler axis needs at least 2 points, got 1"),
+], ids=["unequal", "one-point"])
+def test_jsa_kernels_check_axes_before_integrating(monkeypatch, kernel, axes, message):
+    # JsaGrid's axis rules run before either kernel fills a grid, so a grid
+    # that could not be returned is never integrated.
+    def fail(*args):
+        raise AssertionError("the kernel integrated a grid it rejects")
+
+    monkeypatch.setattr(biphoton, "_jsa_numeric_raw", fail)
+    monkeypatch.setattr(biphoton, "phi_function", fail)
+    with pytest.raises(ConfigError, match=message):
+        if kernel == "numeric":
+            jsa_numeric(_cw_setup()[0], PumpSpec(omega_p=1.2, sigma=0.004), *axes, 1e6)
+        else:
+            jsa_analytic(_symmetric_tau(), PumpSpec(omega_p=1.2, sigma=0.02), *axes)
 
 
 def test_jsa_numeric_validation():
@@ -478,11 +506,11 @@ def test_jsa_numeric_fig4_matches_gauss_legendre(profile_bismuth):
     # agrees with a 1023-node folded Gauss-Legendre rule on 4 sigma.
     config, pump, axes = _fig4_jsa_inputs(profile_bismuth)
     sub = [a[::16] for a in axes]
-    got = jsa_numeric(profile_bismuth, pump, *sub, config.length_nm, gamma=config.gamma,
-                      normalize=False)
+    got = jsa_numeric(profile_bismuth, pump, *sub, config.length_nm, gamma=config.gamma)
     gp = nonlinear_mismatch(config.gamma, pump.power)
     rule = folded_gauss_legendre_rule(1023, pump.sigma)
     want = biphoton._jsa_numeric_raw(profile_bismuth, pump, *sub, config.length_nm, gp, rule)
+    want = JsaGrid(*sub, want).normalize().amplitude
     assert np.max(np.abs(got.amplitude - want)) <= 1e-9 * np.max(np.abs(want))
 
 
@@ -577,11 +605,10 @@ def test_jsa_kernels_do_not_depend_on_block_size(monkeypatch, profile_bismuth):
     rows = (axes[0][::7], axes[1][::9])
     assert rows[0].size % 3 != 0
     cases = [
-        (3 * 129, lambda: jsa_numeric(prof, pump, *unequal, 1e7, normalize=False)),
+        (3 * 129, lambda: jsa_numeric(prof, pump, *unequal, 1e7)),
         (3 * 129, lambda: jsa_numeric(profile_bismuth, fig4_pump, *sub, config.length_nm,
-                                      gamma=config.gamma, nodes=129, check=False,
-                                      normalize=False)),
-        (4 * 3 * rows[1].size, lambda: jsa_analytic(tau, wp.pump, *rows, normalize=False)),
+                                      gamma=config.gamma, nodes=129, check=False)),
+        (4 * 3 * rows[1].size, lambda: jsa_analytic(tau, wp.pump, *rows)),
     ]
     for points, kernel in cases:
         default = kernel()

@@ -284,6 +284,18 @@ def test_unmatched_pump_exits_3(tiny_cfg, tmp_path, capsys):
     assert "no phase-matched" in capsys.readouterr().err
 
 
+def test_detuning_max_outside_window_exits_2(tmp_path, capsys):
+    # omega_p +- 0.6 rad/fs leaves the 1400-1700 nm window: a run-file error,
+    # named for its option like contours names it, not a numerical failure.
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(TINY.replace("detuning_max_rad_fs = 0.08", "detuning_max_rad_fs = 0.6"))
+    for command in ("jsa", "purity", "design-report"):
+        assert _run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "grids.detuning_max_rad_fs = 0.6 puts a frequency outside query window" in (
+            capsys.readouterr().err
+        )
+
+
 def test_jsa_band_reaching_the_pump_exits_2(tmp_path, capsys):
     # In the wider window the matched pair sits at delta = 0.076 rad/fs, so a
     # 0.1 rad/fs span would put both bands across the pump.
@@ -373,6 +385,16 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "sfwm" in result.stdout
+
+
+def test_version_matches_pyproject():
+    # Result headers and --version print sfwm.__version__; the package
+    # metadata must say the same.
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == sfwm.__version__
 
 
 def test_cli_import_leaves_out_scipy():

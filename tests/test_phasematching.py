@@ -169,6 +169,9 @@ def _random_map(rng, kind, ny, nx):
 def test_trace_contours_matches_per_cell_oracle(kind, level):
     # Same contours, order, closed flags and bitwise points as the per-cell
     # tracer, on maps from 2x2 to 40x40 with uniform and sorted random axes.
+    # The tracers follow the zero level, so the maps are shifted by `level`:
+    # v - level >= 0 exactly when v >= level, so every corner is classified
+    # as a tracer of that level would.
     rng = np.random.default_rng(7)
     flags = set()
     for n in range(60):
@@ -177,8 +180,8 @@ def test_trace_contours_matches_per_cell_oracle(kind, level):
             x, y = np.sort(rng.uniform(-3.0, 3.0, nx)), np.sort(rng.uniform(-3.0, 3.0, ny))
         else:
             x, y = np.linspace(-1.0, 1.0, nx), np.linspace(0.0, 2.0, ny)
-        m = PmMap(pump_axis=x, detuning_axis=y, values=_random_map(rng, kind, ny, nx))
-        got, want = trace_contours(m, level), trace_contours_per_cell(m, level)
+        m = PmMap(pump_axis=x, detuning_axis=y, values=_random_map(rng, kind, ny, nx) - level)
+        got, want = trace_contours(m), trace_contours_per_cell(m)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.closed == b.closed
