@@ -196,7 +196,7 @@ class JsaGrid:
 
     amplitude[m, n] belongs to signal_axis[m], idler_axis[n] (rad/fs), both
     equally spaced, at least 2 points each.  `normalize` keeps the rectangle norm
-    sum |F|^2 ds di = 1 (ds, di the axis steps), which readers recompute from jsa.csv.
+    sum |F|^2 |ds di| = 1 (ds, di the axis steps), which readers recompute from jsa.csv.
     """
 
     signal_axis: np.ndarray
@@ -217,7 +217,7 @@ class JsaGrid:
 
     def normalize(self) -> "JsaGrid":
         ds, di = (np.mean(np.diff(x)) for x in (self.signal_axis, self.idler_axis))
-        norm = np.sqrt(np.vdot(self.amplitude, self.amplitude).real * ds * di)
+        norm = np.sqrt(np.vdot(self.amplitude, self.amplitude).real * abs(ds * di))
         if norm == 0:
             raise EvaluationError("cannot normalize an identically zero amplitude")
         return replace(self, amplitude=self.amplitude / norm)

@@ -306,12 +306,10 @@ def _cmd_design_report(args, config: RunConfig, profile) -> int:
         mi = mi_sideband_detuning(profile, rp.omega_p, config.gamma, rp.power)
     except (ConfigError, EvaluationError):
         mi = "none"
-    # Below a millifemtosecond the walk-offs are solver roundoff, not physics,
-    # and the angle they imply is arbitrary.
-    if max(abs(tau.tau_s1), abs(tau.tau_i1)) < 1e-3:
-        angle = "undefined (no first-order walk-off)"
-    else:
+    try:
         angle = theta_pm(tau)
+    except EvaluationError:
+        angle = "undefined (no first-order walk-off)"
     gvm = rp.gvm
     matches = {} if gvm is None else {
         "gvm_pump_nm": _nm(gvm.omega_p), "gvm_signal_nm": _nm(gvm.omega_s),

@@ -21,7 +21,7 @@ import numpy as np
 from .biphoton import PumpSpec
 from .dispersion import DispersionProfile, FgvmPoint, build_profile, find_fgvm_points
 from .errors import ConfigError, EvaluationError, RangeError
-from .materials import ConstantIndex, Material, SellmeierModel, get_material
+from .materials import ConstantIndex, SellmeierModel, get_material
 from .modes import FiberSpec
 from .phasematching import critical_power, matched_detunings
 from .units import omega_from_wavelength, pump_sigma_from_fwhm, wavelength_from_omega
@@ -167,10 +167,17 @@ _ROWS = (
     ("grids", "jsa_span_rad_fs", "jsa_span", _positive, 0.03),
     ("outputs", "directory", "out_dir", lambda text, key: text.strip() or ".", "."),
 )
-# The options a [material NAME] section may set, and their readers.
-_MATERIAL_OPTIONS = {
-    "kind": _text, "value": _positive, "b": _floats, "c": _floats,
-    "range_nm": _band, "approximate": _flag,
+# Each kind of [material NAME] section (its option kind, default sellmeier):
+# the model it builds and its rows of (option, model field, reader, default),
+# read like _ROWS.  Any other option of the section is rejected.
+_KINDS = {
+    "sellmeier": (SellmeierModel, (
+        ("b", "b", _floats, _NEEDED),
+        ("c", "c", _floats, _NEEDED),
+        ("range_nm", "valid_range_nm", _band, _NEEDED),
+        ("approximate", "approximate", _flag, False),
+    )),
+    "constant": (ConstantIndex, (("value", "value", _positive, _NEEDED),)),
 }
 
 
@@ -205,7 +212,7 @@ class RunConfig:
     jsa_points: int
     jsa_span: float
     out_dir: str
-    materials: dict[str, Material] = field(default_factory=dict)
+    materials: dict[str, SellmeierModel | ConstantIndex] = field(default_factory=dict)
 
     @property
     def length_nm(self) -> float:
@@ -248,53 +255,52 @@ class RunConfig:
             for section, option, name, _, _ in _ROWS
             if section != "outputs"
         ]
-        return items + [(f"material.{k}", self.materials[k].name) for k in sorted(self.materials)]
+        for name, material in sorted(self.materials.items()):
+            kind, rows = next((k, r) for k, (m, r) in _KINDS.items() if isinstance(material, m))
+            items.append((f"material.{name}.kind", kind))
+            items += [(f"material.{name}.{o}", _echo(getattr(material, f))) for o, f, *_ in rows]
+        return items
 
 
-def _check_names(cp):
+def _material_sections(cp) -> list[tuple]:
+    """(NAME, model, rows in _ROWS form) of each [material NAME] section; pops its kind."""
+    found = []
+    for section in cp.sections():
+        parts = section.split(None, 1)
+        if parts[:1] != ["material"]:
+            continue
+        if len(parts) != 2:
+            raise ConfigError("material sections need a name: [material NAME]")
+        kind = cp[section].pop("kind", "sellmeier").strip().lower()
+        if kind not in _KINDS:
+            raise ConfigError(f"{section}.kind must be one of {', '.join(_KINDS)}, got {kind!r}")
+        model, rows = _KINDS[kind]
+        found.append((parts[1].strip(), model, [(section, *row) for row in rows]))
+    return found
+
+
+def _check_names(cp, rows):
     """Reject unknown sections and options, so a typo never falls back silently."""
     for section in cp.sections():
-        known = [opt for sec, opt, *_ in _ROWS if sec == section]
-        if section.split()[:1] == ["material"]:
-            known = _MATERIAL_OPTIONS
-        elif not known:
+        known = [opt for sec, opt, *_ in rows if sec == section]
+        if not known:
             raise ConfigError(f"unknown config section [{section}]")
         for option in cp.options(section):
             if option not in known:
                 raise ConfigError(f"unknown config option {section}.{option}")
 
 
-def _custom_materials(cp) -> dict[str, Material]:
-    out: dict[str, Material] = {}
-    for section in cp.sections():
-        if section.split()[:1] != ["material"]:
-            continue
-        parts = section.split(None, 1)
-        if len(parts) != 2 or not parts[1].strip():
-            raise ConfigError("material sections need a name: [material NAME]")
-        name = parts[1].strip()
-        read = {
-            opt: _MATERIAL_OPTIONS[opt](cp.get(section, opt), f"{section}.{opt}")
-            for opt in cp.options(section)
-        }
-        kind = read.get("kind", "sellmeier").lower()
-        if kind not in ("sellmeier", "constant"):
-            raise ConfigError(f"material {name!r}: kind must be 'sellmeier' or 'constant'")
-        for opt in ("value",) if kind == "constant" else ("b", "c", "range_nm"):
-            if opt not in read:
-                raise ConfigError(f"material {name!r} needs a {opt!r} field")
-        if kind == "constant":
-            out[name] = ConstantIndex(name=name, value=read["value"])
-        elif not read["b"] or len(read["b"]) != len(read["c"]):
-            raise ConfigError(
-                f"material {name!r}: b and c need the same nonzero length"
-            )
-        else:
-            out[name] = SellmeierModel(
-                name=name, b=read["b"], c=read["c"], valid_range_nm=read["range_nm"],
-                approximate=read.get("approximate", False),
-            )
-    return out
+def _read(cp, rows) -> dict:
+    """Values of rows in _ROWS form by field, failing on the first missing required one."""
+    for section, option, _, _, default in rows:
+        if default is _NEEDED and not cp.get(section, option, fallback="").strip():
+            raise ConfigError(f"config missing required field {section}.{option}")
+    return {
+        name: read(cp.get(section, option), f"{section}.{option}")
+        if cp.has_option(section, option)
+        else default
+        for section, option, name, read, default in rows
+    }
 
 
 def parse_config(text: str) -> RunConfig:
@@ -305,19 +311,12 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
 
-    _check_names(cp)
-    for section, option, _, _, default in _ROWS:
-        if default is _NEEDED and not cp.get(section, option, fallback="").strip():
-            raise ConfigError(f"config missing required field {section}.{option}")
-    materials = _custom_materials(cp)
-    values = {
-        name: read(cp.get(section, option), f"{section}.{option}")
-        if cp.has_option(section, option)
-        else default
-        for section, option, name, read, default in _ROWS
-    }
+    materials = _material_sections(cp)
+    _check_names(cp, [*_ROWS, *(row for *_, rows in materials for row in rows)])
+    values = _read(cp, _ROWS)
     values["pump_powers"] = values["pump_powers"] or (values["pump_power"],)
-    config = RunConfig(**values, materials=materials)
+    values["materials"] = {n: model(name=n, **_read(cp, rows)) for n, model, rows in materials}
+    config = RunConfig(**values)
     config.fiber()  # material names and the contrast validate eagerly
     return config
 

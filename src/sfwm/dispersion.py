@@ -389,12 +389,13 @@ def theta_pm(tau: TauSet) -> float:
     Angle in degrees of the line tau_s1 nu_s + tau_i1 nu_i = const, measured
     from the nu_s axis and folded into (-90, 90].  Zero tau_s1 gives a stripe
     along the signal axis (0 deg), zero tau_i1 one along the idler axis
-    (90 deg); group-velocity-matched points give -45 deg.
+    (90 deg); group-velocity-matched points give -45 deg.  Raises
+    EvaluationError when both walk-offs are below 1e-3 fs.
     """
-    if tau.tau_s1 == 0.0 and tau.tau_i1 == 0.0:
-        raise EvaluationError(
-            "stripe orientation undefined: both first-order walk-offs vanish"
-        )
+    # Below a millifemtosecond the walk-offs are solver roundoff, not physics,
+    # and the angle they imply is arbitrary.
+    if max(abs(tau.tau_s1), abs(tau.tau_i1)) < 1e-3:
+        raise EvaluationError("stripe orientation undefined: both walk-offs are below 1e-3 fs")
     theta = np.degrees(np.arctan2(-tau.tau_s1, tau.tau_i1))
     if theta <= -90.0:
         theta += 180.0

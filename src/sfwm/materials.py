@@ -41,7 +41,7 @@ class SellmeierModel:
     approximate: bool = False
 
     def __post_init__(self):
-        if len(self.b) != len(self.c):
+        if not self.b or len(self.b) != len(self.c):
             raise ConfigError(
                 f"material {self.name!r}: {len(self.b)} B terms vs {len(self.c)} C terms"
             )

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -158,6 +159,31 @@ def test_jsa_grid_rejects_axes_of_fewer_than_two_points(shape):
     axes = [np.linspace(1.0, 1.1, n) for n in shape]
     with pytest.raises(ConfigError, match="axis needs at least 2 points"):
         JsaGrid(*axes, amplitude=np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("kernel", ["analytic", "numeric"])
+def test_jsa_with_a_descending_idler_axis(kernel):
+    # A descending axis has a negative step, so the signed cell area ds di is
+    # negative; the norm takes its size, and the grid is the ascending one
+    # with its columns reversed.
+    if kernel == "analytic":
+        nu = np.linspace(-0.03, 0.03, 41)
+        signal, idler = 1.26 + nu, 1.14 + nu
+        pump = PumpSpec(omega_p=1.2, sigma=0.02)
+        run = partial(jsa_analytic, _symmetric_tau(), pump)
+    else:
+        prof, signal, idler = _cw_setup()
+        pump = PumpSpec(omega_p=1.2, sigma=0.004)
+
+        def run(s, i):
+            return jsa_numeric(prof, pump, s, i, 1e6)
+
+    up = run(signal, idler)
+    down = run(signal, idler[::-1])
+    assert np.all(np.isfinite(down.amplitude))
+    peak = np.max(np.abs(up.amplitude))
+    assert np.max(np.abs(down.amplitude - up.amplitude[:, ::-1])) < 1e-12 * peak
+    assert schmidt_metrics(down).purity == pytest.approx(schmidt_metrics(up).purity, rel=1e-12)
 
 
 # ----------------------------------------------------------------- analytic JSA

@@ -4,6 +4,7 @@ import errno
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -389,12 +390,10 @@ def test_console_entry_point():
 
 def test_version_matches_pyproject():
     # Result headers and --version print sfwm.__version__; the package
-    # metadata must say the same.
-    import tomllib
-
+    # metadata must say the same.  Read without tomllib, which Python 3.10 lacks.
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
-    with pyproject.open("rb") as f:
-        assert tomllib.load(f)["project"]["version"] == sfwm.__version__
+    project = pyproject.read_text(encoding="utf-8").split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version = "(.*)"$', project, re.M) == [sfwm.__version__]
 
 
 def test_cli_import_leaves_out_scipy():

@@ -263,6 +263,41 @@ def test_unknown_material_option_rejected():
         parse_config(CUSTOM_MATERIALS.replace("range_nm = 400 2200", "rang_nm = 400 2200"))
 
 
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        ("value = 1.40", "value = 1.40\napproximate = true", "lowclad.approximate"),
+        ("value = 1.40", "value = 1.40\nb = 1.0\nc = 0.01", "lowclad.b"),
+        ("range_nm = 400 2200", "range_nm = 400 2200\nvalue = 1.5", "glass2.value"),
+    ],
+)
+def test_option_of_another_material_kind_rejected(old, new, key):
+    # Each kind reads only its own rows: an option of the other kind would
+    # otherwise be dropped without a word (a constant index "approximate").
+    with pytest.raises(ConfigError, match=rf"unknown config option material {key}$"):
+        parse_config(CUSTOM_MATERIALS.replace(old, new))
+
+
+def test_missing_material_option_named_like_any_other():
+    with pytest.raises(ConfigError, match=r"missing required field material glass2\.c$"):
+        parse_config(CUSTOM_MATERIALS.replace("c = 0.01\n", ""))
+
+
+def test_echo_items_spell_out_custom_materials():
+    # Two runs whose glass differs only in a Sellmeier term must not share headers.
+    echo = parse_config(CUSTOM_MATERIALS).echo_items()
+    assert [(k, v) for k, v in echo if k.startswith("material.")] == [
+        ("material.glass2.kind", "sellmeier"),
+        ("material.glass2.b", "1"),
+        ("material.glass2.c", "0.01"),
+        ("material.glass2.range_nm", "400 2200"),
+        ("material.glass2.approximate", "False"),
+        ("material.lowclad.kind", "constant"),
+        ("material.lowclad.value", "1.4"),
+    ]
+    assert parse_config(CUSTOM_MATERIALS.replace("b = 1.0", "b = 1.1")).echo_items() != echo
+
+
 def test_unknown_core_material_fails_at_parse():
     with pytest.raises(ConfigError, match="unknown material"):
         parse_config(MINIMAL.replace("scaled:silica:0.0274", "unobtainium"))
@@ -318,6 +353,16 @@ def test_readme_run_file_parses():
     assert len(defaults) == 5
     for option, value in defaults:
         assert echo[f"grids.{option}"] == value
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_readme_python_examples_run(index, capsys):
+    # README's library example and its working-point example, as printed.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    exec(compile(blocks[index], f"README.md python block {index}", "exec"), {})
+    assert capsys.readouterr().out.strip()
 
 
 def test_resolve_pump_auto_gvm(profile_1644):

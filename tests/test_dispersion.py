@@ -413,6 +413,13 @@ def test_theta_pm_cardinal_cases():
     assert -90.0 < th <= 90.0
 
 
+def test_theta_pm_undefined_below_walk_off_floor():
+    # Walk-offs of a femtosecond's thousandth are solver roundoff at a
+    # group-velocity match; the angle they would give is arbitrary.
+    with pytest.raises(EvaluationError, match="stripe orientation undefined"):
+        theta_pm(_tau_with_walkoffs(1e-4, -1e-4))
+
+
 def test_zdf_precision(profile_1644):
     zdfs = find_zdfs(profile_1644)
     for z in zdfs:
