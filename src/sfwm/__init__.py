@@ -11,6 +11,7 @@ from .biphoton import (
     JsaGrid,
     PumpSpec,
     SchmidtResult,
+    heralded_purity,
     jsa_analytic,
     jsa_numeric,
     phi_function,
@@ -83,6 +84,7 @@ __all__ = [
     "find_zdfs",
     "fwhm",
     "get_material",
+    "heralded_purity",
     "jsa_analytic",
     "jsa_numeric",
     "mi_sideband_detuning",

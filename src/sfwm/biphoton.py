@@ -211,6 +211,8 @@ class JsaGrid:
                 f"({self.signal_axis.size}, {self.idler_axis.size})"
             )
         _check_axes(self.signal_axis, self.idler_axis)
+        if not np.all(np.isfinite(self.amplitude)):
+            raise EvaluationError("JSA amplitude has a non-finite entry")
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.amplitude) ** 2
@@ -404,25 +406,44 @@ class SchmidtResult:
     schmidt_number: float
 
 
+def _trapezoid_weights(jsa: JsaGrid):
+    return (np.convolve(np.abs(np.diff(x)), [0.5, 0.5]) for x in (jsa.signal_axis, jsa.idler_axis))
+
+
+def heralded_purity(jsa: JsaGrid) -> float:
+    """Heralded-state purity sum lambda_n^2 of `schmidt_metrics`, with no SVD.
+
+    lambda_n are the eigenvalues of G / tr G, G = W^H W, W = sqrt(w_s) F sqrt(w_i),
+    so the purity is ||G||_F^2 / (tr G)^2.  G is built _BLOCK_POINTS / 4 entries
+    at a time, one matmul per block of F's columns, and never held whole.
+    """
+    ws, wi = _trapezoid_weights(jsa)
+    f, wi = jsa.amplitude, np.sqrt(wi)
+    cols = max(1, _BLOCK_POINTS // (4 * f.shape[0]))
+    frobenius = trace = 0.0
+    with np.errstate(invalid="ignore"):  # a non-finite entry fails the trace test below
+        for start in range(0, f.shape[1], cols):
+            g = np.conj(ws[:, np.newaxis] * f[:, start : start + cols]).T @ f
+            g *= wi[start : start + cols, np.newaxis] * wi
+            frobenius += np.vdot(g, g).real
+            trace += np.diagonal(g, offset=start).real.sum()
+    if not 0.0 < trace < math.inf:
+        raise EvaluationError("cannot decompose an identically zero or non-finite amplitude")
+    return float(frobenius / trace**2)
+
+
 def schmidt_metrics(jsa: JsaGrid) -> SchmidtResult:
     """Schmidt coefficients, heralded-state purity and Schmidt number.
 
     Nystroem discretisation (Bornemann, Math. Comp. 79 (2010) 871): singular
     values s_n of sqrt(w_s) F sqrt(w_i), w each axis' trapezoid weights, give
     lambda_n = s_n^2 / sum s^2, spectrally accurate in the step for a JSA that
-    decays to the border; purity is sum lambda_n^2, the Schmidt number 1/purity.
+    decays to the border; purity is `heralded_purity`, the Schmidt number 1/purity.
     Working memory is one weighted copy of the amplitude, plus numpy.linalg's own.
     """
-    ws, wi = (
-        np.sqrt(np.convolve(np.abs(np.diff(x)), [0.5, 0.5]))
-        for x in (jsa.signal_axis, jsa.idler_axis)
-    )
+    purity = heralded_purity(jsa)
+    ws, wi = (np.sqrt(w) for w in _trapezoid_weights(jsa))
     weighted = ws[:, np.newaxis] * jsa.amplitude
     weighted *= wi
-    s = np.linalg.svd(weighted, compute_uv=False)
-    total = np.sum(s**2)
-    if total == 0:
-        raise EvaluationError("cannot decompose an identically zero amplitude")
-    lam = s**2 / total
-    purity = float(np.sum(lam**2))
-    return SchmidtResult(coefficients=lam, purity=purity, schmidt_number=1.0 / purity)
+    s2 = np.linalg.svd(weighted, compute_uv=False) ** 2
+    return SchmidtResult(coefficients=s2 / np.sum(s2), purity=purity, schmidt_number=1.0 / purity)

@@ -24,7 +24,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import __version__
-from .biphoton import JsaGrid, jsa_analytic, jsa_numeric, schmidt_metrics
+from .biphoton import JsaGrid, heralded_purity, jsa_analytic, jsa_numeric, schmidt_metrics
 from .config import (
     ResolvedPump,
     RunConfig,
@@ -320,7 +320,7 @@ def _cmd_design_report(args, config: RunConfig, profile) -> int:
     spectrum = {"fwhm_rad_fs": "unresolved within the window"} if widths is None else {
         "fwhm_rad_fs": widths[0], "fwhm_nm": widths[1]}
     s_axis, i_axis = wp.axes(config.jsa_span, config.jsa_points)
-    result = schmidt_metrics(jsa_analytic(tau, wp.pump, s_axis, i_axis))
+    purity = heralded_purity(jsa_analytic(tau, wp.pump, s_axis, i_axis))
 
     body = [
         *_section(
@@ -340,8 +340,7 @@ def _cmd_design_report(args, config: RunConfig, profile) -> int:
             stripe_angle_deg=angle,
         ),
         *_section("singles spectrum", **spectrum),
-        *_section("biphoton (quadratic model)", purity=result.purity,
-                  schmidt_number=result.schmidt_number),
+        *_section("biphoton (quadratic model)", purity=purity, schmidt_number=1.0 / purity),
     ]
     lines = _header("design-report", args, config, _working_point_echo(wp))
     lines.extend(body)

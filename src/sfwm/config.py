@@ -264,18 +264,21 @@ class RunConfig:
 
 def _material_sections(cp) -> list[tuple]:
     """(NAME, model, rows in _ROWS form) of each [material NAME] section; pops its kind."""
-    found = []
+    found, seen = [], {}
     for section in cp.sections():
         parts = section.split(None, 1)
         if parts[:1] != ["material"]:
             continue
         if len(parts) != 2:
             raise ConfigError("material sections need a name: [material NAME]")
+        name = parts[1].strip()
+        if seen.setdefault(name, section) != section:  # configparser sections are unique
+            raise ConfigError(f"[{seen[name]}] and [{section}] both define material {name!r}")
         kind = cp[section].pop("kind", "sellmeier").strip().lower()
         if kind not in _KINDS:
             raise ConfigError(f"{section}.kind must be one of {', '.join(_KINDS)}, got {kind!r}")
         model, rows = _KINDS[kind]
-        found.append((parts[1].strip(), model, [(section, *row) for row in rows]))
+        found.append((name, model, [(section, *row) for row in rows]))
     return found
 
 

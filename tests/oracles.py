@@ -10,8 +10,8 @@ solve for bulk silica, 50-digit roots of the phase mismatch and of the full
 group-velocity match on a Chebyshev proxy, a marching-squares tracer that
 visits the map one cell at a time, the pump sum `jsa_numeric` once formed
 with a phase and `sinc_phase` per point, the jsa.csv formatter that
-printed every grid cell's four numbers anew and the Schmidt coefficients
-of the weighted SVD written as one expression.
+printed every grid cell's four numbers anew, and the Schmidt coefficients
+of the weighted SVD written as one expression and the purity summed from them.
 """
 
 import math
@@ -193,6 +193,16 @@ def schmidt_coefficients_one_expression(jsa):
     )
     s = np.linalg.svd(ws[:, np.newaxis] * jsa.amplitude * wi, compute_uv=False)
     return s**2 / np.sum(s**2)
+
+
+def schmidt_purity_by_svd(jsa):
+    """Heralded purity sum lambda_n^2 from the singular values of the weighted SVD.
+
+    The route `biphoton.schmidt_metrics` took before `heralded_purity`
+    summed the Gram matrix instead.
+    """
+    lam = schmidt_coefficients_one_expression(jsa)
+    return float(np.sum(lam**2))
 
 
 def jsa_csv_rows_per_cell(jsa):

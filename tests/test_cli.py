@@ -137,6 +137,16 @@ def test_design_report_outputs(tiny_cfg, tmp_path, capsys):
     assert "  fit_phase_error_rad = " in text
 
 
+def test_design_report_runs_no_svd(monkeypatch, tmp_path, capsys):
+    # The model purity comes from heralded_purity's Gram sums, not singular values.
+    def no_svd(*args, **kwargs):
+        raise AssertionError("design-report called numpy.linalg.svd")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert _run(["design-report", "--preset", "fig4", "--out", str(tmp_path)]) == 0
+    assert "  purity = 0.838658488\n" in (tmp_path / "design_report.txt").read_text()
+
+
 def test_approximate_material_named(tmp_path, capsys):
     # fig4's bismuth borate core is a reconstruction, not a measured fit.
     assert _run(["dispersion", "--preset", "fig4", "--out", str(tmp_path)]) == 0

@@ -283,6 +283,15 @@ def test_missing_material_option_named_like_any_other():
         parse_config(CUSTOM_MATERIALS.replace("c = 0.01\n", ""))
 
 
+def test_material_defined_twice_rejected():
+    # configparser keeps both headers as sections; both name glass2, so the
+    # later one would silently replace the earlier.
+    text = CUSTOM_MATERIALS + "\n[material  glass2]\nkind = constant\nvalue = 1.3\n"
+    both = r"^\[material glass2\] and \[material  glass2\] both define material 'glass2'$"
+    with pytest.raises(ConfigError, match=both):
+        parse_config(text)
+
+
 def test_echo_items_spell_out_custom_materials():
     # Two runs whose glass differs only in a Sellmeier term must not share headers.
     echo = parse_config(CUSTOM_MATERIALS).echo_items()
