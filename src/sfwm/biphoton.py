@@ -179,15 +179,19 @@ class PumpQuadrature:
     truncation: float = math.erfc(math.sqrt(2.0) * _PUMP_SPAN)
 
 
-def _check_axes(signal_axis, idler_axis):
-    """Raise ConfigError unless both JSA axes are equally spaced, >= 2 points each."""
-    for name, axis in (("signal", signal_axis), ("idler", idler_axis)):
+def _jsa_axes(signal_axis, idler_axis):
+    """Both JSA axes as floats; ConfigError unless each has >= 2 points, one nonzero step."""
+    axes = tuple(np.asarray(x, dtype=float) for x in (signal_axis, idler_axis))
+    for name, axis in zip(("signal", "idler"), axes):
         if axis.size < 2:
             raise ConfigError(f"JSA {name} axis needs at least 2 points, got {axis.size}")
         steps = np.diff(axis)
         mean = steps.mean()
+        if not 0.0 < abs(mean) < math.inf:
+            raise ConfigError(f"JSA {name} axis step is zero or not finite")
         if np.any(np.abs(steps - mean) > _AXIS_STEP_RTOL * abs(mean)):
             raise ConfigError(f"JSA {name} axis is not equally spaced")
+    return axes
 
 
 @dataclass(frozen=True)
@@ -210,7 +214,7 @@ class JsaGrid:
                 f"amplitude shape {self.amplitude.shape} does not match axes "
                 f"({self.signal_axis.size}, {self.idler_axis.size})"
             )
-        _check_axes(self.signal_axis, self.idler_axis)
+        _jsa_axes(self.signal_axis, self.idler_axis)
         if not np.all(np.isfinite(self.amplitude)):
             raise EvaluationError("JSA amplitude has a non-finite entry")
 
@@ -250,9 +254,7 @@ def jsa_analytic(tau: TauSet, pump: PumpSpec, signal_axis, idler_axis) -> JsaGri
     point.
     """
     _check_working_point(tau, pump)
-    signal_axis = np.asarray(signal_axis, dtype=float)
-    idler_axis = np.asarray(idler_axis, dtype=float)
-    _check_axes(signal_axis, idler_axis)
+    signal_axis, idler_axis = _jsa_axes(signal_axis, idler_axis)
     nu_i = (idler_axis - tau.omega_i0)[np.newaxis, :]
     a = 0.5 * tau.tau_p2 * pump.sigma**2
     amplitude = np.empty((signal_axis.size, idler_axis.size), dtype=complex)
@@ -371,9 +373,7 @@ def jsa_numeric(
         raise ConfigError(f"fibre length must be positive, got {length_nm}")
     if nodes < 1:
         raise ConfigError(f"need at least one quadrature node, got {nodes}")
-    signal_axis = np.asarray(signal_axis, dtype=float)
-    idler_axis = np.asarray(idler_axis, dtype=float)
-    _check_axes(signal_axis, idler_axis)
+    signal_axis, idler_axis = _jsa_axes(signal_axis, idler_axis)
     gp = nonlinear_mismatch(gamma, pump.power)
     rule, drift = _pump_rule(nodes, pump.sigma), None
     if check:
@@ -436,14 +436,18 @@ def schmidt_metrics(jsa: JsaGrid) -> SchmidtResult:
     """Schmidt coefficients, heralded-state purity and Schmidt number.
 
     Nystroem discretisation (Bornemann, Math. Comp. 79 (2010) 871): singular
-    values s_n of sqrt(w_s) F sqrt(w_i), w each axis' trapezoid weights, give
+    values s_n of W = sqrt(w_s) F sqrt(w_i), w each axis' trapezoid weights, give
     lambda_n = s_n^2 / sum s^2, spectrally accurate in the step for a JSA that
-    decays to the border; purity is `heralded_purity`, the Schmidt number 1/purity.
+    decays to the border; the purity is sum lambda_n^2, the Schmidt number 1/purity.
     Working memory is one weighted copy of the amplitude, plus numpy.linalg's own.
     """
-    purity = heralded_purity(jsa)
     ws, wi = (np.sqrt(w) for w in _trapezoid_weights(jsa))
-    weighted = ws[:, np.newaxis] * jsa.amplitude
-    weighted *= wi
+    with np.errstate(invalid="ignore"):  # a non-finite entry fails the norm test below
+        weighted = ws[:, np.newaxis] * jsa.amplitude
+        weighted *= wi
+    if not 0.0 < np.vdot(weighted, weighted).real < math.inf:
+        raise EvaluationError("cannot decompose an identically zero or non-finite amplitude")
     s2 = np.linalg.svd(weighted, compute_uv=False) ** 2
-    return SchmidtResult(coefficients=s2 / np.sum(s2), purity=purity, schmidt_number=1.0 / purity)
+    coefficients = s2 / np.sum(s2)
+    purity = float(np.sum(coefficients**2))
+    return SchmidtResult(coefficients=coefficients, purity=purity, schmidt_number=1.0 / purity)

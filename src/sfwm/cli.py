@@ -79,14 +79,13 @@ def _approximate(config: RunConfig) -> str:
     return " ".join(approximate_models(fiber.core, fiber.cladding)) or "none"
 
 
-def _write(args, config: RunConfig, name: str, lines: Iterable[str]):
+def _write(args, name: str, lines: Iterable[str]):
     """Stream `lines` into a temporary file, then rename it over `name`.
 
     On any failure the temporary file goes and an earlier `name` stays as it was.
     """
-    out_dir = args.out if args.out is not None else config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -132,7 +131,7 @@ def _cmd_dispersion(args, config: RunConfig, profile) -> int:
     cols = [profile.k_derivative(omega, n) for n in range(4)]
     for j, om in enumerate(omega):
         lines.append(",".join([_f(om), _nm(om)] + [_f(c[j]) for c in cols]))
-    _write(args, config, "dispersion.csv", lines)
+    _write(args, "dispersion.csv", lines)
 
     zdw_text = " ".join(_f(z) for z in zdws)
     lines = _header("dispersion", args, config)
@@ -143,7 +142,7 @@ def _cmd_dispersion(args, config: RunConfig, profile) -> int:
         f"{_f(p.omega_p)},{_f(p.delta)},{_nm(p.omega_p)},{_nm(p.omega_s)},{_nm(p.omega_i)}"
         for p in points
     )
-    _write(args, config, "fgvm_points.csv", lines)
+    _write(args, "fgvm_points.csv", lines)
 
     print(f"zero-dispersion wavelengths (nm): {zdw_text}")
     if approximate != "none":
@@ -181,7 +180,7 @@ def _cmd_contours(args, config: RunConfig, profile) -> int:
             head = f"{_f(power)},{idx},{int(contour.closed)}"
             lines.extend(f"{head},{_f(op)},{_f(dd)}" for op, dd in contour.points)
         print(f"P = {_f(power)} W: {len(contours)} contour(s), {closed} closed")
-    _write(args, config, "contours.csv", lines)
+    _write(args, "contours.csv", lines)
     return 0
 
 
@@ -219,7 +218,7 @@ def _cmd_spectrum(args, config: RunConfig, profile) -> int:
     lines.append("omega_s_rad_fs,wavelength_nm,intensity")
     for om, value in zip(axis, spectrum):
         lines.append(",".join([_f(om), _nm(om), _f(value)]))
-    _write(args, config, "spectrum.csv", lines)
+    _write(args, "spectrum.csv", lines)
     print(message)
     return 0
 
@@ -259,7 +258,7 @@ def _cmd_jsa(args, config: RunConfig, profile) -> int:
     lines, jsa = _numeric_jsa("jsa", args, config, profile)
     lines.append(f"# border_mass = {_f(jsa.border_mass())}")
     lines.append("omega_s_rad_fs,omega_i_rad_fs,re_amplitude,im_amplitude")
-    _write(args, config, "jsa.csv", itertools.chain(lines, _jsa_rows(jsa)))
+    _write(args, "jsa.csv", itertools.chain(lines, _jsa_rows(jsa)))
 
     peak = np.unravel_index(np.argmax(jsa.intensity()), jsa.amplitude.shape)
     print(
@@ -279,7 +278,7 @@ def _cmd_purity(args, config: RunConfig, profile) -> int:
     lines.append(f"border_mass = {_f(jsa.border_mass())}")
     for n, lam in enumerate(result.coefficients[:16]):
         lines.append(f"coefficient_{n:02d} = {_f(lam)}")
-    _write(args, config, "purity.txt", lines)
+    _write(args, "purity.txt", lines)
 
     print(
         f"heralded purity {_f(result.purity)} "
@@ -344,7 +343,7 @@ def _cmd_design_report(args, config: RunConfig, profile) -> int:
     ]
     lines = _header("design-report", args, config, _working_point_echo(wp))
     lines.extend(body)
-    _write(args, config, "design_report.txt", lines)
+    _write(args, "design_report.txt", lines)
     print("\n".join(body))
     return 0
 
@@ -400,8 +399,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--preset", metavar="NAME", help="packaged run file (see README)"
         )
         sp.add_argument(
-            "--out", metavar="DIR", default=None,
-            help="output directory (default: [outputs] directory, else '.')",
+            "--out", metavar="DIR", default=".",
+            help="output directory (default: '.')",
         )
         sp.set_defaults(func=func)
     return parser

@@ -1,11 +1,11 @@
 """Run configuration: INI files describing a fibre, a pump and output grids.
 
-A run file has sections [fiber], [pump] and [grids] (plus an optional
-[outputs] section and any number of custom [material NAME] sections).  The
-pump wavelength may be the literal "auto-gvm", which selects the
-nondegenerate full group-velocity match of the fibre, and any pump power may
-be "auto-critical" or "auto-critical:<fraction>", a multiple of the critical
-power at that match.  Ready-made presets ship with the package.
+A run file has sections [fiber], [pump] and [grids] (plus any number of
+custom [material NAME] sections).  The pump wavelength may be the literal
+"auto-gvm", which selects the nondegenerate full group-velocity match of the
+fibre, and any pump power may be "auto-critical" or "auto-critical:<fraction>",
+a multiple of the critical power at that match.  Ready-made presets ship with
+the package.
 """
 
 from __future__ import annotations
@@ -165,7 +165,6 @@ _ROWS = (
     ("grids", "spectrum_points", "spectrum_points", partial(_count, least=3), 2001),
     ("grids", "jsa_points", "jsa_points", _count, 256),
     ("grids", "jsa_span_rad_fs", "jsa_span", _positive, 0.03),
-    ("outputs", "directory", "out_dir", lambda text, key: text.strip() or ".", "."),
 )
 # Each kind of [material NAME] section (its option kind, default sellmeier):
 # the model it builds and its rows of (option, model field, reader, default),
@@ -211,7 +210,6 @@ class RunConfig:
     spectrum_points: int
     jsa_points: int
     jsa_span: float
-    out_dir: str
     materials: dict[str, SellmeierModel | ConstantIndex] = field(default_factory=dict)
 
     @property
@@ -228,9 +226,15 @@ class RunConfig:
     def profile(self) -> DispersionProfile:
         """Dispersion proxy of the fibre over the run's window.
 
-        Raises EvaluationError when residual x length exceeds PHASE_BUDGET_RAD.
+        Raises EvaluationError when residual x length exceeds PHASE_BUDGET_RAD,
+        and ConfigError when the window leaves a material's validity range.
         """
-        profile = build_profile(self.fiber(), self.window_nm)
+        try:
+            profile = build_profile(self.fiber(), self.window_nm)
+        except RangeError as err:
+            raise ConfigError(
+                f"grids.window_nm = {_echo(self.window_nm)} leaves a material's range ({err})"
+            ) from None
         phase = profile.residual * self.length_nm
         if not phase <= PHASE_BUDGET_RAD:
             raise EvaluationError(
@@ -249,11 +253,10 @@ class RunConfig:
         return np.linspace(s_lo, s_hi, self.spectrum_points)
 
     def echo_items(self) -> list[tuple[str, str]]:
-        """Every setting but the output directory as (key, value) text, in table order."""
+        """Every setting as (key, value) text, in table order."""
         items = [
             (f"{section}.{option}", _echo(getattr(self, name)))
             for section, option, name, _, _ in _ROWS
-            if section != "outputs"
         ]
         for name, material in sorted(self.materials.items()):
             kind, rows = next((k, r) for k, (m, r) in _KINDS.items() if isinstance(material, m))
@@ -368,9 +371,15 @@ def resolve_pump(config: RunConfig, profile: DispersionProfile) -> ResolvedPump:
     auto-gvm selects the full group-velocity match with the smallest
     half-separation; auto-critical powers are fractions of the
     critical power at that match, which must be positive (EvaluationError
-    otherwise).
+    otherwise).  An explicit pump outside the query window is a ConfigError.
     """
     need_gvm = config.pump_wavelength is None
+    lo, hi = profile.query_window
+    if not need_gvm and not lo <= omega_from_wavelength(config.pump_wavelength) <= hi:
+        raise ConfigError(
+            f"pump.wavelength_nm = {config.pump_wavelength:.9g} lies outside the usable "
+            f"range {wavelength_from_omega(hi):.9g} to {wavelength_from_omega(lo):.9g} nm"
+        )
     need_crit = config.pump_power.auto or any(p.auto for p in config.pump_powers)
     gvm = None
     p_star = None

@@ -152,6 +152,9 @@ def test_jsa_grid_rejects_unequal_steps():
     nudged = axis.copy()
     nudged[50] += 1e-9 * (axis[1] - axis[0])  # far below the 1e-6 bound
     JsaGrid(signal_axis=nudged, idler_axis=nudged[::-1], amplitude=amp)
+    # A constant axis has mean step 0, which no step differs from.
+    with pytest.raises(ConfigError, match="signal axis step is zero"):
+        JsaGrid(np.array([1.0, 1.0]), np.array([1.0, 2.0]), np.ones((2, 2), dtype=complex))
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1), (0, 5)])
@@ -407,7 +410,9 @@ def test_jsa_numeric_unequal_axes_match_shared_rule():
      "signal axis is not equally spaced"),
     ((np.linspace(1.245, 1.275, 21), np.array([1.14])),
      "idler axis needs at least 2 points, got 1"),
-], ids=["unequal", "one-point"])
+    ((np.full(21, 1.26), np.linspace(1.125, 1.155, 21)),
+     "signal axis step is zero or not finite"),
+], ids=["unequal", "one-point", "constant"])
 def test_jsa_kernels_check_axes_before_integrating(monkeypatch, kernel, axes, message):
     # JsaGrid's axis rules run before either kernel fills a grid, so a grid
     # that could not be returned is never integrated.
@@ -741,6 +746,24 @@ def test_schmidt_weighting_order_matches_one_expression(profile_bismuth):
     for grid in grids:
         assert np.array_equal(schmidt_metrics(grid).coefficients,
                               schmidt_coefficients_one_expression(grid))
+
+
+def test_schmidt_metrics_takes_purity_from_its_own_svd(monkeypatch, request):
+    # One decomposition per call: the purity is sum lambda^2 of the
+    # coefficients, not a second pass through heralded_purity.
+    grids = [_preset_kernel(request, "fig4", "profile_bismuth", "analytic")(),
+             _unequal_random_grid()]
+    want = [schmidt_metrics(grid) for grid in grids]
+
+    def fail(jsa):
+        raise AssertionError("schmidt_metrics called heralded_purity")
+
+    monkeypatch.setattr(biphoton, "heralded_purity", fail)
+    for grid, before in zip(grids, want):
+        got = schmidt_metrics(grid)
+        assert np.array_equal(got.coefficients, before.coefficients)
+        assert (got.purity, got.schmidt_number) == (before.purity, before.schmidt_number)
+        assert got.purity == float(np.sum(got.coefficients**2))
 
 
 def test_schmidt_scale_invariance():

@@ -212,7 +212,7 @@ def test_jsa_writer_streams(tmp_path):
     jsa = _synthetic_jsa(256, 256)
     tracemalloc.start()
     try:
-        _write(SimpleNamespace(out=str(tmp_path)), None, "jsa.csv", _jsa_rows(jsa))
+        _write(SimpleNamespace(out=str(tmp_path)), "jsa.csv", _jsa_rows(jsa))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -222,7 +222,7 @@ def test_jsa_writer_streams(tmp_path):
 
 def test_write_failure_leaves_no_temporary_file(tmp_path):
     args = SimpleNamespace(out=str(tmp_path))
-    _write(args, None, "spectrum.csv", ["# earlier", "1,2,3"])
+    _write(args, "spectrum.csv", ["# earlier", "1,2,3"])
     before = (tmp_path / "spectrum.csv").read_bytes()
 
     def lines():
@@ -231,7 +231,7 @@ def test_write_failure_leaves_no_temporary_file(tmp_path):
         raise OSError(errno.ENOSPC, "No space left on device")
 
     with pytest.raises(OSError) as err:
-        _write(args, None, "spectrum.csv", lines())
+        _write(args, "spectrum.csv", lines())
     assert err.value.errno == errno.ENOSPC
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.csv"]
     assert (tmp_path / "spectrum.csv").read_bytes() == before
@@ -305,6 +305,37 @@ def test_detuning_max_outside_window_exits_2(tmp_path, capsys):
         assert "grids.detuning_max_rad_fs = 0.6 puts a frequency outside query window" in (
             capsys.readouterr().err
         )
+
+
+def test_explicit_pump_outside_window_exits_2(tmp_path, capsys):
+    # The pump itself, not a grid built around it, is what leaves the window.
+    cfg = tmp_path / "far_pump.cfg"
+    text = TINY.replace("wavelength_nm = auto-gvm", "wavelength_nm = 2500")
+    text = text.replace("power_w = auto-critical:0.5", "power_w = 0.1")
+    cfg.write_text(text.replace("window_nm = 1400 1700", "window_nm = 1300 2000"))
+    for command in ("contours", "spectrum", "jsa", "purity", "design-report"):
+        assert _run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: pump.wavelength_nm = 2500 lies outside the usable range "
+            "1309.16415 to 1978.69102 nm\n"
+        )
+
+
+def test_window_outside_material_range_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "uv.cfg"
+    cfg.write_text(TINY.replace("window_nm = 1400 1700", "window_nm = 100 200"))
+    for command in ("dispersion", "spectrum"):
+        assert _run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: grids.window_nm = 100 200 leaves a material's range (material "
+            "'silica': wavelength outside validity window [210.0, 3710.0] nm)\n"
+        )
+
+
+def test_out_defaults_to_the_working_directory(tiny_cfg, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run(["spectrum", "--config", tiny_cfg]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.csv"]
 
 
 def test_jsa_band_reaching_the_pump_exits_2(tmp_path, capsys):

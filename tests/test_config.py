@@ -60,7 +60,6 @@ def test_defaults_applied():
     assert config.spectrum_points == 2001
     assert config.jsa_points == 256
     assert config.jsa_span == 0.03
-    assert config.out_dir == "."
 
 
 def test_fiber_materials_resolve():
@@ -133,8 +132,10 @@ def test_count_minimums():
 
 
 def test_unknown_section_rejected():
-    with pytest.raises(ConfigError, match="unknown config section"):
-        parse_config(MINIMAL + "\n[typo]\nx = 1\n")
+    # --out alone sets the output directory; [outputs] is no section.
+    for section in ("[typo]\nx = 1", "[outputs]\ndirectory = out"):
+        with pytest.raises(ConfigError, match="unknown config section"):
+            parse_config(MINIMAL + f"\n{section}\n")
 
 
 @pytest.mark.parametrize(
@@ -147,7 +148,6 @@ def test_unknown_section_rejected():
         ("grids", "samples = 60"),
         ("grids", "degree = 10"),
         ("grids", "purity_points = 512"),
-        ("outputs", "dir = out"),
     ],
 )
 def test_unknown_option_rejected(section, line):
