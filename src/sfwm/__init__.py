@@ -45,7 +45,7 @@ from .phasematching import (
     PmMap,
     critical_power,
     delta_k_cw,
-    fwhm,
+    half_max_edges,
     mi_sideband_detuning,
     pm_map,
     singles_spectrum,
@@ -82,8 +82,8 @@ __all__ = [
     "effective_index",
     "find_fgvm_points",
     "find_zdfs",
-    "fwhm",
     "get_material",
+    "half_max_edges",
     "heralded_purity",
     "jsa_analytic",
     "jsa_numeric",

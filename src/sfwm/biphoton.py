@@ -50,7 +50,7 @@ _DRIFT_TOL = 1e-6
 _PUMP_SPAN = next(s for s in range(1, 10) if math.erfc(math.sqrt(2.0) * s) < _DRIFT_TOL)
 _MAX_NODES = 2049
 # JSA blocks: jsa_numeric's hold ~_BLOCK_POINTS integrand points (cells x nodes,
-# 256 kB per real temporary), jsa_analytic's _BLOCK_POINTS / 4 cells (128 kB each).
+# 256 kB per real temporary), jsa_analytic's _BLOCK_POINTS / 8 cells (64 kB each).
 _BLOCK_POINTS = 1 << 15
 # Pump-sum points with |L dk| below the cut take sinc_phase.  Phase roundoff and
 # the cancelling split sums err by ~eps (1 + max|L K| + max|L C|) / cut per weight
@@ -258,7 +258,7 @@ def jsa_analytic(tau: TauSet, pump: PumpSpec, signal_axis, idler_axis) -> JsaGri
     nu_i = (idler_axis - tau.omega_i0)[np.newaxis, :]
     a = 0.5 * tau.tau_p2 * pump.sigma**2
     amplitude = np.empty((signal_axis.size, idler_axis.size), dtype=complex)
-    rows = max(1, _BLOCK_POINTS // (4 * idler_axis.size))
+    rows = max(1, _BLOCK_POINTS // (8 * idler_axis.size))
     for start in range(0, signal_axis.size, rows):
         nu_s = (signal_axis[start : start + rows] - tau.omega_s0)[:, np.newaxis]
         nu = nu_s + nu_i

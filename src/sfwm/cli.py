@@ -44,7 +44,7 @@ from .errors import ConfigError, EvaluationError, NumericsError
 from .materials import approximate_models
 from .phasematching import (
     critical_power,
-    fwhm,
+    half_max_edges,
     mi_sideband_detuning,
     pm_map,
     singles_spectrum,
@@ -133,7 +133,7 @@ def _cmd_dispersion(args, config: RunConfig, profile) -> int:
         lines.append(",".join([_f(om), _nm(om)] + [_f(c[j]) for c in cols]))
     _write(args, "dispersion.csv", lines)
 
-    zdw_text = " ".join(_f(z) for z in zdws)
+    zdw_text = " ".join(_f(z) for z in zdws) or "none"
     lines = _header("dispersion", args, config)
     lines.append(f"# approximate_materials = {approximate}")
     lines.append(f"# zero_dispersion_nm = {zdw_text}")
@@ -184,37 +184,29 @@ def _cmd_contours(args, config: RunConfig, profile) -> int:
     return 0
 
 
-def _singles(config: RunConfig, profile, rp: ResolvedPump):
-    """Singles spectrum over the signal axis and its FWHM in rad/fs and nm.
-
-    Returns (axis, spectrum, widths, note); when the half maximum is not
-    resolved in the window, widths is None and note says why.
-    """
-    axis = config.signal_axis(profile, rp.omega_p)
-    spectrum = singles_spectrum(
-        profile, rp.omega_p, axis, config.length_nm,
-        gamma=config.gamma, power=rp.power,
-    )
+def _singles_width(config: RunConfig, profile, rp: ResolvedPump):
+    """Rows of the singles spectrum's outer half-maximum width and edges, and why unresolved."""
+    dmax = config.signal_axis(profile, rp.omega_p)[-1] - rp.omega_p
     try:
-        lam = wavelength_from_omega(axis)
-        widths = (fwhm(axis, spectrum), abs(fwhm(lam[::-1], spectrum[::-1])))
+        edges = half_max_edges(profile, rp.omega_p, dmax, config.length_nm, config.gamma, rp.power)
     except EvaluationError as exc:
-        return axis, spectrum, None, str(exc)
-    return axis, spectrum, widths, None
+        return {"fwhm_rad_fs": "unresolved"}, str(exc)
+    lam = wavelength_from_omega(rp.omega_p + np.array([-1.0, 1.0]) * edges[-1])
+    return {"fwhm_rad_fs": _f(2.0 * edges[-1]), "fwhm_nm": _f(lam[0] - lam[1]),
+            "half_max_edges_rad_fs": " ".join(_f(e) for e in edges)}, None
 
 
 def _cmd_spectrum(args, config: RunConfig, profile) -> int:
     rp = resolve_pump(config, profile)
-    axis, spectrum, widths, note = _singles(config, profile, rp)
-    if widths is not None:
-        width, width_nm = (_f(w) for w in widths)
-        resolved = [("fwhm_rad_fs", width), ("fwhm_nm", width_nm)]
-        message = f"singles spectrum FWHM: {width} rad/fs ({width_nm} nm)"
-    else:
-        resolved = [("fwhm_rad_fs", "unresolved")]
-        message = f"singles spectrum FWHM unresolved: {note}"
+    axis = config.signal_axis(profile, rp.omega_p)
+    spectrum = singles_spectrum(
+        profile, rp.omega_p, axis, config.length_nm, gamma=config.gamma, power=rp.power
+    )
+    width, note = _singles_width(config, profile, rp)
+    message = f"singles spectrum FWHM unresolved: {note}" if note else (
+        f"singles spectrum FWHM: {width['fwhm_rad_fs']} rad/fs ({width['fwhm_nm']} nm)")
 
-    lines = _header("spectrum", args, config, _pump_resolution_echo(rp) + resolved)
+    lines = _header("spectrum", args, config, _pump_resolution_echo(rp) + list(width.items()))
     lines.append("omega_s_rad_fs,wavelength_nm,intensity")
     for om, value in zip(axis, spectrum):
         lines.append(",".join([_f(om), _nm(om), _f(value)]))
@@ -315,9 +307,8 @@ def _cmd_design_report(args, config: RunConfig, profile) -> int:
         "gvm_idler_nm": _nm(gvm.omega_i),
     }
     critical = {} if rp.p_star is None else {"critical_power_w": rp.p_star}
-    widths = _singles(config, profile, rp)[2]
-    spectrum = {"fwhm_rad_fs": "unresolved within the window"} if widths is None else {
-        "fwhm_rad_fs": widths[0], "fwhm_nm": widths[1]}
+    spectrum, note = _singles_width(config, profile, rp)
+    spectrum = {"fwhm_rad_fs": "unresolved within the window"} if note else spectrum
     s_axis, i_axis = wp.axes(config.jsa_span, config.jsa_points)
     purity = heralded_purity(jsa_analytic(tau, wp.pump, s_axis, i_axis))
 

@@ -161,7 +161,6 @@ _ROWS = (
     ("grids", "window_nm", "window_nm", _band, _NEEDED),
     ("grids", "map_points", "map_points", _count, 256),
     ("grids", "detuning_max_rad_fs", "detuning_max", _positive, 0.1),
-    # A spectrum's FWHM needs three samples.
     ("grids", "spectrum_points", "spectrum_points", partial(_count, least=3), 2001),
     ("grids", "jsa_points", "jsa_points", _count, 256),
     ("grids", "jsa_span_rad_fs", "jsa_span", _positive, 0.03),

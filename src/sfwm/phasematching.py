@@ -27,6 +27,7 @@ from numpy.polynomial.polynomial import polyval
 
 from .dispersion import DispersionProfile, mismatch_coefficients, sign_change_roots
 from .errors import ConfigError, EvaluationError
+from .modes import bisect
 from .units import nonlinear_mismatch
 
 
@@ -272,6 +273,32 @@ def singles_spectrum(
     return np.abs(sinc_phase(length_nm * dk)) ** 2
 
 
+def half_max_edges(
+    profile: DispersionProfile, omega_p, detuning_max, length_nm, gamma=0.0, power=0.0
+) -> np.ndarray:
+    """Ascending half-separations in (0, detuning_max) where singles_spectrum is half its peak.
+
+    That spectrum is sinc^2(x / 2), x = L delta_k the polynomial of `mismatch_coefficients` in
+    s = (delta / h)^2.  Its peak has the least |x| on the range: 0 where x changes sign, else the
+    least |x| at the ends and the roots of x'.  A peak >= 0.1 tops every side lobe, so the edges
+    are the roots of x -/+ x_h, sinc^2(x_h / 2) being half the peak.  Raises EvaluationError for
+    a lower peak or where |x| < x_h at detuning_max (the width is unresolved).
+    """
+    profile.check_window(omega_p + np.array([-detuning_max, detuning_max]))
+    coef, h = mismatch_coefficients(profile, omega_p, nonlinear_mismatch(gamma, power))
+    x, end = Polynomial(length_nm * coef), (detuning_max / h) ** 2
+    xs = x(np.concatenate(([0.0, end], sign_change_roots(x.deriv(), 0.0, end))))
+    peak = 0.0 if xs.min() < 0 < xs.max() else np.abs(xs).min()
+    half = 0.5 * np.sinc(peak / (2 * np.pi)) ** 2
+    if not half >= 0.05:
+        raise EvaluationError(f"spectrum peak {2 * half:.3g} is below 0.1; no main lobe")
+    x_h = bisect(lambda y: np.sinc(y / (2 * np.pi)) ** 2 - half, peak, 2 * np.pi)
+    if not abs(xs[1]) > x_h:
+        raise EvaluationError("spectrum still above half maximum at the end of the range")
+    roots = np.concatenate([sign_change_roots(x + d, 0.0, end) for d in (-x_h, x_h)])
+    return h * np.sqrt(np.sort(roots))
+
+
 def half_max_crossings(x, y) -> tuple[float, float]:
     """Outermost crossings of half the global maximum, linearly interpolated.
 
@@ -298,9 +325,3 @@ def half_max_crossings(x, y) -> tuple[float, float]:
     i = idx[-1]
     x_hi = x[i] + (half - y[i]) / (y[i + 1] - y[i]) * (x[i + 1] - x[i])
     return (float(x_lo), float(x_hi))
-
-
-def fwhm(x, y) -> float:
-    """Full width at half maximum in the units of x."""
-    lo, hi = half_max_crossings(x, y)
-    return hi - lo

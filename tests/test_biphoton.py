@@ -236,10 +236,12 @@ def test_jsa_analytic_near_circular_contour():
     ks = np.arange(-100, 101)
     diag_plus = inten[mid + ks, mid + ks]
     diag_minus = inten[mid + ks, mid - ks]
-    from sfwm.phasematching import fwhm
+    from sfwm.phasematching import half_max_crossings
 
-    w_plus = fwhm(nu[mid + ks], diag_plus)
-    w_minus = fwhm(nu[mid + ks], diag_minus)
+    lo, hi = half_max_crossings(nu[mid + ks], diag_plus)
+    w_plus = hi - lo
+    lo, hi = half_max_crossings(nu[mid + ks], diag_minus)
+    w_minus = hi - lo
     ratio = min(w_plus, w_minus) / max(w_plus, w_minus)
     ecc = np.sqrt(1.0 - ratio**2)
     assert ecc < 0.1

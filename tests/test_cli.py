@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import sfwm
+from sfwm import cli
 from sfwm.biphoton import JsaGrid, jsa_numeric
 from sfwm.cli import _jsa_rows, _write, main
 from sfwm.config import load_preset, working_point
@@ -80,6 +81,15 @@ def test_dispersion_outputs(tiny_cfg, tmp_path, capsys):
     assert len(matches) == 1 + 1 and float(matches[1].split(",")[1]) > 0
 
 
+def test_dispersion_without_zero_dispersion_wavelength(tmp_path, capsys):
+    # 1000-1200 nm lies below the strand's zero-dispersion wavelengths.
+    cfg = tmp_path / "normal.cfg"
+    cfg.write_text(TINY.replace("window_nm = 1400 1700", "window_nm = 1000 1200"))
+    assert _run(["dispersion", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert "zero-dispersion wavelengths (nm): none\n" in capsys.readouterr().out
+    assert "\n# zero_dispersion_nm = none\n" in (tmp_path / "fgvm_points.csv").read_text()
+
+
 def test_contours_outputs(tiny_cfg, tmp_path, capsys):
     assert _run(["contours", "--config", tiny_cfg, "--out", str(tmp_path)]) == 0
     assert "contour(s)" in capsys.readouterr().out
@@ -93,6 +103,41 @@ def test_spectrum_outputs(tiny_cfg, tmp_path, capsys):
     assert "FWHM" in capsys.readouterr().out
     rows = _data_lines(tmp_path / "spectrum.csv")
     assert len(rows) == 1 + 301
+
+
+def test_spectrum_width_does_not_depend_on_spectrum_points(tmp_path, capsys):
+    # fig4 is above half maximum in one 0.0055 rad/fs band on each side of the
+    # pump; the width comes from the roots, not from the samples.
+    preset = (Path(sfwm.__file__).parent / "presets" / "fig4.cfg").read_text()
+    runs = []
+    for points in (301, 2001):
+        cfg = tmp_path / f"fig4_{points}.cfg"
+        cfg.write_text(preset.replace("spectrum_points = 2001", f"spectrum_points = {points}"))
+        out = tmp_path / str(points)
+        assert _run(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        widths = [_header_value(out / "spectrum.csv", key) for key in ("fwhm_rad_fs", "fwhm_nm")]
+        runs.append((widths, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    (width, width_nm), stdout = runs[0]
+    for points in (301, 2001):
+        edges = _header_value(tmp_path / str(points) / "spectrum.csv", "half_max_edges_rad_fs")
+        assert edges == "0.102386477 0.107864829"
+    assert (width, width_nm) == ("0.215729657", "45.2908968")
+    assert float(width) == pytest.approx(2.0 * float(edges.split()[-1]), rel=1e-8)
+    assert stdout == "singles spectrum FWHM: 0.215729657 rad/fs (45.2908968 nm)\n"
+
+
+def test_design_report_builds_no_spectrum(monkeypatch, tmp_path, capsys):
+    # Its width is the same root-based one `spectrum` prints, with no sampled spectrum.
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("design-report called singles_spectrum")
+
+    monkeypatch.setattr(cli, "singles_spectrum", no_spectrum)
+    assert _run(["design-report", "--preset", "fig1", "--out", str(tmp_path)]) == 0
+    assert (
+        "singles spectrum\n  fwhm_rad_fs = 0.506432798\n  fwhm_nm = 692.526076\n"
+        "  half_max_edges_rad_fs = 0.129520904 0.253216399\nbiphoton"
+    ) in (tmp_path / "design_report.txt").read_text()
 
 
 def _check_pump_rule_lines(header):

@@ -1,16 +1,18 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 from scipy.optimize import brentq
 
+from sfwm.config import load_preset, resolve_pump
 from sfwm.dispersion import find_fgvm_points, mismatch_coefficients
 from sfwm.errors import ConfigError, EvaluationError, RangeError
 from sfwm.phasematching import (
     PmMap,
     critical_power,
     delta_k_cw,
-    fwhm,
     half_max_crossings,
+    half_max_edges,
     matched_detunings,
     mi_sideband_detuning,
     pm_map,
@@ -330,8 +332,8 @@ def test_fwhm_gaussian():
     x = np.linspace(-10.0, 10.0, 801)
     y = np.exp(-(x**2) / (2.0 * sigma**2))
     expected = 2.0 * sigma * np.sqrt(2.0 * np.log(2.0))
-    assert fwhm(x, y) == pytest.approx(expected, rel=5e-3)
     lo, hi = half_max_crossings(x, y)
+    assert hi - lo == pytest.approx(expected, rel=5e-3)
     assert lo == pytest.approx(-expected / 2.0, rel=5e-3)
     assert hi == pytest.approx(expected / 2.0, rel=5e-3)
 
@@ -342,17 +344,91 @@ def test_fwhm_outermost_crossings():
     y = np.exp(-((x - 2.0) ** 2)) + np.exp(-((x + 2.0) ** 2))
     lo, hi = half_max_crossings(x, y)
     assert lo < -2.0 and hi > 2.0
-    assert fwhm(x, y) == pytest.approx(hi - lo)
+    assert lo == pytest.approx(-hi)
 
 
 def test_fwhm_unresolved_raises():
     x = np.linspace(-0.5, 0.5, 101)
     with pytest.raises(EvaluationError):
-        fwhm(x, np.exp(-(x**2)))  # never falls below half inside range
+        half_max_crossings(x, np.exp(-(x**2)))  # never falls below half inside range
     with pytest.raises(EvaluationError):
-        fwhm(x, np.zeros_like(x))
+        half_max_crossings(x, np.zeros_like(x))
     with pytest.raises(ConfigError):
-        fwhm(x, np.ones(5))
+        half_max_crossings(x, np.ones(5))
+
+
+def _preset_edges(request, name):
+    """half_max_edges on a preset over its signal range, and the arguments it took."""
+    config = load_preset(name)
+    profile = request.getfixturevalue({"fig3": "profile_1644", "fig4": "profile_bismuth"}[name])
+    rp = resolve_pump(config, profile)
+    dmax = config.signal_axis(profile, rp.omega_p)[-1] - rp.omega_p
+    args = (profile, rp.omega_p, dmax, config.length_nm, config.gamma, rp.power)
+    return args, half_max_edges(*args)
+
+
+@pytest.mark.parametrize("name, n_edges", [("fig3", 1), ("fig4", 2)])
+def test_half_max_edges_match_mpmath_roots(name, n_edges, request):
+    # Every real root in (0, end) of the same polynomial L dk -/+ x_h, at 50 digits.
+    (profile, omega_p, dmax, length_nm, gamma, power), edges = _preset_edges(request, name)
+    coef, h = mismatch_coefficients(profile, omega_p, nonlinear_mismatch(gamma, power))
+    with mpmath.workdps(50):
+        x_h = mpmath.findroot(lambda y: (mpmath.sin(y / 2) / (y / 2)) ** 2 - 0.5, 2.78)
+        x = [mpmath.mpf(c) for c in length_nm * coef]
+        end = mpmath.mpf((dmax / h) ** 2)
+        roots = [
+            r
+            for level in (-x_h, x_h)
+            for r in mpmath.polyroots(x[:0:-1] + [x[0] + level], maxsteps=500, extraprec=500)
+            if abs(mpmath.im(r)) < 1e-30 and 0 < mpmath.re(r) < end
+        ]
+        expected = sorted(float(h * mpmath.sqrt(mpmath.re(r))) for r in roots)
+    assert edges.size == n_edges == len(expected)
+    assert edges == pytest.approx(expected, rel=1e-12, abs=0)
+    spectrum = singles_spectrum(profile, omega_p, omega_p + edges, length_nm, gamma, power)
+    assert spectrum == pytest.approx(0.5, abs=1e-12)
+    # Above half maximum inside a lone edge; with two, only between them (a dip at
+    # the pump); never beyond the last.
+    probes = np.concatenate(([0.5 * edges[0]], 0.5 * (edges[:-1] + edges[1:]), [1.01 * edges[-1]]))
+    above = singles_spectrum(profile, omega_p, omega_p + probes, length_nm, gamma, power) > 0.5
+    assert above.tolist() == [n_edges == 1] + [True] * (n_edges - 1) + [False]
+
+
+@pytest.mark.parametrize(
+    "tau_p2, power, x_peak, x_0",
+    [(600.0, 750.0, 1.5, -1.5), (-600.0, 250.0, 0.0, -0.5)],
+    ids=["normal", "anomalous"],
+)
+def test_half_max_edges_on_quadratic_profiles(tau_p2, power, x_peak, x_0):
+    # L dk = -tau_p2 delta^2 + x_0.  Normal dispersion keeps it <= -1.5, so the peak
+    # is sinc^2(0.75) < 1 at delta = 0; anomalous dispersion takes it through zero, so
+    # the peak is 1.  Either way the one edge is where |L dk| = x_h.
+    prof, _ = quadratic_profile(1.2, 0.06, 1e6, tau_p2=tau_p2)
+    omega_p, length_nm, gamma = 1.2, 1e6, 1000.0
+    assert -2.0 * length_nm * nonlinear_mismatch(gamma, power) == pytest.approx(x_0)
+    edges = half_max_edges(prof, omega_p, 0.08, length_nm, gamma, power)
+    axis = np.linspace(omega_p - 0.08, omega_p + 0.08, 20001)
+    spectrum = singles_spectrum(prof, omega_p, axis, length_nm, gamma, power)
+    peak = np.sinc(x_peak / (2 * np.pi)) ** 2
+    assert spectrum.max() == pytest.approx(peak, rel=1e-6)
+    lo, hi = half_max_crossings(axis, spectrum)
+    assert edges.size == 1
+    assert edges[0] == pytest.approx(hi - omega_p, rel=1e-7)
+    assert edges[0] == pytest.approx(omega_p - lo, rel=1e-7)
+    half = 0.5 * peak
+    x_h = brentq(lambda y: np.sinc(y / (2 * np.pi)) ** 2 - half, x_peak, 2 * np.pi, xtol=1e-15)
+    expected = np.sqrt((x_h + np.sign(tau_p2) * x_0) / abs(tau_p2))
+    assert edges[0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_half_max_edges_unresolved():
+    prof, _ = quadratic_profile(1.2, 0.06, 1e6, tau_p2=600.0)
+    # Still above half maximum at the end of a short range.
+    with pytest.raises(EvaluationError, match="still above half maximum"):
+        half_max_edges(prof, 1.2, 0.04, 1e6, 1000.0, 750.0)
+    # L dk <= -6 everywhere: the peak sinc^2(3) = 2e-3 is below a side lobe's 0.047.
+    with pytest.raises(EvaluationError, match="below 0.1"):
+        half_max_edges(prof, 1.2, 0.08, 1e6, 1000.0, 3000.0)
 
 
 def test_length_validation(profile_1644):
