@@ -235,32 +235,22 @@ class JsaGrid:
         return float(sum(np.vdot(e, e).real for e in edges) / np.vdot(a, a).real)
 
 
-def _check_working_point(tau: TauSet, pump: PumpSpec):
-    tol = 1e-9 * abs(tau.omega_p)
-    if abs(tau.omega_s0 + tau.omega_i0 - 2.0 * tau.omega_p) > tol:
-        raise ConfigError(
-            "working point violates energy conservation: omega_s0 + omega_i0 "
-            "must equal 2 omega_p"
-        )
-    if abs(pump.omega_p - tau.omega_p) > tol:
-        raise ConfigError("pump carrier differs from the TauSet pump frequency")
-
-
 def jsa_analytic(tau: TauSet, pump: PumpSpec, signal_axis, idler_axis) -> JsaGrid:
     """Closed-form JSA of the quadratic mismatch model on a frequency grid, normalised.
 
     Valid wherever the TauSet's second-order expansion of the mismatch is;
-    axes are absolute frequencies in rad/fs centred near the TauSet working
-    point.
+    axes are absolute frequencies in rad/fs centred near tau.omega_s and
+    tau.omega_i.  The pump carrier must be tau.omega_p (ConfigError otherwise).
     """
-    _check_working_point(tau, pump)
+    if abs(pump.omega_p - tau.omega_p) > 1e-9 * abs(tau.omega_p):
+        raise ConfigError("pump carrier differs from the TauSet pump frequency")
     signal_axis, idler_axis = _jsa_axes(signal_axis, idler_axis)
-    nu_i = (idler_axis - tau.omega_i0)[np.newaxis, :]
+    nu_i = (idler_axis - tau.omega_i)[np.newaxis, :]
     a = 0.5 * tau.tau_p2 * pump.sigma**2
     amplitude = np.empty((signal_axis.size, idler_axis.size), dtype=complex)
     rows = max(1, _BLOCK_POINTS // (8 * idler_axis.size))
     for start in range(0, signal_axis.size, rows):
-        nu_s = (signal_axis[start : start + rows] - tau.omega_s0)[:, np.newaxis]
+        nu_s = (signal_axis[start : start + rows] - tau.omega_s)[:, np.newaxis]
         nu = nu_s + nu_i
         beta = tau.beta(nu_s, nu_i)
         envelope = np.exp(-(nu**2) / (2.0 * pump.sigma**2))

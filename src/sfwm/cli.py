@@ -47,6 +47,7 @@ from .phasematching import (
     half_max_edges,
     mi_sideband_detuning,
     pm_map,
+    seed_loops,
     singles_spectrum,
     trace_contours,
 )
@@ -172,14 +173,18 @@ def _cmd_contours(args, config: RunConfig, profile) -> int:
 
     lines = _header("contours", args, config, _pump_resolution_echo(rp))
     lines.append("power_w,contour_index,closed,omega_p_rad_fs,delta_rad_fs")
+    matches = rp.matches or find_fgvm_points(profile)
     for power in rp.powers:
         pm = pm_map(profile, pump_axis, det_axis, gamma=config.gamma, power=power)
         contours = trace_contours(pm)
+        seeded = seed_loops(profile, pm, contours, matches, config.gamma, power)
+        contours += seeded
         closed = sum(1 for c in contours if c.closed)
         for idx, contour in enumerate(contours):
             head = f"{_f(power)},{idx},{int(contour.closed)}"
             lines.extend(f"{head},{_f(op)},{_f(dd)}" for op, dd in contour.points)
-        print(f"P = {_f(power)} W: {len(contours)} contour(s), {closed} closed")
+        note = f", {len(seeded)} seeded" if seeded else ""
+        print(f"P = {_f(power)} W: {len(contours)} contour(s), {closed} closed{note}")
     _write(args, "contours.csv", lines)
     return 0
 
@@ -226,7 +231,7 @@ def _working_point_echo(wp: WorkingPoint) -> list[tuple[str, str]]:
 def _numeric_jsa(command: str, args, config: RunConfig, profile) -> tuple[list[str], JsaGrid]:
     """The run's numeric JSA, and its file header with how the pump rule settled."""
     wp = working_point(config, profile)
-    s_axis, i_axis = wp.axes(config.jsa_span, config.jsa_points)
+    s_axis, i_axis = wp.axes(profile, config.jsa_span, config.jsa_points)
     jsa = jsa_numeric(profile, wp.pump, s_axis, i_axis, config.length_nm, gamma=config.gamma)
     lines = _header(command, args, config, _working_point_echo(wp))
     lines.extend(f"# pump_rule_{key} = {_f(val)}" for key, val in vars(jsa.quadrature).items())
@@ -289,8 +294,7 @@ def _cmd_design_report(args, config: RunConfig, profile) -> int:
     wp = working_point(config, profile)
     rp = wp.pump
     tau = tau_coefficients(
-        profile, rp.omega_p, wp.omega_s, wp.omega_i, config.length_nm,
-        gamma=config.gamma, power=rp.power,
+        profile, rp.omega_p, wp.delta, config.length_nm, gamma=config.gamma, power=rp.power
     )
 
     try:
@@ -309,7 +313,7 @@ def _cmd_design_report(args, config: RunConfig, profile) -> int:
     critical = {} if rp.p_star is None else {"critical_power_w": rp.p_star}
     spectrum, note = _singles_width(config, profile, rp)
     spectrum = {"fwhm_rad_fs": "unresolved within the window"} if note else spectrum
-    s_axis, i_axis = wp.axes(config.jsa_span, config.jsa_points)
+    s_axis, i_axis = wp.axes(profile, config.jsa_span, config.jsa_points)
     purity = heralded_purity(jsa_analytic(tau, wp.pump, s_axis, i_axis))
 
     body = [

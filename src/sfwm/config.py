@@ -19,11 +19,11 @@ from importlib import resources
 import numpy as np
 
 from .biphoton import PumpSpec
-from .dispersion import DispersionProfile, FgvmPoint, build_profile, find_fgvm_points
+from .dispersion import DispersionProfile, FgvmPoint, Pair, build_profile, find_fgvm_points
 from .errors import ConfigError, EvaluationError, RangeError
 from .materials import ConstantIndex, SellmeierModel, get_material
 from .modes import FiberSpec
-from .phasematching import critical_power, matched_detunings
+from .phasematching import _CRITICAL_POWER_RTOL, critical_power, matched_detunings
 from .units import omega_from_wavelength, pump_sigma_from_fwhm, wavelength_from_omega
 
 # The most phase, in radians over the fibre, that the dispersion proxy's
@@ -353,11 +353,12 @@ def load_preset(name: str) -> RunConfig:
 
 @dataclass(frozen=True)
 class ResolvedPump(PumpSpec):
-    """PumpSpec after the auto-gvm/auto-critical rules, plus contour powers, P* and match."""
+    """PumpSpec after the auto-gvm/auto-critical rules, plus contour powers, P*, match, matches."""
 
     powers: tuple[float, ...] = ()
     p_star: float | None = None
     gvm: FgvmPoint | None = None
+    matches: tuple[FgvmPoint, ...] = ()
 
     @property
     def lambda_nm(self) -> float:
@@ -380,10 +381,10 @@ def resolve_pump(config: RunConfig, profile: DispersionProfile) -> ResolvedPump:
             f"range {wavelength_from_omega(hi):.9g} to {wavelength_from_omega(lo):.9g} nm"
         )
     need_crit = config.pump_power.auto or any(p.auto for p in config.pump_powers)
-    gvm = None
-    p_star = None
+    gvm = p_star = None
+    matches = ()
     if need_gvm or need_crit:
-        matches = find_fgvm_points(profile)
+        matches = tuple(find_fgvm_points(profile))
         if not matches:
             raise EvaluationError(
                 "no nondegenerate group-velocity match in this window; give the "
@@ -410,36 +411,32 @@ def resolve_pump(config: RunConfig, profile: DispersionProfile) -> ResolvedPump:
         powers=tuple(p.resolved(p_star) for p in config.pump_powers),
         p_star=p_star,
         gvm=gvm,
+        matches=matches,
     )
 
 
-# Powers this close to P* count as the critical power.  Run files may hold
-# P* pasted from an output echo, whose %.9g rounding is up to 5e-9 relative.
-_CRITICAL_POWER_RTOL = 1e-8
-
-
 @dataclass(frozen=True)
-class WorkingPoint:
+class WorkingPoint(Pair):
     """Resolved pump and the exactly phase-matched signal/idler pair at it."""
 
     pump: ResolvedPump
-    delta: float  # matched half-separation (rad/fs): the pair is omega_p +- delta
+    delta: float  # matched half-separation (rad/fs)
 
     @property
-    def omega_s(self) -> float:
-        return self.pump.omega_p + self.delta
+    def omega_p(self) -> float:
+        return self.pump.omega_p
 
-    @property
-    def omega_i(self) -> float:
-        return self.pump.omega_p - self.delta
-
-    def axes(self, span: float, points: int) -> tuple[np.ndarray, np.ndarray]:
-        """Signal and idler axes of `points` samples, +-span (below delta) around the pair."""
+    def axes(self, profile, span: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+        """`points` samples +-span about signal and idler: span below delta, in the query window."""
         if not span < self.delta:
             raise ConfigError(
                 f"grids.jsa_span_rad_fs = {span:.9g} reaches the pump: the span limit is "
                 f"the matched half-separation delta = {self.delta:.9g} rad/fs"
             )
+        try:
+            profile.check_window(np.array([self.omega_i - span, self.omega_s + span]))
+        except RangeError as err:
+            raise ConfigError(f"grids.jsa_span_rad_fs = {span:.9g} puts a {err}") from None
         return (
             np.linspace(self.omega_s - span, self.omega_s + span, points),
             np.linspace(self.omega_i - span, self.omega_i + span, points),

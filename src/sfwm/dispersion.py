@@ -204,17 +204,12 @@ def zero_dispersion_wavelengths(profile: DispersionProfile) -> np.ndarray:
     return np.sort(wavelength_from_omega(find_zdfs(profile)))
 
 
-@dataclass(frozen=True)
-class FgvmPoint:
-    """Pump frequency and half-separation of a full group-velocity match.
+class Pair:
+    """Signal and idler of a degenerate pump omega_p at half-separation delta.
 
-    At such a point the signal at omega_p + delta, the idler at
-    omega_p - delta and the pump itself share one group velocity, with
-    delta > 0: swapping signal and idler gives the same pair.
+    Energy conservation puts the signal at omega_p + delta and the idler at
+    omega_p - delta; subclasses provide omega_p and delta.
     """
-
-    omega_p: float
-    delta: float
 
     @property
     def omega_s(self) -> float:
@@ -223,6 +218,19 @@ class FgvmPoint:
     @property
     def omega_i(self) -> float:
         return self.omega_p - self.delta
+
+
+@dataclass(frozen=True)
+class FgvmPoint(Pair):
+    """Pump frequency and half-separation of a full group-velocity match.
+
+    At such a point the signal, the idler and the pump itself share one
+    group velocity, with delta > 0: swapping signal and idler gives the
+    same pair.
+    """
+
+    omega_p: float
+    delta: float
 
 
 def _walk_off_series(profile: DispersionProfile, omega_p):
@@ -297,34 +305,30 @@ def find_fgvm_points(profile: DispersionProfile) -> list[FgvmPoint]:
 
 
 @dataclass(frozen=True)
-class TauSet:
+class TauSet(Pair):
     """Second-order local description of phase matching at a working point.
 
-    Taylor data of L k(omega) around pump omega_p and central signal/idler
-    omega_s0, omega_i0:
+    Taylor data of L k(omega) around pump omega_p and the pair omega_s,
+    omega_i at half-separation delta:
 
-        tau_s1 = L [k'(omega_p) - k'(omega_s0)]          (fs)
-        tau_s2 = L [k''(omega_p) - k''(omega_s0)] / 2    (fs^2)
-        tau_p2 = L k''(omega_p)                          (fs^2)
+        tau_s1 = L [k'(omega_p) - k'(omega_s)]          (fs)
+        tau_s2 = L [k''(omega_p) - k''(omega_s)] / 2    (fs^2)
+        tau_p2 = L k''(omega_p)                         (fs^2)
 
     (same for the idler) plus the constant mismatch
 
-        delta_k0 = L [2 k(omega_p) - k(omega_p + d) - k(omega_p - d) - 2 gamma P]
+        delta_k0 = L [2 k(omega_p) - k(omega_s) - k(omega_i) - 2 gamma P]
 
-    in radians, with d = (omega_s0 - omega_i0) / 2 (energy conservation puts
-    the pair symmetrically about the pump).  Together these determine the
-    low-order phase mismatch
+    in radians.  Together these determine the low-order phase mismatch
 
         beta(nu_s, nu_i) = delta_k0 + tau_s1 nu_s + tau_i1 nu_i
                            + tau_s2 nu_s^2 + tau_i2 nu_i^2 + tau_p2 nu_s nu_i
 
-    for detunings nu from the central frequencies.
+    for detunings nu from the pair's frequencies.
     """
 
     omega_p: float
-    omega_s0: float
-    omega_i0: float
-    length_nm: float
+    delta: float
     delta_k0: float
     tau_s1: float
     tau_i1: float
@@ -349,13 +353,12 @@ class TauSet:
 def tau_coefficients(
     profile: DispersionProfile,
     omega_p: float,
-    omega_s0: float,
-    omega_i0: float,
+    delta: float,
     length_nm: float,
     gamma: float = 0.0,
     power: float = 0.0,
 ) -> TauSet:
-    """Taylor coefficients of the phase mismatch for a chosen working point.
+    """Taylor coefficients of the phase mismatch at the pair omega_p +- delta.
 
     gamma is the nonlinear parameter in 1/(W km) and power the peak pump
     power in W; they only shift the constant term.  The walk-offs come from
@@ -364,6 +367,8 @@ def tau_coefficients(
     """
     if not length_nm > 0:
         raise ConfigError(f"fibre length must be positive, got {length_nm}")
+    # Expanded at the pair as rounded, tau.omega_s and tau.omega_i, where JSA axes centre.
+    omega_s0, omega_i0 = omega_p + delta, omega_p - delta
     profile.check_window(np.array([omega_s0, omega_i0]))
     coef, h = mismatch_coefficients(profile, omega_p, nonlinear_mismatch(gamma, power))
     dk0 = length_nm * polyval((0.5 * (omega_s0 - omega_i0) / h) ** 2, coef)
@@ -371,9 +376,7 @@ def tau_coefficients(
     x_s, x_i = (omega_s0 - omega_p) / h, (omega_i0 - omega_p) / h
     return TauSet(
         omega_p=omega_p,
-        omega_s0=omega_s0,
-        omega_i0=omega_i0,
-        length_nm=length_nm,
+        delta=delta,
         delta_k0=float(dk0),
         tau_s1=float(-length_nm * d1(x_s) / h),
         tau_i1=float(-length_nm * d1(x_i) / h),

@@ -23,12 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial.polynomial import polyval
 
-from .dispersion import DispersionProfile, mismatch_coefficients, sign_change_roots
+from .dispersion import DispersionProfile, _walk_off_series, mismatch_coefficients, sign_change_roots
 from .errors import ConfigError, EvaluationError
 from .modes import bisect
 from .units import nonlinear_mismatch
+
+# Powers this close to P* count as the critical power.  Run files may hold
+# P* pasted from an output echo, whose %.9g rounding is up to 5e-9 relative.
+_CRITICAL_POWER_RTOL = 1e-8
 
 
 def sinc_phase(y):
@@ -59,7 +62,12 @@ def delta_k_cw(
     profile.check_window(omega_p - delta)
     profile.check_window(omega_p + delta)
     coef, h = mismatch_coefficients(profile, omega_p, nonlinear_mismatch(gamma, power))
-    return polyval((delta / h) ** 2, coef, tensor=False)
+    x = (delta / h) ** 2
+    out = coef[-1] + x * 0.0  # polyval(tensor=False) in place: one map-sized array, not three
+    for c in coef[-2::-1]:
+        out *= x
+        out += c
+    return out
 
 
 def matched_detunings(
@@ -213,6 +221,39 @@ def trace_contours(pm: PmMap) -> list[Contour]:
     # comes back around to it.
     walks += [walk(seg_edges[s][0]) for s in range(len(used)) if not used[s]]
     return [Contour(points=xy[chain], closed=closed) for chain, closed in walks]
+
+
+def seed_loops(profile, pm: PmMap, contours, matches, gamma=0.0, power=0.0) -> list[Contour]:
+    """Closed loops around full group-velocity matches that the contours traced on pm miss.
+
+    Both slopes of delta_k vanish at a match (omega_p, +-delta) on the map, so a loop
+    delta_k0 + x^T H x / 2 = 0 surrounds it where the Hessian H (from the walk-off series, no
+    differences of k) is definite, delta_k0 has the opposite sign and P is not P*.  Where no
+    closed contour winds around such a point, a map of pm's size over twice the ellipse's
+    extents, clipped to pm's axes, supplies its loops.
+    """
+    seeded, px, dx = [], pm.pump_axis, pm.detuning_axis
+    for m in (m for m in matches if px[0] <= m.omega_p <= px[-1] and m.delta < dx[-1]):
+        d1, d2, h = _walk_off_series(profile, m.omega_p)
+        # k'' at omega_p +- delta, and the same less k''(omega_p).
+        k2, w2 = (f(np.array([m.delta, -m.delta]) / h) / h**2 for f in (d1.deriv(), d2))
+        hess = -np.array([[w2.sum(), k2[0] - k2[1]], [k2[0] - k2[1], k2.sum()]])
+        det = hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2
+        dk0 = float(delta_k_cw(profile, m.omega_p, m.delta, gamma, power))
+        lin = dk0 + 2.0 * nonlinear_mismatch(gamma, power)  # 2 gamma P* at the match
+        if det <= 0 or dk0 * hess[0, 0] >= 0 or abs(dk0) <= _CRITICAL_POWER_RTOL * abs(lin):
+            continue
+        half = 2.0 * np.sqrt(-2.0 * dk0 * np.diag(hess)[::-1] / det)
+        for centre in ((m.omega_p, m.delta), (m.omega_p, -m.delta)):
+            # A closed contour's winding number about centre is +-1 inside, 0 outside.
+            z = [c.points[:, 0] - centre[0] + 1j * (c.points[:, 1] - centre[1])
+                 for c in contours + seeded if c.closed]
+            if not any(abs(np.angle(np.roll(w, -1) / w).sum()) > np.pi for w in z):
+                axes = [np.linspace(max(c - r, a[0]), min(c + r, a[-1]), a.size)
+                        for c, r, a in zip(centre, half, (px, dx))]
+                local = trace_contours(pm_map(profile, *axes, gamma=gamma, power=power))
+                seeded += [c for c in local if c.closed]
+    return seeded
 
 
 def critical_power(

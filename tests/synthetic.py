@@ -76,6 +76,7 @@ def hermite_polynomial_profile(
         "omega_p": omega_p,
         "omega_s0": omega_p + delta,
         "omega_i0": omega_p - delta,
+        "delta": delta,
         "length_nm": length,
         "tau_s1": tau_s1,
         "tau_i1": tau_i1,
@@ -104,6 +105,7 @@ def quadratic_profile(omega_p, delta, length_nm, tau_p2, k0=5.0e-3, g0=4.9e-3):
         "omega_p": omega_p,
         "omega_s0": omega_p + delta,
         "omega_i0": omega_p - delta,
+        "delta": delta,
         "length_nm": length,
         "tau_s1": -tau_p2 * delta,
         "tau_i1": tau_p2 * delta,

@@ -137,8 +137,7 @@ def _model_vs_numeric(profile, expected, sigma, span, points=64):
     tau = tau_coefficients(
         profile,
         expected["omega_p"],
-        expected["omega_s0"],
-        expected["omega_i0"],
+        expected["delta"],
         expected["length_nm"],
     )
     pump = PumpSpec(omega_p=expected["omega_p"], sigma=sigma)
@@ -189,9 +188,7 @@ def test_criterion_5_closed_form_matches_quadrature():
 def _purity_of(tau_s2, tau_i2, tau_p2=20.0, sigma=1.0, span=0.12, points=181):
     tau = TauSet(
         omega_p=1.2,
-        omega_s0=1.26,
-        omega_i0=1.14,
-        length_nm=1.0e6,
+        delta=0.06,
         delta_k0=0.0,
         tau_s1=0.0,
         tau_i1=0.0,

@@ -194,13 +194,11 @@ def test_jsa_with_a_descending_idler_axis(kernel):
 # ----------------------------------------------------------------- analytic JSA
 
 
-def _symmetric_tau(tau_s2=1.0e3, tau_i2=None, tau_p2=10.0, length=1e8):
+def _symmetric_tau(tau_s2=1.0e3, tau_i2=None, tau_p2=10.0):
     tau_i2 = tau_s2 if tau_i2 is None else tau_i2
     return TauSet(
         omega_p=1.2,
-        omega_s0=1.26,
-        omega_i0=1.14,
-        length_nm=length,
+        delta=0.06,
         delta_k0=2.0,
         tau_s1=55.0,
         tau_i1=55.0,
@@ -224,7 +222,7 @@ def test_jsa_analytic_near_circular_contour():
     # cross-coupling, flat pump envelope: the half-max intensity contour in
     # the detuning plane is nearly a circle.
     tau = TauSet(
-        omega_p=1.2, omega_s0=1.26, omega_i0=1.14, length_nm=1e8,
+        omega_p=1.2, delta=0.06,
         delta_k0=0.0, tau_s1=0.0, tau_i1=0.0,
         tau_s2=2.0e3, tau_i2=2.0e3, tau_p2=1e-6,
     )
@@ -247,7 +245,8 @@ def test_jsa_analytic_near_circular_contour():
     assert ecc < 0.1
 
 
-def test_jsa_analytic_energy_conservation_enforced():
+def test_jsa_analytic_pump_carrier_enforced():
+    # The TauSet fixes the pair about its own pump; another carrier is refused.
     tau = _symmetric_tau()
     pump = PumpSpec(omega_p=1.2, sigma=0.02)
     bad = PumpSpec(omega_p=1.21, sigma=0.02)
@@ -263,12 +262,12 @@ def test_jsa_analytic_zero_tau_p2_limit():
         1.2, 0.06, 1e8, tau_s1=40.0, tau_i1=-25.0, tau_s2=800.0, tau_i2=500.0,
         tau_p2=0.0,
     )
-    tau0 = tau_coefficients(prof0, 1.2, 1.26, 1.14, 1e8)
+    tau0 = tau_coefficients(prof0, 1.2, 0.06, 1e8)
     prof1, _ = hermite_polynomial_profile(
         1.2, 0.06, 1e8, tau_s1=40.0, tau_i1=-25.0, tau_s2=800.0, tau_i2=500.0,
         tau_p2=1e-4,
     )
-    tau1 = tau_coefficients(prof1, 1.2, 1.26, 1.14, 1e8)
+    tau1 = tau_coefficients(prof1, 1.2, 0.06, 1e8)
     pump = PumpSpec(omega_p=1.2, sigma=0.02)
     nu = np.linspace(-0.02, 0.02, 31)
     g0 = jsa_analytic(tau0, pump, 1.26 + nu, 1.14 + nu)
@@ -444,7 +443,7 @@ def test_jsa_numeric_matches_analytic_quadratic():
     # For a globally quadratic k the closed form is exact; quadrature and
     # formula must agree tightly on a normalized grid.
     prof, exp = quadratic_profile(1.2136, 0.0582, 5e8, tau_p2=-2.0e4)
-    tau = tau_coefficients(prof, exp["omega_p"], exp["omega_s0"], exp["omega_i0"],
+    tau = tau_coefficients(prof, exp["omega_p"], exp["delta"],
                            exp["length_nm"])
     pump = PumpSpec(omega_p=exp["omega_p"], sigma=0.004)
     nu = np.linspace(-0.008, 0.008, 41)
@@ -464,7 +463,7 @@ def test_jsa_numeric_matches_analytic_quadratic():
 def _fig4_jsa_inputs(profile):
     config = load_preset("fig4")
     wp = working_point(config, profile)
-    axes = wp.axes(config.jsa_span, config.jsa_points)
+    axes = wp.axes(profile, config.jsa_span, config.jsa_points)
     return config, wp.pump, axes
 
 
@@ -506,7 +505,7 @@ def test_pump_sum_matches_per_point_oracle_on_presets(request, name, fixture, po
     config = load_preset(name)
     wp = working_point(config, profile)
     pump = wp.pump
-    axes = wp.axes(config.jsa_span, config.jsa_points)
+    axes = wp.axes(profile, config.jsa_span, config.jsa_points)
     gp = nonlinear_mismatch(config.gamma, pump.power)
     rule = biphoton._pump_rule(points, pump.sigma)
     assert _per_point_error(profile, pump, axes, config.length_nm, gp, rule) <= 1e-12
@@ -554,10 +553,10 @@ def _preset_kernel(request, name, fixture, kernel):
     profile = request.getfixturevalue(fixture)
     config = load_preset(name)
     wp = working_point(config, profile)
-    axes = wp.axes(config.jsa_span, config.jsa_points)
+    axes = wp.axes(profile, config.jsa_span, config.jsa_points)
     if kernel == "numeric":
         return lambda: jsa_numeric(profile, wp.pump, *axes, config.length_nm, gamma=config.gamma)
-    tau = tau_coefficients(profile, wp.pump.omega_p, wp.omega_s, wp.omega_i,
+    tau = tau_coefficients(profile, wp.omega_p, wp.delta,
                            config.length_nm, gamma=config.gamma, power=wp.pump.power)
     return lambda: jsa_analytic(tau, wp.pump, *axes)
 
@@ -635,7 +634,7 @@ def test_jsa_kernels_do_not_depend_on_block_size(monkeypatch, profile_bismuth):
     _, counts = np.unique(sub[0][:, None] + sub[1], return_counts=True)
     assert sub[0].size == 32 and counts.max() > 3
     wp = working_point(config, profile_bismuth)
-    tau = tau_coefficients(profile_bismuth, wp.pump.omega_p, wp.omega_s, wp.omega_i,
+    tau = tau_coefficients(profile_bismuth, wp.omega_p, wp.delta,
                            config.length_nm, gamma=config.gamma, power=wp.pump.power)
     rows = (axes[0][::7], axes[1][::9])
     assert rows[0].size % 3 != 0
@@ -709,12 +708,12 @@ def test_purity_converges_in_step(profile_bismuth):
     config = load_preset("fig4")
     wp = working_point(config, profile_bismuth)
     tau = tau_coefficients(
-        profile_bismuth, wp.pump.omega_p, wp.omega_s, wp.omega_i, config.length_nm,
+        profile_bismuth, wp.omega_p, wp.delta, config.length_nm,
         gamma=config.gamma, power=wp.pump.power,
     )
     coarse, fine = (
         schmidt_metrics(
-            jsa_analytic(tau, wp.pump, *wp.axes(config.jsa_span, points))
+            jsa_analytic(tau, wp.pump, *wp.axes(profile_bismuth, config.jsa_span, points))
         ).purity
         for points in (256, 511)
     )
@@ -737,11 +736,11 @@ def test_schmidt_weighting_order_matches_one_expression(profile_bismuth):
     # multiplies before wi, as in the one-expression product.
     config = load_preset("fig4")
     wp = working_point(config, profile_bismuth)
-    tau = tau_coefficients(profile_bismuth, wp.pump.omega_p, wp.omega_s, wp.omega_i,
+    tau = tau_coefficients(profile_bismuth, wp.omega_p, wp.delta,
                            config.length_nm, gamma=config.gamma, power=wp.pump.power)
     rng = np.random.default_rng(3)
     grids = [
-        jsa_analytic(tau, wp.pump, *wp.axes(config.jsa_span, config.jsa_points)),
+        jsa_analytic(tau, wp.pump, *wp.axes(profile_bismuth, config.jsa_span, config.jsa_points)),
         JsaGrid(np.linspace(1.20, 1.23, 13), np.linspace(1.34, 1.30, 17),
                 rng.standard_normal((13, 17)) + 1j * rng.standard_normal((13, 17))),
     ]

@@ -19,6 +19,8 @@ from sfwm import cli
 from sfwm.biphoton import JsaGrid, jsa_numeric
 from sfwm.cli import _jsa_rows, _write, main
 from sfwm.config import load_preset, working_point
+from sfwm.dispersion import find_fgvm_points
+from sfwm.phasematching import critical_power, delta_k_cw
 
 from oracles import jsa_csv_rows_per_cell
 
@@ -96,6 +98,40 @@ def test_contours_outputs(tiny_cfg, tmp_path, capsys):
     rows = _data_lines(tmp_path / "contours.csv")
     assert rows[0] == "power_w,contour_index,closed,omega_p_rad_fs,delta_rad_fs"
     assert len(rows) > 10
+
+
+def test_contours_seed_the_loops_a_coarse_map_misses(profile_1644, tmp_path, capsys):
+    # At 0.9999 P* fig2b's loops span 0.62 steps of its 256^2 map, which
+    # traces none of them; the loops seeded around the match agree with the
+    # ellipse of the mismatch's Hessian there and with a 1024^2 map's loops.
+    preset = (Path(sfwm.__file__).parent / "presets" / "fig2b.cfg").read_text()
+    near = re.sub(r"powers_w = .*", "powers_w = auto-critical:0.9999", preset)
+    extent = {}
+    for points in (256, 1024):
+        cfg, out = tmp_path / f"near{points}.cfg", tmp_path / str(points)
+        cfg.write_text(near.replace("map_points = 256", f"map_points = {points}"))
+        assert _run(["contours", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = np.array([r.split(",") for r in _data_lines(out / "contours.csv")[1:]], float)
+        assert set(rows[:, 1]) == {0.0, 1.0} and np.all(rows[:, 2] == 1.0)
+        extent[points] = [np.ptp(rows[rows[:, 1] == i, 4]) for i in (0.0, 1.0)]
+    assert capsys.readouterr().out.splitlines() == [
+        "P = 0.949529911 W: 2 contour(s), 2 closed, 2 seeded",
+        "P = 0.949529911 W: 2 contour(s), 2 closed",
+    ]
+    # The ellipse dk0 + x^T H x / 2 = 0, H by central differences of the mismatch.
+    match = min(find_fgvm_points(profile_1644), key=lambda p: p.delta)
+    power = 0.9999 * critical_power(profile_1644, match.omega_p, match.delta, 70.0)
+
+    def dk(dp, dd):
+        return delta_k_cw(profile_1644, match.omega_p + dp, match.delta + dd, 70.0, power)
+
+    e = 2e-3
+    h_pp, h_dd = ((dk(e, 0) - 2 * dk(0, 0) + dk(-e, 0)) / e**2,
+                  (dk(0, e) - 2 * dk(0, 0) + dk(0, -e)) / e**2)
+    h_pd = (dk(e, e) - dk(e, -e) - dk(-e, e) + dk(-e, -e)) / (4 * e**2)
+    ellipse = 2.0 * np.sqrt(-2.0 * dk(0, 0) * h_pp / (h_pp * h_dd - h_pd**2))
+    assert extent[256] == pytest.approx([ellipse] * 2, rel=0.02)
+    assert np.abs(np.subtract(extent[256], extent[1024])).max() <= 0.24 / 1023
 
 
 def test_spectrum_outputs(tiny_cfg, tmp_path, capsys):
@@ -227,7 +263,7 @@ def _preset_jsa(request, name, fixture):
     profile = request.getfixturevalue(fixture)
     config = load_preset(name)
     wp = working_point(config, profile)
-    axes = wp.axes(config.jsa_span, config.jsa_points)
+    axes = wp.axes(profile, config.jsa_span, config.jsa_points)
     return jsa_numeric(profile, wp.pump, *axes, config.length_nm, gamma=config.gamma)
 
 
@@ -349,6 +385,20 @@ def test_detuning_max_outside_window_exits_2(tmp_path, capsys):
         assert _run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "grids.detuning_max_rad_fs = 0.6 puts a frequency outside query window" in (
             capsys.readouterr().err
+        )
+
+
+def test_jsa_span_outside_window_exits_2(tmp_path, capsys):
+    # fig1's span 0.15 is below delta = 0.200 rad/fs, but the signal axis
+    # then ends past the window the proxy answers for.
+    cfg = tmp_path / "wide.cfg"
+    preset = (Path(sfwm.__file__).parent / "presets" / "fig1.cfg").read_text()
+    cfg.write_text(preset + "jsa_span_rad_fs = 0.15\n")
+    for command in ("jsa", "purity", "design-report"):
+        assert _run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: grids.jsa_span_rad_fs = 0.15 puts a frequency outside query window "
+            "[0.768530, 1.491852] rad/fs\n"
         )
 
 

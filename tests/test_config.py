@@ -456,7 +456,7 @@ def test_working_point_at_critical_power_is_the_match(profile_1644):
     assert wp.omega_s == wp.pump.omega_p + wp.delta
     assert wp.omega_i == wp.pump.omega_p - wp.delta
     assert isinstance(wp.pump, PumpSpec)
-    s_axis, i_axis = wp.axes(0.01, 5)
+    s_axis, i_axis = wp.axes(profile_1644, 0.01, 5)
     assert s_axis[2] == pytest.approx(wp.omega_s, abs=1e-15)
     assert i_axis[0] == pytest.approx(wp.omega_i - 0.01, abs=1e-15)
     # P* pasted as watts, off by the worst rounding of a 9-digit echo.

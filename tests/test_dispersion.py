@@ -209,9 +209,18 @@ def test_walk_offs_vanish_at_the_nanowire_match():
     config = load_preset("fig4")
     profile = config.profile()
     wp = working_point(config, profile)
-    tau = tau_coefficients(profile, wp.pump.omega_p, wp.omega_s, wp.omega_i, config.length_nm)
+    tau = tau_coefficients(profile, wp.omega_p, wp.delta, config.length_nm)
     assert abs(tau.tau_s1) <= 1e-9
     assert abs(tau.tau_i1) <= 1e-9
+
+
+def test_tau_set_pair_is_the_working_points(profile_bismuth):
+    # One definition of the pair: the expansion's signal and idler are the
+    # working point's to the bit, so jsa_analytic centres on the matched pair.
+    config = load_preset("fig4")
+    wp = working_point(config, profile_bismuth)
+    tau = tau_coefficients(profile_bismuth, wp.omega_p, wp.delta, config.length_nm)
+    assert (tau.omega_s, tau.omega_i) == (wp.omega_s, wp.omega_i)
 
 
 @pytest.mark.parametrize("radius_um", [0.205, 0.20500000000000002, 0.21])
@@ -305,7 +314,7 @@ def test_tau_coefficients_against_construction():
         d_value=2.0e-7,
     )
     tau = tau_coefficients(
-        prof, exp["omega_p"], exp["omega_s0"], exp["omega_i0"], exp["length_nm"]
+        prof, exp["omega_p"], exp["delta"], exp["length_nm"]
     )
     assert tau.tau_s1 == pytest.approx(exp["tau_s1"], rel=1e-8)
     assert tau.tau_i1 == pytest.approx(exp["tau_i1"], rel=1e-8)
@@ -322,7 +331,7 @@ def test_tau_coefficients_ignore_affine_part_of_k():
     prof, exp = hermite_polynomial_profile(
         1.2, 0.06, 1e8, tau_s1=20.0, tau_i1=35.0, tau_s2=1e3, tau_i2=2e3, tau_p2=4e3
     )
-    args = (exp["omega_p"], exp["omega_s0"], exp["omega_i0"], exp["length_nm"])
+    args = (exp["omega_p"], exp["delta"], exp["length_nm"])
     base = tau_coefficients(prof, *args)
     assert dataclasses.asdict(tau_coefficients(with_line(prof), *args)) == (
         dataclasses.asdict(base)
@@ -352,8 +361,8 @@ def test_taylor_reexpands_the_proxy(profile_1644):
 
 def test_tau_nonlinear_term():
     prof, exp = quadratic_profile(1.2, 0.06, 1e6, tau_p2=60.0)
-    base = tau_coefficients(prof, 1.2, 1.26, 1.14, 1e6)
-    shifted = tau_coefficients(prof, 1.2, 1.26, 1.14, 1e6, gamma=70.0, power=1.0)
+    base = tau_coefficients(prof, 1.2, 0.06, 1e6)
+    shifted = tau_coefficients(prof, 1.2, 0.06, 1e6, gamma=70.0, power=1.0)
     # 2 gamma P L with gamma P = 70e-12 rad/nm over 1e6 nm.
     assert base.delta_k0 - shifted.delta_k0 == pytest.approx(2.0 * 70e-12 * 1e6, rel=1e-9)
     assert shifted.tau_s1 == base.tau_s1
@@ -371,7 +380,7 @@ def test_beta_quadratic_form():
         tau_i2=2.0e4,
         tau_p2=-3.0e4,
     )
-    tau = tau_coefficients(prof, 1.2, 1.26, 1.14, 1e8)
+    tau = tau_coefficients(prof, 1.2, 0.06, 1e8)
     nu_s, nu_i = 0.003, -0.002
     expected = (
         tau.delta_k0
@@ -388,7 +397,7 @@ def test_tau_length_validation():
     prof, _ = quadratic_profile(1.2, 0.06, 1e6, tau_p2=60.0)
     for length_nm in (0.0, math.nan):
         with pytest.raises(ConfigError):
-            tau_coefficients(prof, 1.2, 1.26, 1.14, length_nm)
+            tau_coefficients(prof, 1.2, 0.06, length_nm)
 
 
 def _tau_with_walkoffs(tau_s1, tau_i1):
@@ -402,7 +411,7 @@ def _tau_with_walkoffs(tau_s1, tau_i1):
         tau_i2=2e3,
         tau_p2=4e3,
     )
-    return tau_coefficients(prof, 1.2, 1.26, 1.14, 1e8)
+    return tau_coefficients(prof, 1.2, 0.06, 1e8)
 
 
 def test_theta_pm_cardinal_cases():
