@@ -46,10 +46,9 @@ from .phasematching import (
     critical_power,
     half_max_edges,
     mi_sideband_detuning,
-    pm_map,
     seed_loops,
     singles_spectrum,
-    trace_contours,
+    zero_contours,
 )
 from .units import wavelength_from_omega
 
@@ -162,22 +161,14 @@ def _cmd_dispersion(args, config: RunConfig, profile) -> int:
 
 def _cmd_contours(args, config: RunConfig, profile) -> int:
     rp = resolve_pump(config, profile)
-    lo, hi = profile.query_window
-    dmax = config.detuning_max
-    if hi - lo <= 2.0 * dmax:
-        raise ConfigError(
-            "grids.detuning_max_rad_fs leaves no pump range inside the window"
-        )
-    pump_axis = np.linspace(lo + dmax, hi - dmax, config.map_points)
-    det_axis = np.linspace(-dmax, dmax, config.map_points)
+    axes = config.map_axes(profile)
 
     lines = _header("contours", args, config, _pump_resolution_echo(rp))
     lines.append("power_w,contour_index,closed,omega_p_rad_fs,delta_rad_fs")
     matches = rp.matches or find_fgvm_points(profile)
     for power in rp.powers:
-        pm = pm_map(profile, pump_axis, det_axis, gamma=config.gamma, power=power)
-        contours = trace_contours(pm)
-        seeded = seed_loops(profile, pm, contours, matches, config.gamma, power)
+        contours = zero_contours(profile, *axes, config.gamma, power)
+        seeded = seed_loops(profile, axes, contours, matches, config.gamma, power)
         contours += seeded
         closed = sum(1 for c in contours if c.closed)
         for idx, contour in enumerate(contours):

@@ -23,7 +23,7 @@ from .dispersion import DispersionProfile, FgvmPoint, Pair, build_profile, find_
 from .errors import ConfigError, EvaluationError, RangeError
 from .materials import ConstantIndex, SellmeierModel, get_material
 from .modes import FiberSpec
-from .phasematching import _CRITICAL_POWER_RTOL, critical_power, matched_detunings
+from .phasematching import at_critical_power, critical_power, matched_detunings
 from .units import omega_from_wavelength, pump_sigma_from_fwhm, wavelength_from_omega
 
 # The most phase, in radians over the fibre, that the dispersion proxy's
@@ -159,7 +159,7 @@ _ROWS = (
     ("pump", "power_w", "pump_power", _power, _NEEDED),
     ("pump", "powers_w", "pump_powers", _powers, None),
     ("grids", "window_nm", "window_nm", _band, _NEEDED),
-    ("grids", "map_points", "map_points", _count, 256),
+    ("grids", "map_points", "map_points", partial(_count, least=3), 256),
     ("grids", "detuning_max_rad_fs", "detuning_max", _positive, 0.1),
     ("grids", "spectrum_points", "spectrum_points", partial(_count, least=3), 2001),
     ("grids", "jsa_points", "jsa_points", _count, 256),
@@ -250,6 +250,13 @@ class RunConfig:
         if not s_lo < s_hi:
             raise EvaluationError("pump frequency leaves no signal range in the window")
         return np.linspace(s_lo, s_hi, self.spectrum_points)
+
+    def map_axes(self, profile: DispersionProfile) -> tuple[np.ndarray, np.ndarray]:
+        """Pump and detuning axes of the contour map, every sideband in the query window."""
+        (lo, hi), d = profile.query_window, self.detuning_max
+        if hi - lo <= 2.0 * d:
+            raise ConfigError("grids.detuning_max_rad_fs leaves no pump range inside the window")
+        return np.linspace(lo + d, hi - d, self.map_points), np.linspace(-d, d, self.map_points)
 
     def echo_items(self) -> list[tuple[str, str]]:
         """Every setting as (key, value) text, in table order."""
@@ -452,12 +459,8 @@ def _matched_delta(config: RunConfig, profile, rp: ResolvedPump) -> float:
     `matched_detunings`), the root nearest the match is used when one is
     known, else the outermost.
     """
-    if rp.gvm is not None and config.pump_wavelength is None and config.gamma > 0:
-        p_star = rp.p_star
-        if p_star is None:  # a fixed power, possibly P* itself
-            p_star = critical_power(profile, rp.gvm.omega_p, rp.gvm.delta, config.gamma)
-        if abs(rp.power - p_star) <= _CRITICAL_POWER_RTOL * abs(p_star):
-            return rp.gvm.delta
+    if config.pump_wavelength is None and at_critical_power(profile, rp.gvm, config.gamma, rp.power):
+        return rp.gvm.delta
     try:  # matched_detunings' only window check: omega_p +- detuning_max
         roots = matched_detunings(profile, rp.omega_p, config.detuning_max, config.gamma, rp.power)
     except RangeError as err:

@@ -12,9 +12,8 @@ It is evaluated as the even Taylor polynomial in delta about each pump
 frequency (`dispersion.mismatch_coefficients`), so the k values never
 cancel.  Matched pairs live on the delta_k = 0 level set; `trace_contours`
 extracts it from a sampled map by marching squares (linear interpolation on
-cell edges, saddles resolved by the cell-centre value).  Classifying the
-cells, looking up their segments and interpolating the crossings are array
-operations; only chaining the segments into polylines runs in Python.
+cell edges, saddles resolved by the cell-centre value; only the chaining runs
+in Python), and `zero_contours` then bisects each vertex onto it.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyval
 
 from .dispersion import DispersionProfile, _walk_off_series, mismatch_coefficients, sign_change_roots
 from .errors import ConfigError, EvaluationError
@@ -223,16 +223,40 @@ def trace_contours(pm: PmMap) -> list[Contour]:
     return [Contour(points=xy[chain], closed=closed) for chain, closed in walks]
 
 
-def seed_loops(profile, pm: PmMap, contours, matches, gamma=0.0, power=0.0) -> list[Contour]:
-    """Closed loops around full group-velocity matches that the contours traced on pm miss.
+def zero_contours(profile, pump_axis, detuning_axis, gamma=0.0, power=0.0) -> list[Contour]:
+    """`trace_contours` of the `pm_map` on these array axes, each vertex then on delta_k = 0.
+
+    A vertex keeps its edge's fixed coordinate bit for bit; `bisect` closes the edge to one ulp
+    on a series built once at its pump op from `pump_series`' a_j, h: on a pump column the
+    polynomial of `mismatch_coefficients` in (delta / h)^2, on a detuning row 2 G(x) - G(x + d)
+    - G(x - d) - 2 gamma P in x = (omega_p - op) / h, for G = sum_j a_j x^j and d = delta / h.
+    """
+    contours = trace_contours(pm_map(profile, pump_axis, detuning_axis, gamma, power))
+    pts = np.concatenate([c.points for c in contours] or [np.empty((0, 2))])
+    (p0, p1), (d0, d1) = ((ax[np.searchsorted(ax, c, "right") - 1], ax[np.searchsorted(ax, c)])
+                          for ax, c in zip((pump_axis, detuning_axis), pts.T))
+    (op, dp), col, (a, h) = pts.T, p0 == p1, profile.pump_series(pts[:, 0])  # col: in delta
+    n, f, gp2 = len(a), np.cumprod(np.r_[1.0, 1:len(a)]), 2.0 * nonlinear_mismatch(gamma, power)
+    b = np.concatenate((-2.0 * a[::2] * col, np.zeros_like(a[: n // 2])))
+    for k in range(2, n, 2):  # b_r = -2 sum C(r + k, k) a_(r+k) d^k over even k > 0 on a row
+        b[: n - k] -= 2.0 * (f[k:] / f[: n - k] / f[k])[:, None] * a[k:] * (dp / h) ** k * ~col
+    pts[np.arange(len(pts)), col * 1] = bisect(
+        lambda z: polyval(np.where(col, (z / h) ** 2, (z - op) / h), b, tensor=False) - gp2,
+        np.where(col, d0, p0), np.where(col, d1, p1))
+    ends = np.cumsum([len(c.points) for c in contours[:-1]], dtype=int)
+    return [Contour(points=p, closed=c.closed) for p, c in zip(np.split(pts, ends), contours)]
+
+
+def seed_loops(profile, axes, contours, matches, gamma=0.0, power=0.0) -> list[Contour]:
+    """Closed loops around full group-velocity matches that the contours on the map's axes miss.
 
     Both slopes of delta_k vanish at a match (omega_p, +-delta) on the map, so a loop
     delta_k0 + x^T H x / 2 = 0 surrounds it where the Hessian H (from the walk-off series, no
     differences of k) is definite, delta_k0 has the opposite sign and P is not P*.  Where no
-    closed contour winds around such a point, a map of pm's size over twice the ellipse's
-    extents, clipped to pm's axes, supplies its loops.
+    closed contour winds around such a point, `zero_contours` on axes of the same size over
+    twice the ellipse's extents, clipped to the map's, supplies its loops.
     """
-    seeded, px, dx = [], pm.pump_axis, pm.detuning_axis
+    seeded, (px, dx) = [], axes
     for m in (m for m in matches if px[0] <= m.omega_p <= px[-1] and m.delta < dx[-1]):
         d1, d2, h = _walk_off_series(profile, m.omega_p)
         # k'' at omega_p +- delta, and the same less k''(omega_p).
@@ -240,8 +264,7 @@ def seed_loops(profile, pm: PmMap, contours, matches, gamma=0.0, power=0.0) -> l
         hess = -np.array([[w2.sum(), k2[0] - k2[1]], [k2[0] - k2[1], k2.sum()]])
         det = hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2
         dk0 = float(delta_k_cw(profile, m.omega_p, m.delta, gamma, power))
-        lin = dk0 + 2.0 * nonlinear_mismatch(gamma, power)  # 2 gamma P* at the match
-        if det <= 0 or dk0 * hess[0, 0] >= 0 or abs(dk0) <= _CRITICAL_POWER_RTOL * abs(lin):
+        if det <= 0 or dk0 * hess[0, 0] >= 0 or at_critical_power(profile, m, gamma, power):
             continue
         half = 2.0 * np.sqrt(-2.0 * dk0 * np.diag(hess)[::-1] / det)
         for centre in ((m.omega_p, m.delta), (m.omega_p, -m.delta)):
@@ -249,10 +272,9 @@ def seed_loops(profile, pm: PmMap, contours, matches, gamma=0.0, power=0.0) -> l
             z = [c.points[:, 0] - centre[0] + 1j * (c.points[:, 1] - centre[1])
                  for c in contours + seeded if c.closed]
             if not any(abs(np.angle(np.roll(w, -1) / w).sum()) > np.pi for w in z):
-                axes = [np.linspace(max(c - r, a[0]), min(c + r, a[-1]), a.size)
-                        for c, r, a in zip(centre, half, (px, dx))]
-                local = trace_contours(pm_map(profile, *axes, gamma=gamma, power=power))
-                seeded += [c for c in local if c.closed]
+                local = [np.linspace(max(c - r, a[0]), min(c + r, a[-1]), a.size)
+                         for c, r, a in zip(centre, half, (px, dx))]
+                seeded += [c for c in zero_contours(profile, *local, gamma, power) if c.closed]
     return seeded
 
 
@@ -270,6 +292,12 @@ def critical_power(
     if not gamma > 0:
         raise ConfigError(f"nonlinear parameter must be positive, got {gamma}")
     return float(delta_k_cw(profile, omega_p, delta)) / (2.0 * nonlinear_mismatch(gamma, 1.0))
+
+
+def at_critical_power(profile: DispersionProfile, match, gamma: float, power: float) -> bool:
+    """Whether power is P* at match (omega_p, delta), in mismatch form: never at gamma = 0."""
+    dk0 = float(delta_k_cw(profile, match.omega_p, match.delta, gamma, power))
+    return abs(dk0) < _CRITICAL_POWER_RTOL * abs(dk0 + 2.0 * nonlinear_mismatch(gamma, power))
 
 
 def mi_sideband_detuning(

@@ -100,6 +100,24 @@ def test_contours_outputs(tiny_cfg, tmp_path, capsys):
     assert len(rows) > 10
 
 
+def test_coarse_contour_map_counts_each_loop_once(tmp_path, capsys):
+    # On a 16^2 map fig2b's traced loops at 0.9 P* are coarse polygons; read
+    # before their vertices were polished, their chords missed the match and
+    # seeding added a twin of each.  A map needs 3 points a side: a 2x2 map,
+    # and seeding's local map of its size, holds no loop.
+    preset = (Path(sfwm.__file__).parent / "presets" / "fig2b.cfg").read_text()
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text(preset.replace("map_points = 256", "map_points = 16"))
+    assert _run(["contours", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [re.search(r": (\d+) contour\(s\), (\d+) closed", ln).groups() for ln in lines] == [
+        ("2", "2")
+    ] * 5
+    cfg.write_text(preset.replace("map_points = 256", "map_points = 2"))
+    assert _run(["contours", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: grids.map_points must be >= 3, got 2\n"
+
+
 def test_contours_seed_the_loops_a_coarse_map_misses(profile_1644, tmp_path, capsys):
     # At 0.9999 P* fig2b's loops span 0.62 steps of its 256^2 map, which
     # traces none of them; the loops seeded around the match agree with the
@@ -386,6 +404,11 @@ def test_detuning_max_outside_window_exits_2(tmp_path, capsys):
         assert "grids.detuning_max_rad_fs = 0.6 puts a frequency outside query window" in (
             capsys.readouterr().err
         )
+    # The contour map's pump axis, inset by 0.6 rad/fs at both ends, is empty.
+    assert _run(["contours", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: grids.detuning_max_rad_fs leaves no pump range inside the window\n"
+    )
 
 
 def test_jsa_span_outside_window_exits_2(tmp_path, capsys):

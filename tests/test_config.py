@@ -123,12 +123,15 @@ def test_bad_values_rejected(field, bad):
 
 
 def test_count_minimums():
-    # The FWHM of a spectrum needs three samples; the other grids need two.
-    grids = MINIMAL + "map_points = 2\njsa_points = 2\nspectrum_points = 3\n"
+    # The FWHM of a spectrum needs three samples, and so does a contour map:
+    # a 2x2 map (or seeding's local map of its size) holds no loop.  The JSA
+    # grid needs two.
+    grids = MINIMAL + "map_points = 3\njsa_points = 2\nspectrum_points = 3\n"
     config = parse_config(grids)
-    assert (config.map_points, config.jsa_points, config.spectrum_points) == (2, 2, 3)
-    with pytest.raises(ConfigError, match=r"grids\.spectrum_points must be >= 3, got 2"):
-        parse_config(grids.replace("spectrum_points = 3", "spectrum_points = 2"))
+    assert (config.map_points, config.jsa_points, config.spectrum_points) == (3, 2, 3)
+    for option in ("spectrum_points", "map_points"):
+        with pytest.raises(ConfigError, match=rf"grids\.{option} must be >= 3, got 2"):
+            parse_config(grids.replace(f"{option} = 3", f"{option} = 2"))
 
 
 def test_unknown_section_rejected():

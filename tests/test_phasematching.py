@@ -9,6 +9,7 @@ from sfwm.dispersion import find_fgvm_points, mismatch_coefficients
 from sfwm.errors import ConfigError, EvaluationError, RangeError
 from sfwm.phasematching import (
     PmMap,
+    at_critical_power,
     critical_power,
     delta_k_cw,
     half_max_crossings,
@@ -16,9 +17,11 @@ from sfwm.phasematching import (
     matched_detunings,
     mi_sideband_detuning,
     pm_map,
+    seed_loops,
     sinc_phase,
     singles_spectrum,
     trace_contours,
+    zero_contours,
 )
 
 from sfwm.units import nonlinear_mismatch
@@ -250,6 +253,19 @@ def test_critical_power_frozen(p_star):
     assert p_star == pytest.approx(0.949625, abs=1e-4)
 
 
+def test_at_critical_power(profile_1644, gvm_point, p_star):
+    # p_star is what auto-critical resolves to.  The test is in mismatch
+    # form, so it never holds at gamma = 0, where every power would be "P*".
+    assert at_critical_power(profile_1644, gvm_point, GAMMA, p_star)
+    assert not at_critical_power(profile_1644, gvm_point, 0.0, p_star)
+    assert not at_critical_power(profile_1644, gvm_point, 0.0, 0.0)
+    # P* pasted back from a %.9g echo is still P*; 1e-7 away it is not.
+    pasted = float(f"{p_star:.9g}")
+    assert pasted != p_star and at_critical_power(profile_1644, gvm_point, GAMMA, pasted)
+    for off in (-1e-7, 1e-7):
+        assert not at_critical_power(profile_1644, gvm_point, GAMMA, p_star * (1.0 + off))
+
+
 def test_critical_power_validation(profile_1644, gvm_point):
     for gamma in (0.0, np.nan):
         with pytest.raises(ConfigError):
@@ -435,3 +451,32 @@ def test_length_validation(profile_1644):
     for length_nm in (0.0, np.nan):
         with pytest.raises(ConfigError):
             singles_spectrum(profile_1644, 1.21, np.array([1.25]), length_nm)
+
+
+def test_zero_contours_put_every_vertex_on_the_zero_set():
+    # fig2b at its five powers: marching squares leaves vertices up to 5.8e-5
+    # rad/fs in delta and 2.5e-4 in omega_p off the zero set, |L dk| up to
+    # ~5e-5 rad.  Each polished vertex keeps one coordinate of its traced
+    # twin bit for bit, moves less than a map step along the other, and has
+    # |L dk| at roundoff; so do the loops seeded at 0.9999 P*.
+    config = load_preset("fig2b")
+    profile = config.profile()
+    rp = resolve_pump(config, profile)
+    axes = config.map_axes(profile)
+    steps = [np.diff(ax)[0] for ax in axes]
+    for power in rp.powers:
+        traced = trace_contours(pm_map(profile, *axes, config.gamma, power))
+        polished = zero_contours(profile, *axes, config.gamma, power)
+        assert [c.closed for c in polished] == [c.closed for c in traced]
+        a, b = (np.concatenate([c.points for c in cs]) for cs in (traced, polished))
+        assert np.all(np.sum(a == b, axis=1) >= 1) and np.all(np.abs(b - a) < steps)
+        phase = config.length_nm * delta_k_cw(profile, b[:, 0], b[:, 1], config.gamma, power)
+        assert np.abs(phase).max() <= 1e-12
+    near = 0.9999 * rp.p_star
+    seeded = seed_loops(profile, axes, zero_contours(profile, *axes, config.gamma, near),
+                        rp.matches, config.gamma, near)
+    assert len(seeded) == 2
+    b = np.concatenate([c.points for c in seeded])
+    assert np.abs(config.length_nm * delta_k_cw(profile, *b.T, config.gamma, near)).max() <= 1e-12
+    # No crossing, no contour.
+    assert zero_contours(profile, axes[0], np.linspace(-1e-3, 1e-3, 5), config.gamma, near) == []
