@@ -34,12 +34,7 @@ from .config import (
     resolve_pump,
     working_point,
 )
-from .dispersion import (
-    find_fgvm_points,
-    tau_coefficients,
-    theta_pm,
-    zero_dispersion_wavelengths,
-)
+from .dispersion import tau_coefficients, theta_pm, zero_dispersion_wavelengths
 from .errors import ConfigError, EvaluationError, NumericsError
 from .materials import approximate_models
 from .phasematching import (
@@ -117,7 +112,7 @@ def _pump_resolution_echo(rp: ResolvedPump) -> list[tuple[str, str]]:
 
 def _cmd_dispersion(args, config: RunConfig, profile) -> int:
     zdws = zero_dispersion_wavelengths(profile)
-    points = find_fgvm_points(profile)
+    points = profile.matches
 
     approximate = _approximate(config)
     lo, hi = profile.query_window
@@ -165,10 +160,9 @@ def _cmd_contours(args, config: RunConfig, profile) -> int:
 
     lines = _header("contours", args, config, _pump_resolution_echo(rp))
     lines.append("power_w,contour_index,closed,omega_p_rad_fs,delta_rad_fs")
-    matches = rp.matches or find_fgvm_points(profile)
     for power in rp.powers:
         contours = zero_contours(profile, *axes, config.gamma, power)
-        seeded = seed_loops(profile, axes, contours, matches, config.gamma, power)
+        seeded = seed_loops(profile, axes, contours, config.gamma, power)
         contours += seeded
         closed = sum(1 for c in contours if c.closed)
         for idx, contour in enumerate(contours):

@@ -19,7 +19,7 @@ from importlib import resources
 import numpy as np
 
 from .biphoton import PumpSpec
-from .dispersion import DispersionProfile, FgvmPoint, Pair, build_profile, find_fgvm_points
+from .dispersion import DispersionProfile, FgvmPoint, Pair, build_profile
 from .errors import ConfigError, EvaluationError, RangeError
 from .materials import ConstantIndex, SellmeierModel, get_material
 from .modes import FiberSpec
@@ -45,8 +45,6 @@ class PowerSetting:
     def resolved(self, p_star: float | None) -> float:
         if not self.auto:
             return float(self.watts)
-        if p_star is None:
-            raise ConfigError("critical-power fractions need a resolvable match")
         return self.critical_fraction * p_star
 
     def describe(self) -> str:
@@ -360,12 +358,11 @@ def load_preset(name: str) -> RunConfig:
 
 @dataclass(frozen=True)
 class ResolvedPump(PumpSpec):
-    """PumpSpec after the auto-gvm/auto-critical rules, plus contour powers, P*, match, matches."""
+    """PumpSpec after the auto-gvm/auto-critical rules, plus contour powers, P* and match."""
 
     powers: tuple[float, ...] = ()
     p_star: float | None = None
     gvm: FgvmPoint | None = None
-    matches: tuple[FgvmPoint, ...] = ()
 
     @property
     def lambda_nm(self) -> float:
@@ -389,15 +386,13 @@ def resolve_pump(config: RunConfig, profile: DispersionProfile) -> ResolvedPump:
         )
     need_crit = config.pump_power.auto or any(p.auto for p in config.pump_powers)
     gvm = p_star = None
-    matches = ()
     if need_gvm or need_crit:
-        matches = tuple(find_fgvm_points(profile))
-        if not matches:
+        if not profile.matches:
             raise EvaluationError(
                 "no nondegenerate group-velocity match in this window; give the "
                 "pump wavelength and power explicitly"
             )
-        gvm = min(matches, key=lambda p: p.delta)
+        gvm = min(profile.matches, key=lambda p: p.delta)
     if need_crit:
         if config.gamma <= 0:
             raise ConfigError(
@@ -418,7 +413,6 @@ def resolve_pump(config: RunConfig, profile: DispersionProfile) -> ResolvedPump:
         powers=tuple(p.resolved(p_star) for p in config.pump_powers),
         p_star=p_star,
         gvm=gvm,
-        matches=matches,
     )
 
 

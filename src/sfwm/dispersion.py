@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations
 
 import numpy as np
@@ -134,6 +134,11 @@ class DispersionProfile:
         a[:2] = 0.0
         return a, h
 
+    @cached_property
+    def matches(self) -> tuple[FgvmPoint, ...]:
+        """`find_fgvm_points` of this profile, searched on first use only."""
+        return tuple(find_fgvm_points(self))
+
 
 def build_profile(fiber: FiberSpec, window_nm: tuple[float, float]) -> DispersionProfile:
     """Dispersion proxy for `fiber` over a vacuum-wavelength window.
@@ -151,16 +156,19 @@ def build_profile(fiber: FiberSpec, window_nm: tuple[float, float]) -> Dispersio
     )
 
 
-def mismatch_coefficients(profile: DispersionProfile, omega_p, gp: float = 0.0):
+def mismatch_coefficients(profile: DispersionProfile, omega_p, delta, gamma=0.0, power=0.0):
     """Coefficients c and scale h of the CW mismatch as a polynomial in s = (delta / h)^2.
 
-    2 k(omega_p) - k(omega_p + delta) - k(omega_p - delta) - 2 gp is exactly
-    -2 gp - 2 sum_{m >= 1} a_{2m} s^m, with a_j the coefficients of
-    `DispersionProfile.pump_series` and gp = gamma P in rad/nm; c holds these
-    coefficients, lowest power first, with one trailing axis per axis of
-    omega_p.
+    2 k(omega_p) - k(omega_p + delta) - k(omega_p - delta) - 2 gamma P is exactly
+    -2 gamma P - 2 sum_{m >= 1} a_{2m} s^m, with a_j the coefficients of
+    `DispersionProfile.pump_series`; gamma is in 1/(W km) and power in W.  c holds these
+    coefficients, lowest power first, with one trailing axis per axis of omega_p.  Every
+    sideband omega_p +- delta must lie in the query window (RangeError).
     """
+    profile.check_window(omega_p - delta)
+    profile.check_window(omega_p + delta)
     a, h = profile.pump_series(omega_p)
+    gp = nonlinear_mismatch(gamma, power)
     return np.concatenate((np.full((1,) + a.shape[1:], -2.0 * gp), -2.0 * a[2::2])), h
 
 
@@ -369,8 +377,7 @@ def tau_coefficients(
         raise ConfigError(f"fibre length must be positive, got {length_nm}")
     # Expanded at the pair as rounded, tau.omega_s and tau.omega_i, where JSA axes centre.
     omega_s0, omega_i0 = omega_p + delta, omega_p - delta
-    profile.check_window(np.array([omega_s0, omega_i0]))
-    coef, h = mismatch_coefficients(profile, omega_p, nonlinear_mismatch(gamma, power))
+    coef, h = mismatch_coefficients(profile, omega_p, delta, gamma, power)
     dk0 = length_nm * polyval((0.5 * (omega_s0 - omega_i0) / h) ** 2, coef)
     d1, d2, _ = _walk_off_series(profile, omega_p)
     x_s, x_i = (omega_s0 - omega_p) / h, (omega_i0 - omega_p) / h

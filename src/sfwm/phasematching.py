@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.polynomial import polyval
 
-from .dispersion import DispersionProfile, _walk_off_series, mismatch_coefficients, sign_change_roots
+from .dispersion import DispersionProfile, mismatch_coefficients, sign_change_roots, tau_coefficients
 from .errors import ConfigError, EvaluationError
 from .modes import bisect
 from .units import nonlinear_mismatch
@@ -59,9 +59,7 @@ def delta_k_cw(
     """
     omega_p = np.asarray(omega_p, dtype=float)
     delta = np.abs(np.asarray(delta, dtype=float))
-    profile.check_window(omega_p - delta)
-    profile.check_window(omega_p + delta)
-    coef, h = mismatch_coefficients(profile, omega_p, nonlinear_mismatch(gamma, power))
+    coef, h = mismatch_coefficients(profile, omega_p, delta, gamma, power)
     x = (delta / h) ** 2
     out = coef[-1] + x * 0.0  # polyval(tensor=False) in place: one map-sized array, not three
     for c in coef[-2::-1]:
@@ -83,8 +81,7 @@ def matched_detunings(
     root at delta = 0 and no cancelling k values.  Both sidebands at
     detuning_max must lie in the query window.  Ascending, in rad/fs.
     """
-    profile.check_window(omega_p + np.array([-detuning_max, detuning_max]))
-    coef, h = mismatch_coefficients(profile, omega_p, nonlinear_mismatch(gamma, power))
+    coef, h = mismatch_coefficients(profile, omega_p, detuning_max, gamma, power)
     return h * np.sqrt(sign_change_roots(Polynomial(coef), 0.0, (detuning_max / h) ** 2))
 
 
@@ -247,31 +244,31 @@ def zero_contours(profile, pump_axis, detuning_axis, gamma=0.0, power=0.0) -> li
     return [Contour(points=p, closed=c.closed) for p, c in zip(np.split(pts, ends), contours)]
 
 
-def seed_loops(profile, axes, contours, matches, gamma=0.0, power=0.0) -> list[Contour]:
+def seed_loops(profile, axes, contours, gamma=0.0, power=0.0) -> list[Contour]:
     """Closed loops around full group-velocity matches that the contours on the map's axes miss.
 
-    Both slopes of delta_k vanish at a match (omega_p, +-delta) on the map, so a loop
-    delta_k0 + x^T H x / 2 = 0 surrounds it where the Hessian H (from the walk-off series, no
-    differences of k) is definite, delta_k0 has the opposite sign and P is not P*.  Where no
-    closed contour winds around such a point, `zero_contours` on axes of the same size over
-    twice the ellipse's extents, clipped to the map's, supplies its loops.
+    Both slopes of delta_k vanish at a match (omega_p, +-delta) of `profile.matches` on the map,
+    so a loop delta_k0 + x^T H x / 2 = 0 surrounds it where the Hessian H (from the quadratic
+    model of `tau_coefficients`) is definite, delta_k0 has the opposite sign and P is not P*.
+    Where no closed contour winds around such a point or lies in the box of twice the ellipse's
+    extents about it, `zero_contours` on axes of the same size over that box, clipped to the
+    map's, supplies its loops.
     """
     seeded, (px, dx) = [], axes
-    for m in (m for m in matches if px[0] <= m.omega_p <= px[-1] and m.delta < dx[-1]):
-        d1, d2, h = _walk_off_series(profile, m.omega_p)
-        # k'' at omega_p +- delta, and the same less k''(omega_p).
-        k2, w2 = (f(np.array([m.delta, -m.delta]) / h) / h**2 for f in (d1.deriv(), d2))
-        hess = -np.array([[w2.sum(), k2[0] - k2[1]], [k2[0] - k2[1], k2.sum()]])
+    for m in (m for m in profile.matches if px[0] <= m.omega_p <= px[-1] and m.delta < dx[-1]):
+        t = tau_coefficients(profile, m.omega_p, m.delta, 1.0, gamma, power)  # per nm of fibre
+        s, d = t.tau_s2 + t.tau_i2, t.tau_s2 - t.tau_i2
+        hess, dk0 = 2.0 * np.array([[s, d], [d, s - t.tau_p2]]), t.delta_k0
         det = hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2
-        dk0 = float(delta_k_cw(profile, m.omega_p, m.delta, gamma, power))
         if det <= 0 or dk0 * hess[0, 0] >= 0 or at_critical_power(profile, m, gamma, power):
             continue
         half = 2.0 * np.sqrt(-2.0 * dk0 * np.diag(hess)[::-1] / det)
         for centre in ((m.omega_p, m.delta), (m.omega_p, -m.delta)):
-            # A closed contour's winding number about centre is +-1 inside, 0 outside.
-            z = [c.points[:, 0] - centre[0] + 1j * (c.points[:, 1] - centre[1])
-                 for c in contours + seeded if c.closed]
-            if not any(abs(np.angle(np.roll(w, -1) / w).sum()) > np.pi for w in z):
+            # A closed contour is centre's loop when it lies in the box or winds about centre
+            # (winding number +-1 inside, 0 outside).
+            loops = [c.points - centre for c in contours + seeded if c.closed]
+            if not any(np.all(np.abs(p) <= half) or abs(np.angle(np.roll(w, -1) / w).sum()) > np.pi
+                       for p, w in zip(loops, [p[:, 0] + 1j * p[:, 1] for p in loops])):
                 local = [np.linspace(max(c - r, a[0]), min(c + r, a[-1]), a.size)
                          for c, r, a in zip(centre, half, (px, dx))]
                 seeded += [c for c in zero_contours(profile, *local, gamma, power) if c.closed]
@@ -353,8 +350,7 @@ def half_max_edges(
     are the roots of x -/+ x_h, sinc^2(x_h / 2) being half the peak.  Raises EvaluationError for
     a lower peak or where |x| < x_h at detuning_max (the width is unresolved).
     """
-    profile.check_window(omega_p + np.array([-detuning_max, detuning_max]))
-    coef, h = mismatch_coefficients(profile, omega_p, nonlinear_mismatch(gamma, power))
+    coef, h = mismatch_coefficients(profile, omega_p, detuning_max, gamma, power)
     x, end = Polynomial(length_nm * coef), (detuning_max / h) ** 2
     xs = x(np.concatenate(([0.0, end], sign_change_roots(x.deriv(), 0.0, end))))
     peak = 0.0 if xs.min() < 0 < xs.max() else np.abs(xs).min()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from functools import partial
@@ -137,6 +138,8 @@ def test_jsa_grid_normalize():
     assert total == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ConfigError):
         JsaGrid(signal_axis=s_axis, idler_axis=i_axis, amplitude=amp[:50])
+    with pytest.raises(EvaluationError, match="identically zero"):
+        JsaGrid(signal_axis=s_axis, idler_axis=i_axis, amplitude=0.0 * amp).normalize()
 
 
 def test_jsa_grid_rejects_unequal_steps():
@@ -256,24 +259,21 @@ def test_jsa_analytic_pump_carrier_enforced():
 
 
 def test_jsa_analytic_zero_tau_p2_limit():
-    # tau_p2 -> 0 reduces the pair profile to the plain sinc envelope; check
-    # continuity against a tiny but finite tau_p2.
-    prof0, _ = hermite_polynomial_profile(
+    # tau_p2 = 0 reduces the pair profile to the plain sinc envelope; check
+    # continuity against tiny but finite tau_p2, the gap shrinking with it.
+    # The proxy leaves tau_p2 ~ 5e-6 fs^2 of roundoff, so zero is set exactly.
+    prof, _ = hermite_polynomial_profile(
         1.2, 0.06, 1e8, tau_s1=40.0, tau_i1=-25.0, tau_s2=800.0, tau_i2=500.0,
         tau_p2=0.0,
     )
-    tau0 = tau_coefficients(prof0, 1.2, 0.06, 1e8)
-    prof1, _ = hermite_polynomial_profile(
-        1.2, 0.06, 1e8, tau_s1=40.0, tau_i1=-25.0, tau_s2=800.0, tau_i2=500.0,
-        tau_p2=1e-4,
-    )
-    tau1 = tau_coefficients(prof1, 1.2, 0.06, 1e8)
+    tau0 = dataclasses.replace(tau_coefficients(prof, 1.2, 0.06, 1e8), tau_p2=0.0)
     pump = PumpSpec(omega_p=1.2, sigma=0.02)
     nu = np.linspace(-0.02, 0.02, 31)
     g0 = jsa_analytic(tau0, pump, 1.26 + nu, 1.14 + nu)
-    g1 = jsa_analytic(tau1, pump, 1.26 + nu, 1.14 + nu)
     scale = np.max(np.abs(g0.amplitude))
-    assert np.max(np.abs(g0.amplitude - g1.amplitude)) < 1e-6 * scale
+    for tau_p2, bound in ((1e-4, 1e-7), (1e-6, 1e-9)):
+        g1 = jsa_analytic(dataclasses.replace(tau0, tau_p2=tau_p2), pump, 1.26 + nu, 1.14 + nu)
+        assert np.max(np.abs(g0.amplitude - g1.amplitude)) < bound * scale
 
 
 # ------------------------------------------------------------------ numeric JSA

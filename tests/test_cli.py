@@ -103,16 +103,19 @@ def test_contours_outputs(tiny_cfg, tmp_path, capsys):
 def test_coarse_contour_map_counts_each_loop_once(tmp_path, capsys):
     # On a 16^2 map fig2b's traced loops at 0.9 P* are coarse polygons; read
     # before their vertices were polished, their chords missed the match and
-    # seeding added a twin of each.  A map needs 3 points a side: a 2x2 map,
-    # and seeding's local map of its size, holds no loop.
+    # seeding added a twin of each.  At 7 (0.4 P*) and 12 (0.9 P*) points a
+    # loop is a 4-vertex polygon about one grid point that still misses the
+    # match; it lies in seeding's box, so it counts as the match's loop.  A
+    # map needs 3 points a side: a 2x2 map, and seeding's local map of its
+    # size, holds no loop.
     preset = (Path(sfwm.__file__).parent / "presets" / "fig2b.cfg").read_text()
     cfg = tmp_path / "coarse.cfg"
-    cfg.write_text(preset.replace("map_points = 256", "map_points = 16"))
-    assert _run(["contours", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [re.search(r": (\d+) contour\(s\), (\d+) closed", ln).groups() for ln in lines] == [
-        ("2", "2")
-    ] * 5
+    for points in (7, 12, 16):
+        cfg.write_text(preset.replace("map_points = 256", f"map_points = {points}"))
+        assert _run(["contours", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        counts = [re.search(r": (\d+) contour\(s\), (\d+) closed", ln).groups() for ln in lines]
+        assert counts == [("2", "2")] * 5, points
     cfg.write_text(preset.replace("map_points = 256", "map_points = 2"))
     assert _run(["contours", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: grids.map_points must be >= 3, got 2\n"
@@ -234,6 +237,15 @@ def test_design_report_outputs(tiny_cfg, tmp_path, capsys):
     assert "critical_power_w" in text
     assert "  approximate_materials = none\n" in text
     assert "  fit_phase_error_rad = " in text
+
+
+def test_design_report_without_pump_power(tmp_path, capsys):
+    # No modulation-instability sidebands at P = 0: the report says so and still exits 0.
+    preset = (Path(sfwm.__file__).parent / "presets" / "fig3.cfg").read_text()
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text(preset.replace("power_w = auto-critical", "power_w = 0"))
+    assert _run(["design-report", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert "  power_w = 0\n  mi_sideband_rad_fs = none\n" in capsys.readouterr().out
 
 
 def test_design_report_runs_no_svd(monkeypatch, tmp_path, capsys):
@@ -372,6 +384,13 @@ def test_empty_config_exit_and_message(tmp_path, capsys):
     empty.write_text("")
     assert _run(["dispersion", "--config", str(empty), "--out", str(tmp_path)]) == 2
     assert "fiber.core" in capsys.readouterr().err
+
+
+def test_broken_section_header_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "broken.cfg"
+    cfg.write_text(TINY.replace("[fiber]", "[fiber"))
+    assert _run(["dispersion", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: config syntax error: ")
 
 
 def test_unknown_preset_exits_2(tmp_path, capsys):

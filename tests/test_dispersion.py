@@ -12,6 +12,7 @@ from sfwm import dispersion
 from sfwm.config import PHASE_BUDGET_RAD, load_preset, working_point
 from sfwm.dispersion import (
     DispersionProfile,
+    TauSet,
     build_profile,
     distinct_sorted,
     find_fgvm_points,
@@ -420,6 +421,11 @@ def test_theta_pm_cardinal_cases():
     assert theta_pm(_tau_with_walkoffs(120.0, 120.0)) == pytest.approx(-45.0, abs=1e-4)
     th = theta_pm(_tau_with_walkoffs(-80.0, 45.0))
     assert -90.0 < th <= 90.0
+    # Exact walk-offs reach both folds into (-90, 90] and the closed end 90.
+    tau = TauSet(1.2, 0.06, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0)
+    assert theta_pm(tau) == 45.0
+    assert theta_pm(dataclasses.replace(tau, tau_s1=-1.0)) == -45.0
+    assert theta_pm(dataclasses.replace(tau, tau_i1=0.0)) == 90.0
 
 
 def test_theta_pm_undefined_below_walk_off_floor():

@@ -88,6 +88,13 @@ def test_scaled_contrast_exact():
         assert (n_co - n_cl) / n_co == pytest.approx(0.0274, abs=1e-12)
 
 
+def test_scaled_spec_needs_a_numeric_contrast():
+    with pytest.raises(ConfigError, match="bad scaled material spec"):
+        get_material("scaled:silica")
+    with pytest.raises(ConfigError, match="bad contrast in material spec"):
+        get_material("scaled:silica:abc")
+
+
 def test_scaled_contrast_validation():
     with pytest.raises(ConfigError):
         ScaledIndex(base=FUSED_SILICA, contrast=0.0)

@@ -144,6 +144,15 @@ def test_unresolvable_contrast_rejected():
         effective_index(fiber, 1550.0)
 
 
+def test_thin_fibre_near_cutoff_not_solved():
+    # V ~ 0.25: n_eff - n_cl is below one ulp of n, and the scan finds no root.
+    # A solver that returns n_cl there would turn this into a value test.
+    core = ScaledIndex(base=FUSED_SILICA, contrast=0.0274)
+    fiber = FiberSpec(core=core, cladding=FUSED_SILICA, radius_um=0.2)
+    with pytest.raises(ModeSolveError, match="no root of the HE11 characteristic equation"):
+        effective_index(fiber, 1600.0)
+
+
 def test_radius_validation():
     for radius_um in (0.0, np.nan):
         with pytest.raises(ConfigError):

@@ -89,7 +89,7 @@ def test_mismatch_readers_share_one_polynomial(profile_1644, gvm_point, p_star):
     # delta_k_cw, critical_power and matched_detunings all read the polynomial
     # of mismatch_coefficients.
     op, power = gvm_point.omega_p, 0.5 * p_star
-    coef, h = mismatch_coefficients(profile_1644, op, nonlinear_mismatch(GAMMA, power))
+    coef, h = mismatch_coefficients(profile_1644, op, 0.0, GAMMA, power)
     mismatch = Polynomial(coef)
     d = np.linspace(-0.12, 0.12, 41)
     assert np.array_equal(delta_k_cw(profile_1644, op, d, GAMMA, power), mismatch((d / h) ** 2))
@@ -387,7 +387,7 @@ def _preset_edges(request, name):
 def test_half_max_edges_match_mpmath_roots(name, n_edges, request):
     # Every real root in (0, end) of the same polynomial L dk -/+ x_h, at 50 digits.
     (profile, omega_p, dmax, length_nm, gamma, power), edges = _preset_edges(request, name)
-    coef, h = mismatch_coefficients(profile, omega_p, nonlinear_mismatch(gamma, power))
+    coef, h = mismatch_coefficients(profile, omega_p, 0.0, gamma, power)
     with mpmath.workdps(50):
         x_h = mpmath.findroot(lambda y: (mpmath.sin(y / 2) / (y / 2)) ** 2 - 0.5, 2.78)
         x = [mpmath.mpf(c) for c in length_nm * coef]
@@ -474,7 +474,7 @@ def test_zero_contours_put_every_vertex_on_the_zero_set():
         assert np.abs(phase).max() <= 1e-12
     near = 0.9999 * rp.p_star
     seeded = seed_loops(profile, axes, zero_contours(profile, *axes, config.gamma, near),
-                        rp.matches, config.gamma, near)
+                        config.gamma, near)
     assert len(seeded) == 2
     b = np.concatenate([c.points for c in seeded])
     assert np.abs(config.length_nm * delta_k_cw(profile, *b.T, config.gamma, near)).max() <= 1e-12
