@@ -26,8 +26,9 @@ trapezoid rule on an integral representation, which converges exponentially
 (Trefethen & Weideman, SIAM Rev. 56 (2014) 385): J0 and J1 from Bessel's
 integrals over a period, to 2e-15 absolute for u <= 60, and e^w K0, e^w K1
 from integrals over [0, inf) whose terms are all positive, to 5e-15 relative
-for 1e-12 <= w <= 1e4.  J1' = J0 - J1/u and K1' = -K0 - K1/w, so no order-2
-function is needed.
+for 1e-12 <= w <= 1e4.  Both rules add their nodes _NODE_BLOCK at a time, in
+node order within a block and block sums in block order.  J1' = J0 - J1/u and
+K1' = -K0 - K1/w, so no order-2 function is needed.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from .materials import Material, refractive_index
 from .units import c as c_nm_fs
 
 _EDGE_INSET = 1e-9
-# Trapezoid rules for the Bessel functions (see _bessel_j01, _bessel_k01e).
+# Trapezoid rules for the Bessel functions (see _node_sums, _bessel_j01, _bessel_k01e).
 _K_TAIL = 40.0
-_K_BLOCK = 32
+_NODE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,21 @@ class FiberSpec:
         return self.radius_um * 1000.0
 
 
+def _node_sums(terms, x, start, *weights):
+    """Running sums, from start, of the pair of arrays terms(x, *weights) over the nodes.
+
+    Weights hold one value a node.  _NODE_BLOCK nodes at a time go on a leading axis and are
+    added up in node order (accumulate: numpy's sum pairs them up when x has one element);
+    block sums join the running sums in block order, keeping the roundoff at a few ulps.
+    """
+    sums = np.full((2,) + np.shape(x), start)
+    for lo in range(0, len(weights[0]), _NODE_BLOCK):
+        block = [np.reshape(v[lo : lo + _NODE_BLOCK], (-1,) + (1,) * np.ndim(x)) for v in weights]
+        for total, t in zip(sums, terms(x, *block)):
+            total += np.add.accumulate(t, axis=0, out=t)[-1]
+    return sums
+
+
 def _bessel_j01(u):
     """J0(u) and J1(u) for real u >= 0.
 
@@ -71,17 +87,11 @@ def _bessel_j01(u):
     sin(u sin t) dt have integrands of period pi, so the n-node midpoint rule
     on [0, pi) errs by about J_2n(u); an even n of about 0.8 max(u) + 24
     puts that far below roundoff.  The integrands are even about pi/2, so
-    the n/2 nodes in [0, pi/2) are summed twice.  One node at a time is
-    added into arrays shaped like u.
+    the n/2 nodes in [0, pi/2) are summed twice, in blocks by _node_sums.
     """
     n = 2 * (int(0.4 * float(np.max(u))) + 12)
-    j0 = np.zeros_like(u)
-    j1 = np.zeros_like(u)
-    for i in range(n // 2):
-        s = math.sin(math.pi * (i + 0.5) / n)
-        us = u * s
-        j0 += np.cos(us)
-        j1 += s * np.sin(us)
+    s = np.array([math.sin(math.pi * (i + 0.5) / n) for i in range(n // 2)])
+    j0, j1 = _node_sums(lambda u, s: (np.cos(u * s), s * np.sin(u * s)), u, 0.0, s)
     return j0 * (2.0 / n), j1 * (2.0 / n)
 
 
@@ -92,9 +102,8 @@ def _bessel_k01e(w):
     trapezoid rule with step h = min(1/4, 0.6 / sqrt(max w)) errs by less
     than e^-37 relative (e^(-pi^2/h) for small w, e^(-2 pi^2/(w h^2)) for
     large).  The sum stops where w (cosh t - 1) passes 40 for the smallest
-    w, so the node count grows like ln(1/w).  Every term is positive, and
-    partial sums over blocks of _K_BLOCK nodes keep the roundoff of thousands
-    of terms at a few ulps.
+    w, so the node count grows like ln(1/w).  Every term is positive; the
+    nodes t = j h > 0 join the half-weight term at t = 0 in _node_sums.
     """
     w_min = float(np.min(w))
     if not w_min > 0.0:
@@ -103,18 +112,9 @@ def _bessel_k01e(w):
             "indices are too close to resolve a guided mode"
         )
     h = min(0.25, 0.6 / math.sqrt(float(np.max(w))))
-    m = math.ceil(math.acosh(1.0 + _K_TAIL / w_min) / h)
-    k0, k1 = np.full_like(w, 0.5), np.full_like(w, 0.5)
-    p0, p1 = np.zeros_like(w), np.zeros_like(w)
-    for j in range(1, m + 1):
-        e = np.exp(w * (-2.0 * math.sinh(0.5 * j * h) ** 2))
-        p0 += e
-        p1 += math.cosh(j * h) * e
-        if j % _K_BLOCK == 0 or j == m:
-            k0 += p0
-            k1 += p1
-            p0[:] = 0.0
-            p1[:] = 0.0
+    j = range(1, math.ceil(math.acosh(1.0 + _K_TAIL / w_min) / h) + 1)
+    x, c = np.array([(-2.0 * math.sinh(0.5 * i * h) ** 2, math.cosh(i * h)) for i in j]).T
+    k0, k1 = _node_sums(lambda w, x, c: (e := np.exp(w * x), c * e), w, 0.5, x, c)  # x = 1 - c
     return h * k0, h * k1
 
 

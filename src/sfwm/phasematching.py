@@ -250,10 +250,13 @@ def seed_loops(profile, axes, contours, gamma=0.0, power=0.0) -> list[Contour]:
     Both slopes of delta_k vanish at a match (omega_p, +-delta) of `profile.matches` on the map,
     so a loop delta_k0 + x^T H x / 2 = 0 surrounds it where the Hessian H (from the quadratic
     model of `tau_coefficients`) is definite, delta_k0 has the opposite sign and P is not P*.
-    Where no closed contour winds around such a point or lies in the box of twice the ellipse's
-    extents about it, `zero_contours` on axes of the same size over that box, clipped to the
-    map's, supplies its loops.
+    Where no closed contour lies in the box of twice the ellipse's extents about such a point or
+    winds around it but not its mirror, `zero_contours` on axes of the same size over that box,
+    clipped to the map's, supplies its loops.
     """
+    def winds(p, d):  # whether the polygon p winds about (0, d): winding number +-1, not 0
+        z = p[:, 0] + 1j * (p[:, 1] - d)
+        return abs(np.angle(np.roll(z, -1) / z).sum()) > np.pi
     seeded, (px, dx) = [], axes
     for m in (m for m in profile.matches if px[0] <= m.omega_p <= px[-1] and m.delta < dx[-1]):
         t = tau_coefficients(profile, m.omega_p, m.delta, 1.0, gamma, power)  # per nm of fibre
@@ -264,11 +267,11 @@ def seed_loops(profile, axes, contours, gamma=0.0, power=0.0) -> list[Contour]:
             continue
         half = 2.0 * np.sqrt(-2.0 * dk0 * np.diag(hess)[::-1] / det)
         for centre in ((m.omega_p, m.delta), (m.omega_p, -m.delta)):
-            # A closed contour is centre's loop when it lies in the box or winds about centre
-            # (winding number +-1 inside, 0 outside).
+            # A closed contour is centre's loop when it lies in the box or winds about centre but
+            # not about its mirror (omega_p, -delta) too: a coarse map can join the pair's loops.
             loops = [c.points - centre for c in contours + seeded if c.closed]
-            if not any(np.all(np.abs(p) <= half) or abs(np.angle(np.roll(w, -1) / w).sum()) > np.pi
-                       for p, w in zip(loops, [p[:, 0] + 1j * p[:, 1] for p in loops])):
+            if not any(np.all(np.abs(p) <= half) or winds(p, 0.0) and not winds(p, -2.0 * centre[1])
+                       for p in loops):
                 local = [np.linspace(max(c - r, a[0]), min(c + r, a[-1]), a.size)
                          for c, r, a in zip(centre, half, (px, dx))]
                 seeded += [c for c in zero_contours(profile, *local, gamma, power) if c.closed]

@@ -3,7 +3,8 @@
 Everything here is written against textbook formulas with none of the
 package's numerics shared, so agreement is meaningful: a scalar weak-guidance
 mode solver, the vector HE11 residual on scipy's Bessel functions and the
-HE11 index from a dense scan of it, a 30-digit Faddeeva function, a
+HE11 index from a dense scan of it, the one-node-at-a-time loops the
+Bessel rules of `sfwm.modes` once ran, a 30-digit Faddeeva function, a
 brute-force quadrature for the pair-generation pump integral, the folded
 Gauss-Legendre pump rule `jsa_numeric` once used, a symbolic zero-dispersion
 solve for bulk silica, 50-digit roots of the phase mismatch and of the full
@@ -100,6 +101,46 @@ def he11_index_dense_scan(n_co, n_cl, ka):
         else:
             b = m
     return 0.5 * (a + b)
+
+
+def bessel_j01_node_loop(u):
+    """J0(u) and J1(u) by the midpoint rule `sfwm.modes` uses, one node at a time.
+
+    The n/2 nodes of [0, pi/2) are added into one running sum each, in node
+    order, as `modes._bessel_j01` did before its nodes were summed in blocks.
+    """
+    n = 2 * (int(0.4 * float(np.max(u))) + 12)
+    j0 = np.zeros_like(u)
+    j1 = np.zeros_like(u)
+    for i in range(n // 2):
+        s = math.sin(math.pi * (i + 0.5) / n)
+        us = u * s
+        j0 += np.cos(us)
+        j1 += s * np.sin(us)
+    return j0 * (2.0 / n), j1 * (2.0 / n)
+
+
+def bessel_k01e_node_loop(w, tail=40.0, block=32):
+    """e^w K0(w) and e^w K1(w) by the trapezoid rule `sfwm.modes` uses, one node at a time.
+
+    Each node is added into partial sums that join the running sums, which
+    start at the half-weight term 0.5, after every `block` nodes and at the
+    last, as `modes._bessel_k01e` did before its nodes were summed in blocks.
+    """
+    h = min(0.25, 0.6 / math.sqrt(float(np.max(w))))
+    m = math.ceil(math.acosh(1.0 + tail / float(np.min(w))) / h)
+    k0, k1 = np.full_like(w, 0.5), np.full_like(w, 0.5)
+    p0, p1 = np.zeros_like(w), np.zeros_like(w)
+    for j in range(1, m + 1):
+        e = np.exp(w * (-2.0 * math.sinh(0.5 * j * h) ** 2))
+        p0 += e
+        p1 += math.cosh(j * h) * e
+        if j % block == 0 or j == m:
+            k0 += p0
+            k1 += p1
+            p0[:] = 0.0
+            p1[:] = 0.0
+    return h * k0, h * k1
 
 
 def faddeeva_mp(z):

@@ -121,6 +121,32 @@ def test_coarse_contour_map_counts_each_loop_once(tmp_path, capsys):
     assert capsys.readouterr().err == "error: grids.map_points must be >= 3, got 2\n"
 
 
+def test_coarse_map_joined_loops_seed_each_match(profile_1644, tmp_path, capsys):
+    # At 0.1 P* and 6, 8 or 10 points a side, no detuning row falls in the gap between fig2b's
+    # +delta and -delta loops, so the map traces one polygon around both matches.  It is no
+    # match's own loop: seeding adds a loop about each of (omega_p, +-delta) that does not wind
+    # about the other.
+    preset = (Path(sfwm.__file__).parent / "presets" / "fig2b.cfg").read_text()
+    (match,) = find_fgvm_points(profile_1644)
+    centres = [(match.omega_p, match.delta), (match.omega_p, -match.delta)]
+
+    def winds(points, centre):
+        z = (points[:, 0] - centre[0]) + 1j * (points[:, 1] - centre[1])
+        return abs(np.angle(np.roll(z, -1) / z).sum()) > np.pi
+
+    cfg = tmp_path / "joined.cfg"
+    for points in (6, 8, 10):
+        cfg.write_text(preset.replace("map_points = 256", f"map_points = {points}"))
+        assert _run(["contours", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == "P = 0.0949624874 W: 3 contour(s), 3 closed, 2 seeded", points
+        rows = np.array([r.split(",") for r in _data_lines(tmp_path / "contours.csv")[1:]], float)
+        rows = rows[(rows[:, 0] == rows[0, 0]) & (rows[:, 2] == 1.0)]
+        loops = [rows[rows[:, 1] == i, 3:] for i in np.unique(rows[:, 1])]
+        for own, other in (centres, centres[::-1]):
+            assert any(winds(p, own) and not winds(p, other) for p in loops), (points, own)
+
+
 def test_contours_seed_the_loops_a_coarse_map_misses(profile_1644, tmp_path, capsys):
     # At 0.9999 P* fig2b's loops span 0.62 steps of its 256^2 map, which
     # traces none of them; the loops seeded around the match agree with the

@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -13,7 +15,13 @@ from sfwm.modes import (
 )
 from sfwm.units import c
 
-from oracles import he11_index_dense_scan, he11_residual_scipy, lp01_effective_index
+from oracles import (
+    bessel_j01_node_loop,
+    bessel_k01e_node_loop,
+    he11_index_dense_scan,
+    he11_residual_scipy,
+    lp01_effective_index,
+)
 
 
 def test_bessel_j01_against_mpmath():
@@ -40,6 +48,40 @@ def test_bessel_k01e_against_mpmath():
         k0, k1 = modes._bessel_k01e(w[part])
         assert np.max(np.abs(k0 / want0[part] - 1.0)) <= 5e-15
         assert np.max(np.abs(k1 / want1[part] - 1.0)) <= 5e-15
+
+
+# A bisection step passes one value per wavelength, the scan a wavelength-by-index grid; one
+# wavelength alone is the case where numpy's sum over the node axis would pair terms up.
+_BESSEL_SHAPES = [(1,), (65,), (33, 40)]
+
+
+@pytest.mark.parametrize("shape", _BESSEL_SHAPES)
+@pytest.mark.parametrize("w_min, w_max, blocks", [(1.0, 5.0, 1), (1e-3, 5.0, 2), (1e-6, 200.0, 3)])
+def test_bessel_k01e_same_bits_as_node_loop(shape, w_min, w_max, blocks):
+    # Blocks of _NODE_BLOCK nodes, each added in node order, then block sums in block order:
+    # the loop that kept 32-node partial sums, to the bit, for any node count.
+    w = np.random.default_rng(blocks).uniform(w_min, w_max, shape)
+    w.flat[-1], w.flat[0] = w_max, w_min  # one value alone is w_min, which sets the node count
+    h = min(0.25, 0.6 / math.sqrt(w.max()))
+    nodes = math.ceil(math.acosh(1.0 + modes._K_TAIL / w_min) / h)
+    assert min(-(-nodes // modes._NODE_BLOCK), 3) == blocks
+    for ours, loop in zip(modes._bessel_k01e(w), bessel_k01e_node_loop(w)):
+        assert np.array_equal(ours, loop)
+
+
+@pytest.mark.parametrize("shape", _BESSEL_SHAPES)
+@pytest.mark.parametrize("u_max", [10.0, 49.9, 60.0, 200.0])
+def test_bessel_j01_against_node_loop(shape, u_max):
+    # Up to _NODE_BLOCK nodes (u below 50, every preset's scan) the one running sum of the old
+    # loop and the block sums are the same additions; above, block sums round differently, by
+    # a few ulps of the terms' size 1 (up to 6.7e-16 seen on random arguments to u = 200).
+    u = np.random.default_rng(int(u_max)).uniform(0.0, u_max, shape)
+    u.flat[0], u.flat[-1] = 0.0, u_max  # one value alone is u_max, which sets the node count
+    ours, loop = modes._bessel_j01(u), bessel_j01_node_loop(u)
+    if int(0.4 * u_max) + 12 <= modes._NODE_BLOCK:
+        assert all(np.array_equal(a, b) for a, b in zip(ours, loop))
+    else:
+        assert max(np.max(np.abs(a - b)) for a, b in zip(ours, loop)) <= 1e-15
 
 
 @pytest.mark.parametrize("case", ["fig1", "fig4", "multimode"])
