@@ -41,9 +41,8 @@ from .phasematching import (
     critical_power,
     half_max_edges,
     mi_sideband_detuning,
-    seed_loops,
+    pm_contours,
     singles_spectrum,
-    zero_contours,
 )
 from .units import wavelength_from_omega
 
@@ -161,14 +160,12 @@ def _cmd_contours(args, config: RunConfig, profile) -> int:
     lines = _header("contours", args, config, _pump_resolution_echo(rp))
     lines.append("power_w,contour_index,closed,omega_p_rad_fs,delta_rad_fs")
     for power in rp.powers:
-        contours = zero_contours(profile, *axes, config.gamma, power)
-        seeded = seed_loops(profile, axes, contours, config.gamma, power)
-        contours += seeded
+        contours, seeded = pm_contours(profile, *axes, config.gamma, power)
         closed = sum(1 for c in contours if c.closed)
         for idx, contour in enumerate(contours):
             head = f"{_f(power)},{idx},{int(contour.closed)}"
             lines.extend(f"{head},{_f(op)},{_f(dd)}" for op, dd in contour.points)
-        note = f", {len(seeded)} seeded" if seeded else ""
+        note = f", {seeded} seeded" if seeded else ""
         print(f"P = {_f(power)} W: {len(contours)} contour(s), {closed} closed{note}")
     _write(args, "contours.csv", lines)
     return 0

@@ -10,10 +10,8 @@ mismatch
 
 It is evaluated as the even Taylor polynomial in delta about each pump
 frequency (`dispersion.mismatch_coefficients`), so the k values never
-cancel.  Matched pairs live on the delta_k = 0 level set; `trace_contours`
-extracts it from a sampled map by marching squares (linear interpolation on
-cell edges, saddles resolved by the cell-centre value; only the chaining runs
-in Python), and `zero_contours` then bisects each vertex onto it.
+cancel.  Matched pairs live on its zero set, which `pm_contours` traces on a
+map of delta >= 0 (delta_k is even in delta) and then mirrors to delta < 0.
 """
 
 from __future__ import annotations
@@ -244,20 +242,18 @@ def zero_contours(profile, pump_axis, detuning_axis, gamma=0.0, power=0.0) -> li
     return [Contour(points=p, closed=c.closed) for p, c in zip(np.split(pts, ends), contours)]
 
 
-def seed_loops(profile, axes, contours, gamma=0.0, power=0.0) -> list[Contour]:
-    """Closed loops around full group-velocity matches that the contours on the map's axes miss.
+def pm_contours(profile, px, dx, gamma=0.0, power=0.0) -> tuple[list[Contour], int]:
+    """Zero contours on the pump axis px and detuning axis dx, mirrors first, and the count seeded.
 
-    Both slopes of delta_k vanish at a match (omega_p, +-delta) of `profile.matches` on the map,
-    so a loop delta_k0 + x^T H x / 2 = 0 surrounds it where the Hessian H (from the quadratic
-    model of `tau_coefficients`) is definite, delta_k0 has the opposite sign and P is not P*.
-    Where no closed contour lies in the box of twice the ellipse's extents about such a point or
-    winds around it but not its mirror, `zero_contours` on axes of the same size over that box,
-    clipped to the map's, supplies its loops.
+    delta_k is even in delta: `zero_contours` traces rows delta >= 0, delta = 0 only where delta_k
+    = -2 gamma P is not 0 there, and each contour is mirrored or, ending on the lowest row, joined
+    to its mirror.  Unless a closed contour winds around a match (omega_p, delta) or lies in the box
+    of twice the extents of its loop dk0 + x^T H x / 2 = 0 (`tau_coefficients`' model; H definite,
+    dk0 of opposite sign, P not P*), `zero_contours` on axes of the same sizes over that box,
+    clipped to the map and to delta >= 0, seeds its loops; each seed and mirror counts as seeded.
     """
-    def winds(p, d):  # whether the polygon p winds about (0, d): winding number +-1, not 0
-        z = p[:, 0] + 1j * (p[:, 1] - d)
-        return abs(np.angle(np.roll(z, -1) / z).sum()) > np.pi
-    seeded, (px, dx) = [], axes
+    rows = np.r_[0.0, dx[dx > 0]] if nonlinear_mismatch(gamma, power) else dx[dx > 0]
+    traced, seeded, mirrors, upper = zero_contours(profile, px, rows, gamma, power), [], [], []
     for m in (m for m in profile.matches if px[0] <= m.omega_p <= px[-1] and m.delta < dx[-1]):
         t = tau_coefficients(profile, m.omega_p, m.delta, 1.0, gamma, power)  # per nm of fibre
         s, d = t.tau_s2 + t.tau_i2, t.tau_s2 - t.tau_i2
@@ -265,17 +261,21 @@ def seed_loops(profile, axes, contours, gamma=0.0, power=0.0) -> list[Contour]:
         det = hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2
         if det <= 0 or dk0 * hess[0, 0] >= 0 or at_critical_power(profile, m, gamma, power):
             continue
+        centre = np.array([m.omega_p, m.delta])
         half = 2.0 * np.sqrt(-2.0 * dk0 * np.diag(hess)[::-1] / det)
-        for centre in ((m.omega_p, m.delta), (m.omega_p, -m.delta)):
-            # A closed contour is centre's loop when it lies in the box or winds about centre but
-            # not about its mirror (omega_p, -delta) too: a coarse map can join the pair's loops.
-            loops = [c.points - centre for c in contours + seeded if c.closed]
-            if not any(np.all(np.abs(p) <= half) or winds(p, 0.0) and not winds(p, -2.0 * centre[1])
-                       for p in loops):
-                local = [np.linspace(max(c - r, a[0]), min(c + r, a[-1]), a.size)
-                         for c, r, a in zip(centre, half, (px, dx))]
-                seeded += [c for c in zero_contours(profile, *local, gamma, power) if c.closed]
-    return seeded
+        loops = [c.points - centre for c in traced + seeded if c.closed]
+        if not any(np.all(np.abs(p) <= half) or abs(np.angle(np.roll(z, -1) / z).sum()) > np.pi
+                   for p, z in ((p, p[:, 0] + 1j * p[:, 1]) for p in loops)):
+            box = np.clip([centre - half, centre + half], (px[0], 0.0), (px[-1], dx[-1]))
+            local = [np.linspace(*ends, ax.size) for ends, ax in zip(box.T, (px, dx))]
+            seeded += [c for c in zero_contours(profile, *local, gamma, power) if c.closed]
+    for c in traced + seeded:  # at gamma P = 0 one that ends on the lowest row joins its mirror
+        p, r, cut = c.points, c.points[::-1] * (1.0, -1.0), c.points[[0, -1], 1] == rows[0]
+        if cut.any():
+            upper.append(Contour(np.r_[r, p] if cut[0] > cut[1] else np.r_[p, r], bool(cut.all())))
+        else:
+            mirrors, upper = mirrors + [Contour(r, c.closed)], upper + [c]
+    return mirrors + upper, 2 * len(seeded)
 
 
 def critical_power(

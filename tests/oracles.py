@@ -11,8 +11,10 @@ solve for bulk silica, 50-digit roots of the phase mismatch and of the full
 group-velocity match on a Chebyshev proxy, a marching-squares tracer that
 visits the map one cell at a time, the pump sum `jsa_numeric` once formed
 with a phase and `sinc_phase` per point, the jsa.csv formatter that
-printed every grid cell's four numbers anew, and the Schmidt coefficients
-of the weighted SVD written as one expression and the purity summed from them.
+printed every grid cell's four numbers anew, the Schmidt coefficients
+of the weighted SVD written as one expression and the purity summed from them,
+and a 45-digit chain from the Sellmeier index through the HE11 root to the
+full group-velocity match, the zero-dispersion frequencies and P*.
 """
 
 import math
@@ -22,7 +24,10 @@ from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 from scipy.special import j0, j1, jv, k0, k1, kve
 
+from sfwm.materials import ConstantIndex, ScaledIndex
+from sfwm.modes import effective_index
 from sfwm.phasematching import Contour, sinc_phase
+from sfwm.units import c as C_NM_FS
 
 
 def lp01_effective_index(n_co, n_cl, radius_nm, lambda_nm):
@@ -482,3 +487,118 @@ def trace_contours_per_cell(pm):
         pts = np.array([points[e] for e in chain], dtype=float)
         out.append(Contour(points=pts, closed=bool(closed)))
     return out
+
+
+# The 45-digit reference chain.  Every constant is the float64 that sfwm holds (the Sellmeier
+# B_j and C_j, a core contrast, the radius in nm, c, gamma and the 1e-12 of 1/km in 1/nm), taken
+# exactly by mp.mpf, so the chain measures sfwm's numerics and not how its constants round.
+CHAIN_DPS = 45
+
+
+def mp_index(material, lambda_nm):
+    """Index of a `sfwm.materials` medium at the mpf wavelength lambda_nm, at the working precision."""
+    import mpmath as mp
+
+    if isinstance(material, ScaledIndex):
+        return mp_index(material.base, lambda_nm) / (1 - mp.mpf(material.contrast))
+    if isinstance(material, ConstantIndex):
+        return mp.mpf(material.value)
+    x = (lambda_nm / 1000) ** 2
+    return mp.sqrt(1 + mp.fsum(mp.mpf(b) * x / (x - mp.mpf(c)) for b, c in zip(material.b, material.c)))
+
+
+def mp_he11_residual(neff, n_co, n_cl, ka):
+    """The pole-free HE11 residual of `sfwm.modes`, on mpmath's J0, J1, K0 and K1."""
+    import mpmath as mp
+
+    u, w = ka * mp.sqrt(n_co**2 - neff**2), ka * mp.sqrt(neff**2 - n_cl**2)
+    j1p, uj1 = mp.besselj(0, u) - mp.besselj(1, u) / u, u * mp.besselj(1, u)
+    b = -mp.besselk(0, w) / (w * mp.besselk(1, w)) - 1 / w**2
+    r = (neff / n_co) * (1 / u**2 + 1 / w**2)
+    return (j1p + b * uj1) * (j1p + (n_cl / n_co) ** 2 * b * uj1) - (r * uj1) ** 2
+
+
+def mp_propagation_constant(fiber, omega):
+    """HE11 k = n_eff omega / c in rad/nm at the mpf omega (rad/fs), at the working precision.
+
+    n_eff is `findroot` on `mp_he11_residual`, started from the root sfwm's own solver finds.
+    """
+    import mpmath as mp
+
+    c = mp.mpf(C_NM_FS)
+    lam = 2 * mp.pi * c / omega
+    n_co, n_cl = mp_index(fiber.core, lam), mp_index(fiber.cladding, lam)
+    ka = omega / c * mp.mpf(fiber.radius_nm)
+    start = mp.mpf(float(effective_index(fiber, float(lam))))
+    neff = mp.findroot(lambda n: mp_he11_residual(n, n_co, n_cl, ka), (start, start + 1e-12))
+    return neff * omega / c
+
+
+def mp_k_derivative(fiber, omega, order):
+    """d^order k / d omega^order at the mpf omega by `mp.diff` of `mp_propagation_constant`."""
+    import mpmath as mp
+
+    return mp.diff(lambda w: mp_propagation_constant(fiber, w), omega, order)
+
+
+def mp_fgvm_point(fiber, omega_p, delta):
+    """Full group-velocity match near (omega_p, delta) at the working precision, as mpf.
+
+    Newton on k'(omega_p + delta) - k'(omega_p) = 0 = k'(omega_p - delta) - k'(omega_p), with
+    the Jacobian from k'', until a step is below 1e-(dps - 8) of omega_p.
+    """
+    import mpmath as mp
+
+    w, d = mp.mpf(omega_p), mp.mpf(delta)
+    for _ in range(10):
+        k1, k2 = ([mp_k_derivative(fiber, x, n) for x in (w, w + d, w - d)] for n in (1, 2))
+        jac = mp.matrix([[k2[1] - k2[0], k2[1]], [k2[2] - k2[0], -k2[2]]])
+        step = mp.lu_solve(jac, mp.matrix([k1[1] - k1[0], k1[2] - k1[0]]))
+        w, d = w - step[0], d - step[1]
+        if max(abs(step[0]), abs(step[1])) < abs(w) * mp.mpf(10) ** (8 - mp.mp.dps):
+            return w, d
+    raise AssertionError(f"reference match near omega_p = {omega_p} did not converge")
+
+
+def mp_zero_dispersion_frequency(fiber, omega):
+    """Root of k'' near the float omega (rad/fs), by `findroot` at the working precision."""
+    import mpmath as mp
+
+    w = mp.mpf(omega)
+    return mp.findroot(lambda x: mp_k_derivative(fiber, x, 2), (w, w * (1 + mp.mpf(1e-9))))
+
+
+def mp_critical_power(fiber, omega_p, delta, gamma):
+    """P* = (2 k(omega_p) - k(omega_p + delta) - k(omega_p - delta)) / (2 gamma), in W."""
+    import mpmath as mp
+
+    k = [mp_propagation_constant(fiber, x) for x in (omega_p, omega_p + delta, omega_p - delta)]
+    return (2 * k[0] - k[1] - k[2]) / (2 * mp.mpf(gamma) * mp.mpf(1e-12))
+
+
+def mp_wavelength(omega):
+    """Vacuum wavelength 2 pi c / omega in nm of the mpf omega (rad/fs)."""
+    import mpmath as mp
+
+    return 2 * mp.pi * mp.mpf(C_NM_FS) / omega
+
+
+def reference_roots(config):
+    """The chain's roots for a run config, as floats: (pump nm, delta rad/fs, P* W) of each full
+    group-velocity match sfwm finds, started from sfwm's, and the zero-dispersion wavelengths (nm).
+
+    Slow, ~35 s a match and ~20 s a wavelength: the test module holds its output frozen.
+    """
+    import mpmath as mp
+
+    from sfwm.dispersion import find_zdfs
+
+    profile, fiber = config.profile(), config.fiber()
+    with mp.workdps(CHAIN_DPS):
+        matches = []
+        for m in profile.matches:
+            w, d = mp_fgvm_point(fiber, m.omega_p, m.delta)
+            p_star = mp_critical_power(fiber, w, d, config.gamma)
+            matches.append((float(mp_wavelength(w)), float(d), float(p_star)))
+        zdfs = [mp_zero_dispersion_frequency(fiber, z) for z in find_zdfs(profile)]
+        return matches, sorted(float(mp_wavelength(z)) for z in zdfs)

@@ -121,11 +121,12 @@ def test_coarse_contour_map_counts_each_loop_once(tmp_path, capsys):
     assert capsys.readouterr().err == "error: grids.map_points must be >= 3, got 2\n"
 
 
-def test_coarse_map_joined_loops_seed_each_match(profile_1644, tmp_path, capsys):
+def test_coarse_map_traces_each_loop_of_the_pair(profile_1644, tmp_path, capsys):
     # At 0.1 P* and 6, 8 or 10 points a side, no detuning row falls in the gap between fig2b's
-    # +delta and -delta loops, so the map traces one polygon around both matches.  It is no
-    # match's own loop: seeding adds a loop about each of (omega_p, +-delta) that does not wind
-    # about the other.
+    # +delta and -delta loops, so a map over both halves traced one polygon around both matches.
+    # The map of delta >= 0 has the row delta = 0, where delta_k = -2 gamma P < 0, so it closes the
+    # +delta loop there; its mirror is the -delta loop, each winds about its own match and not the
+    # other, and nothing is seeded.
     preset = (Path(sfwm.__file__).parent / "presets" / "fig2b.cfg").read_text()
     (match,) = find_fgvm_points(profile_1644)
     centres = [(match.omega_p, match.delta), (match.omega_p, -match.delta)]
@@ -139,12 +140,36 @@ def test_coarse_map_joined_loops_seed_each_match(profile_1644, tmp_path, capsys)
         cfg.write_text(preset.replace("map_points = 256", f"map_points = {points}"))
         assert _run(["contours", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         first = capsys.readouterr().out.splitlines()[0]
-        assert first == "P = 0.0949624874 W: 3 contour(s), 3 closed, 2 seeded", points
+        assert first == "P = 0.0949624874 W: 2 contour(s), 2 closed", points
         rows = np.array([r.split(",") for r in _data_lines(tmp_path / "contours.csv")[1:]], float)
         rows = rows[(rows[:, 0] == rows[0, 0]) & (rows[:, 2] == 1.0)]
         loops = [rows[rows[:, 1] == i, 3:] for i in np.unique(rows[:, 1])]
         for own, other in (centres, centres[::-1]):
             assert any(winds(p, own) and not winds(p, other) for p in loops), (points, own)
+
+
+def test_contours_mirror_every_row_below_delta_0(tmp_path, capsys):
+    # fig2b at its preset map and powers: each delta < 0 row of contours.csv is, to the character,
+    # a +delta row of the same power with delta's sign flipped, and each +delta row has one.
+    assert _run(["contours", "--preset", "fig2b", "--out", str(tmp_path)]) == 0
+    counts = [ln.split(" W: ")[1] for ln in capsys.readouterr().out.splitlines()]
+    assert counts == ["2 contour(s), 2 closed"] * 5
+    rows = [r.split(",") for r in _data_lines(tmp_path / "contours.csv")[1:]]
+    lower = sorted((p, op, d[1:]) for p, _, _, op, d in rows if d.startswith("-"))
+    upper = sorted((p, op, d) for p, _, _, op, d in rows if not d.startswith("-"))
+    assert lower == upper and 2 * len(lower) == len(rows)
+
+
+def test_contours_at_zero_power_trace_one_loop(tmp_path, capsys):
+    # At P = 0 fig2b's loop crosses delta = 0 at its zero-dispersion pumps; the half traced on
+    # delta > 0 and its mirror make one closed loop.
+    preset = (Path(sfwm.__file__).parent / "presets" / "fig2b.cfg").read_text()
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(re.sub(r"powers_w = .*", "powers_w = 0 auto-critical:0.10", preset))
+    assert _run(["contours", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "P = 0 W: 1 contour(s), 1 closed"
+    rows = np.array([r.split(",") for r in _data_lines(tmp_path / "contours.csv")[1:]], float)
+    assert rows[rows[:, 0] == 0.0].shape == (486, 5)
 
 
 def test_contours_seed_the_loops_a_coarse_map_misses(profile_1644, tmp_path, capsys):

@@ -16,8 +16,8 @@ from sfwm.phasematching import (
     half_max_edges,
     matched_detunings,
     mi_sideband_detuning,
+    pm_contours,
     pm_map,
-    seed_loops,
     sinc_phase,
     singles_spectrum,
     trace_contours,
@@ -473,10 +473,46 @@ def test_zero_contours_put_every_vertex_on_the_zero_set():
         phase = config.length_nm * delta_k_cw(profile, b[:, 0], b[:, 1], config.gamma, power)
         assert np.abs(phase).max() <= 1e-12
     near = 0.9999 * rp.p_star
-    seeded = seed_loops(profile, axes, zero_contours(profile, *axes, config.gamma, near),
-                        config.gamma, near)
-    assert len(seeded) == 2
-    b = np.concatenate([c.points for c in seeded])
+    contours, seeded = pm_contours(profile, *axes, config.gamma, near)
+    assert seeded == len(contours) == 2
+    b = np.concatenate([c.points for c in contours])
     assert np.abs(config.length_nm * delta_k_cw(profile, *b.T, config.gamma, near)).max() <= 1e-12
     # No crossing, no contour.
     assert zero_contours(profile, axes[0], np.linspace(-1e-3, 1e-3, 5), config.gamma, near) == []
+
+
+def test_pm_contours_trace_delta_above_0_and_mirror_it():
+    # fig2b at its five powers: delta_k is even in delta and -2 gamma P on delta = 0, so the
+    # +delta contours are bit for bit those `zero_contours` traces on the whole detuning axis,
+    # and each one listed before them is the exact mirror of one of them.
+    config = load_preset("fig2b")
+    profile = config.profile()
+    axes = config.map_axes(profile)
+    for power in resolve_pump(config, profile).powers:
+        full = zero_contours(profile, *axes, config.gamma, power)
+        upper = [c for c in full if np.all(c.points[:, 1] > 0)]
+        contours, seeded = pm_contours(profile, *axes, config.gamma, power)
+        assert seeded == 0 and len(contours) == 2 * len(upper) == len(full) == 2
+        for got, want in zip(contours[len(upper):], upper):
+            assert got.closed == want.closed and np.array_equal(got.points, want.points)
+        for mirror, c in zip(contours, contours[len(upper):]):
+            assert mirror.closed == c.closed and np.all(mirror.points[:, 1] < 0)
+            assert sorted(map(tuple, mirror.points * (1.0, -1.0))) == sorted(map(tuple, c.points))
+
+
+@pytest.mark.parametrize("name, sizes, closed", [("fig1", [266, 266], False), ("fig2b", [486], True)])
+def test_pm_contours_join_halves_at_zero_power(name, sizes, closed):
+    # At P = 0 delta_k vanishes on delta = 0, so that row is left out; each contour crosses it at
+    # a zero-dispersion pump, and its half on delta > 0 joins its mirror at the lowest row: fig2b's
+    # one loop ends there twice, fig1's two open contours once each.  The joined contours hold
+    # the vertices a map over both halves traces, which differ from exact mirrors by a few ulps.
+    config = load_preset(name)
+    profile = config.profile()
+    axes = config.map_axes(profile)
+    full = zero_contours(profile, *axes, config.gamma, 0.0)
+    contours, seeded = pm_contours(profile, *axes, config.gamma, 0.0)
+    assert seeded == 0 and [len(c.points) for c in contours] == [len(c.points) for c in full] == sizes
+    for got, want in zip(contours, full):
+        assert got.closed == want.closed == closed
+        gap = np.abs(got.points[:, None] - want.points[None]).max(axis=2)
+        assert gap.min(axis=1).max() <= 1e-15 and gap.min(axis=0).max() <= 1e-15
