@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial.polynomial import polyval
 
 from .dispersion import DispersionProfile, mismatch_coefficients, sign_change_roots, tau_coefficients
 from .errors import ConfigError, EvaluationError
@@ -222,21 +221,16 @@ def zero_contours(profile, pump_axis, detuning_axis, gamma=0.0, power=0.0) -> li
     """`trace_contours` of the `pm_map` on these array axes, each vertex then on delta_k = 0.
 
     A vertex keeps its edge's fixed coordinate bit for bit; `bisect` closes the edge to one ulp
-    on a series built once at its pump op from `pump_series`' a_j, h: on a pump column the
-    polynomial of `mismatch_coefficients` in (delta / h)^2, on a detuning row 2 G(x) - G(x + d)
-    - G(x - d) - 2 gamma P in x = (omega_p - op) / h, for G = sum_j a_j x^j and d = delta / h.
+    along the other on `delta_k_cw`, the function the map samples, so each vertex lies within
+    one ulp of a sign change of the mismatch every other caller evaluates.
     """
     contours = trace_contours(pm_map(profile, pump_axis, detuning_axis, gamma, power))
     pts = np.concatenate([c.points for c in contours] or [np.empty((0, 2))])
     (p0, p1), (d0, d1) = ((ax[np.searchsorted(ax, c, "right") - 1], ax[np.searchsorted(ax, c)])
                           for ax, c in zip((pump_axis, detuning_axis), pts.T))
-    (op, dp), col, (a, h) = pts.T, p0 == p1, profile.pump_series(pts[:, 0])  # col: in delta
-    n, f, gp2 = len(a), np.cumprod(np.r_[1.0, 1:len(a)]), 2.0 * nonlinear_mismatch(gamma, power)
-    b = np.concatenate((-2.0 * a[::2] * col, np.zeros_like(a[: n // 2])))
-    for k in range(2, n, 2):  # b_r = -2 sum C(r + k, k) a_(r+k) d^k over even k > 0 on a row
-        b[: n - k] -= 2.0 * (f[k:] / f[: n - k] / f[k])[:, None] * a[k:] * (dp / h) ** k * ~col
+    (op, dp), col = pts.T, p0 == p1  # col: on a pump column, so free in delta
     pts[np.arange(len(pts)), col * 1] = bisect(
-        lambda z: polyval(np.where(col, (z / h) ** 2, (z - op) / h), b, tensor=False) - gp2,
+        lambda z: delta_k_cw(profile, np.where(col, op, z), np.where(col, z, dp), gamma, power),
         np.where(col, d0, p0), np.where(col, d1, p1))
     ends = np.cumsum([len(c.points) for c in contours[:-1]], dtype=int)
     return [Contour(points=p, closed=c.closed) for p, c in zip(np.split(pts, ends), contours)]

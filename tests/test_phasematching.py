@@ -458,7 +458,9 @@ def test_zero_contours_put_every_vertex_on_the_zero_set():
     # rad/fs in delta and 2.5e-4 in omega_p off the zero set, |L dk| up to
     # ~5e-5 rad.  Each polished vertex keeps one coordinate of its traced
     # twin bit for bit, moves less than a map step along the other, and has
-    # |L dk| at roundoff; so do the loops seeded at 0.9999 P*.
+    # |L dk| at roundoff; so do the loops seeded at 0.9999 P*.  It is also
+    # within one ulp of a sign change of delta_k_cw along its edge: the
+    # mismatch itself is bisected, not a series standing in for it.
     config = load_preset("fig2b")
     profile = config.profile()
     rp = resolve_pump(config, profile)
@@ -472,6 +474,13 @@ def test_zero_contours_put_every_vertex_on_the_zero_set():
         assert np.all(np.sum(a == b, axis=1) >= 1) and np.all(np.abs(b - a) < steps)
         phase = config.length_nm * delta_k_cw(profile, b[:, 0], b[:, 1], config.gamma, power)
         assert np.abs(phase).max() <= 1e-12
+        rows, free = np.arange(len(b)), np.isin(b[:, 0], axes[0]) * 1  # on a pump column: in delta
+        own, flips = np.sign(phase), False
+        for step in (-np.inf, np.inf):
+            n = b.copy()
+            n[rows, free] = np.nextafter(b[rows, free], step)
+            flips |= np.sign(delta_k_cw(profile, *n.T, config.gamma, power)) != own
+        assert np.all(flips | (own == 0))
     near = 0.9999 * rp.p_star
     contours, seeded = pm_contours(profile, *axes, config.gamma, near)
     assert seeded == len(contours) == 2
