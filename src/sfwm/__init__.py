@@ -22,6 +22,7 @@ from .dispersion import (
     FgvmPoint,
     TauSet,
     build_profile,
+    delta_k_cw,
     find_fgvm_points,
     find_zdfs,
     tau_coefficients,
@@ -42,9 +43,7 @@ from .materials import (
 from .modes import FiberSpec, effective_index
 from .phasematching import (
     Contour,
-    PmMap,
     critical_power,
-    delta_k_cw,
     half_max_edges,
     mi_sideband_detuning,
     pm_map,
@@ -68,7 +67,6 @@ __all__ = [
     "JsaGrid",
     "ModeSolveError",
     "NumericsError",
-    "PmMap",
     "PumpSpec",
     "RangeError",
     "ScaledIndex",

@@ -13,6 +13,8 @@ Newton on the pump-centred series of k' - k'(omega_p), started from samples
 of the monotone pieces of k'.  Energy conservation cancels k's tangent line
 at the pump in every mismatch, so `DispersionProfile.pump_series` drops it
 once: the CW mismatch, the walk-offs and the JSA phase all read that series.
+`delta_k_cw` is the one pointwise evaluator of the CW mismatch polynomial
+(`mismatch_coefficients`); maps, contours, spectra and delta_k0 all call it.
 
 Frequencies are rad/fs, propagation constants rad/nm, so k' is fs/nm and
 k'' is fs^2/nm throughout.
@@ -28,7 +30,6 @@ from itertools import combinations
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial.chebyshev import chebval
-from numpy.polynomial.polynomial import polyval
 
 from .errors import ConfigError, EvaluationError, RangeError
 from .modes import FiberSpec, bisect, propagation_constant_from_omega
@@ -170,6 +171,30 @@ def mismatch_coefficients(profile: DispersionProfile, omega_p, delta, gamma=0.0,
     a, h = profile.pump_series(omega_p)
     gp = nonlinear_mismatch(gamma, power)
     return np.concatenate((np.full((1,) + a.shape[1:], -2.0 * gp), -2.0 * a[2::2])), h
+
+
+def delta_k_cw(
+    profile: DispersionProfile,
+    omega_p,
+    delta,
+    gamma: float = 0.0,
+    power: float = 0.0,
+):
+    """Degenerate-pump phase mismatch in rad/nm, broadcasting over inputs.
+
+    The even polynomial in delta of `mismatch_coefficients`, expanded about
+    each pump frequency, so no k values are subtracted.  Every sideband
+    omega_p +/- delta must lie in the profile's query window.
+    """
+    omega_p = np.asarray(omega_p, dtype=float)
+    delta = np.abs(np.asarray(delta, dtype=float))
+    coef, h = mismatch_coefficients(profile, omega_p, delta, gamma, power)
+    x = (delta / h) ** 2
+    out = coef[-1] + x * 0.0  # polyval(tensor=False) in place: one map-sized array, not three
+    for c in coef[-2::-1]:
+        out *= x
+        out += c
+    return out
 
 
 def distinct_sorted(x: np.ndarray) -> np.ndarray:
@@ -377,9 +402,8 @@ def tau_coefficients(
         raise ConfigError(f"fibre length must be positive, got {length_nm}")
     # Expanded at the pair as rounded, tau.omega_s and tau.omega_i, where JSA axes centre.
     omega_s0, omega_i0 = omega_p + delta, omega_p - delta
-    coef, h = mismatch_coefficients(profile, omega_p, delta, gamma, power)
-    dk0 = length_nm * polyval((0.5 * (omega_s0 - omega_i0) / h) ** 2, coef)
-    d1, d2, _ = _walk_off_series(profile, omega_p)
+    dk0 = length_nm * delta_k_cw(profile, omega_p, 0.5 * (omega_s0 - omega_i0), gamma, power)
+    d1, d2, h = _walk_off_series(profile, omega_p)
     x_s, x_i = (omega_s0 - omega_p) / h, (omega_i0 - omega_p) / h
     return TauSet(
         omega_p=omega_p,

@@ -8,10 +8,11 @@ mismatch
     delta_k = 2 k(omega_p) - k(omega_p + delta) - k(omega_p - delta)
               - 2 gamma P.
 
-It is evaluated as the even Taylor polynomial in delta about each pump
-frequency (`dispersion.mismatch_coefficients`), so the k values never
-cancel.  Matched pairs live on its zero set, which `pm_contours` traces on a
-map of delta >= 0 (delta_k is even in delta) and then mirrors to delta < 0.
+It is evaluated by `dispersion.delta_k_cw` as the even Taylor polynomial in
+delta about each pump frequency (`dispersion.mismatch_coefficients`), so the
+k values never cancel.  Matched pairs live on its zero set, which
+`pm_contours` traces on a map of delta >= 0 (delta_k is even in delta) and
+then mirrors to delta < 0.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .dispersion import DispersionProfile, mismatch_coefficients, sign_change_roots, tau_coefficients
+from .dispersion import (DispersionProfile, delta_k_cw, mismatch_coefficients, sign_change_roots,
+                         tau_coefficients)
 from .errors import ConfigError, EvaluationError
 from .modes import bisect
 from .units import nonlinear_mismatch
@@ -41,30 +43,6 @@ def sinc_phase(y):
     return np.sinc(y / (2.0 * np.pi)) * np.exp(0.5j * y)
 
 
-def delta_k_cw(
-    profile: DispersionProfile,
-    omega_p,
-    delta,
-    gamma: float = 0.0,
-    power: float = 0.0,
-):
-    """Degenerate-pump phase mismatch in rad/nm, broadcasting over inputs.
-
-    The even polynomial in delta of `mismatch_coefficients`, expanded about
-    each pump frequency, so no k values are subtracted.  Every sideband
-    omega_p +/- delta must lie in the profile's query window.
-    """
-    omega_p = np.asarray(omega_p, dtype=float)
-    delta = np.abs(np.asarray(delta, dtype=float))
-    coef, h = mismatch_coefficients(profile, omega_p, delta, gamma, power)
-    x = (delta / h) ** 2
-    out = coef[-1] + x * 0.0  # polyval(tensor=False) in place: one map-sized array, not three
-    for c in coef[-2::-1]:
-        out *= x
-        out += c
-    return out
-
-
 def matched_detunings(
     profile: DispersionProfile,
     omega_p: float,
@@ -82,44 +60,21 @@ def matched_detunings(
     return h * np.sqrt(sign_change_roots(Polynomial(coef), 0.0, (detuning_max / h) ** 2))
 
 
-@dataclass(frozen=True)
-class PmMap:
-    """Mismatch delta_k (rad/nm) over pump frequency and half-separation.
-
-    values[i, j] belongs to pump_axis[j] (columns) and detuning_axis[i]
-    (rows).
-    """
-
-    pump_axis: np.ndarray
-    detuning_axis: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (self.detuning_axis.size, self.pump_axis.size):
-            raise ConfigError(
-                f"map shape {self.values.shape} does not match axes "
-                f"({self.detuning_axis.size}, {self.pump_axis.size})"
-            )
-
-
 def pm_map(
     profile: DispersionProfile,
     pump_axis,
     detuning_axis,
     gamma: float = 0.0,
     power: float = 0.0,
-) -> PmMap:
-    """Evaluate the mismatch on a rectangular grid.
+) -> np.ndarray:
+    """Mismatch delta_k (rad/nm) on a rectangular grid: [i, j] at detuning_axis[i], pump_axis[j].
 
     Every sampled sideband omega_p +/- delta must lie inside the profile's
     query window; choose the axes accordingly.
     """
-    pump_axis = np.asarray(pump_axis, dtype=float)
-    detuning_axis = np.asarray(detuning_axis, dtype=float)
-    op = pump_axis[np.newaxis, :]
-    dd = detuning_axis[:, np.newaxis]
-    values = delta_k_cw(profile, op, dd, gamma=gamma, power=power)
-    return PmMap(pump_axis=pump_axis, detuning_axis=detuning_axis, values=values)
+    op = np.asarray(pump_axis, dtype=float)[np.newaxis, :]
+    dd = np.asarray(detuning_axis, dtype=float)[:, np.newaxis]
+    return delta_k_cw(profile, op, dd, gamma=gamma, power=power)
 
 
 @dataclass(frozen=True)
@@ -154,20 +109,23 @@ def _segment_table() -> np.ndarray:
 _SEGMENTS = _segment_table()
 
 
-def trace_contours(pm: PmMap) -> list[Contour]:
+def trace_contours(values, pump_axis, detuning_axis) -> list[Contour]:
     """March the zero level set of a map into polylines.
 
-    Returns contours as (N, 2) point arrays in (pump, detuning) coordinates.
-    Open paths terminate on the map boundary; closed ones are loops (first
-    point not repeated).  A corner exactly at zero counts as inside.
+    values[i, j] is the map at pump_axis[j], detuning_axis[i], as `pm_map`
+    returns it (ConfigError for another shape).  Returns contours as (N, 2)
+    point arrays in (pump, detuning) coordinates.  Open paths terminate on
+    the map boundary; closed ones are loops (first point not repeated).  A
+    corner exactly at zero counts as inside.
 
     Cell cases, segments and edge crossings are array operations; an edge is
     named 2 c + vertical, c the flat index of its lower-left grid point, so
     both cells sharing it agree.  Only the chaining runs in Python: open paths
     from edges used once, in order of first use, then loops in segment order.
     """
-    v = pm.values
-    x, y = pm.pump_axis, pm.detuning_axis
+    v, x, y = values, pump_axis, detuning_axis
+    if v.shape != (y.size, x.size):
+        raise ConfigError(f"map shape {v.shape} does not match axes ({y.size}, {x.size})")
     nx = v.shape[1]
     inside = (v >= 0).astype(np.uint8)
     case = inside[:-1, :-1] | inside[:-1, 1:] << 1
@@ -224,7 +182,8 @@ def zero_contours(profile, pump_axis, detuning_axis, gamma=0.0, power=0.0) -> li
     along the other on `delta_k_cw`, the function the map samples, so each vertex lies within
     one ulp of a sign change of the mismatch every other caller evaluates.
     """
-    contours = trace_contours(pm_map(profile, pump_axis, detuning_axis, gamma, power))
+    values = pm_map(profile, pump_axis, detuning_axis, gamma, power)
+    contours = trace_contours(values, pump_axis, detuning_axis)
     pts = np.concatenate([c.points for c in contours] or [np.empty((0, 2))])
     (p0, p1), (d0, d1) = ((ax[np.searchsorted(ax, c, "right") - 1], ax[np.searchsorted(ax, c)])
                           for ax, c in zip((pump_axis, detuning_axis), pts.T))

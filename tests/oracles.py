@@ -394,18 +394,16 @@ def _cell_segments(case, center_inside):
     return _SEGMENT_TABLE.get(case, [])
 
 
-def trace_contours_per_cell(pm):
+def trace_contours_per_cell(v, x, y):
     """`trace_contours` one cell at a time, with tuple-named edges.
 
     The package's array tracer must reproduce these contours exactly: count,
-    order, closed flags and every point.
+    order, closed flags and every point.  v[i, j] is the map at x[j], y[i].
 
     Returns contours as (N, 2) point arrays in (pump, detuning) coordinates.
     Open paths terminate on the map boundary; closed ones are loops (first
     point not repeated).  A corner exactly at zero counts as inside.
     """
-    v = pm.values
-    x, y = pm.pump_axis, pm.detuning_axis
     ny, nx = v.shape
     inside = v >= 0
 

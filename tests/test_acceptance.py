@@ -92,7 +92,7 @@ def test_criterion_3_critical_power_and_loop_collapse(profile_1644):
         pm = pm_map(
             profile_1644, pump_axis, det_axis, gamma=GAMMA, power=factor * p_star
         )
-        closed[factor] = sum(1 for c in trace_contours(pm) if c.closed)
+        closed[factor] = sum(1 for c in trace_contours(pm, pump_axis, det_axis) if c.closed)
     assert closed[0.9] >= 1
     assert closed[1.1] == 0
 

@@ -8,7 +8,6 @@ from sfwm.config import load_preset, resolve_pump
 from sfwm.dispersion import find_fgvm_points, mismatch_coefficients
 from sfwm.errors import ConfigError, EvaluationError, RangeError
 from sfwm.phasematching import (
-    PmMap,
     at_critical_power,
     critical_power,
     delta_k_cw,
@@ -46,7 +45,7 @@ def _loop_map(profile, gamma, power, n=161, dmax=0.12):
     lo, hi = profile.query_window
     pump = np.linspace(lo + dmax, hi - dmax, n)
     det = np.linspace(-dmax, dmax, n)
-    return pm_map(profile, pump, det, gamma=gamma, power=power)
+    return pm_map(profile, pump, det, gamma=gamma, power=power), pump, det
 
 
 def test_sinc_phase_values():
@@ -75,7 +74,7 @@ def test_delta_k_ignores_affine_part_of_k():
     prof, _ = quadratic_profile(1.2, 0.06, 1e6, tau_p2=-60.0)
     pump = np.linspace(1.19, 1.21, 9)
     det = np.linspace(-0.04, 0.04, 11)
-    assert np.array_equal(pm_map(with_line(prof), pump, det).values, pm_map(prof, pump, det).values)
+    assert np.array_equal(pm_map(with_line(prof), pump, det), pm_map(prof, pump, det))
     for func, args in (
         (critical_power, (1.2, 0.03, GAMMA)),
         (matched_detunings, (1.2, 0.05, GAMMA, 0.5)),
@@ -105,10 +104,12 @@ def test_map_shape(profile_1644):
     pump = np.linspace(1.19, 1.23, 11)
     det = np.linspace(-0.08, 0.08, 7)
     m = pm_map(profile_1644, pump, det)
-    assert m.values.shape == (7, 11)
-    assert m.values[3, 5] == delta_k_cw(profile_1644, pump[5], det[3])
+    assert m.shape == (7, 11)
+    assert m[3, 5] == delta_k_cw(profile_1644, pump[5], det[3])
     with pytest.raises(ConfigError):
-        PmMap(pump_axis=pump, detuning_axis=det, values=np.zeros((3, 3)))
+        trace_contours(np.zeros((3, 3)), pump, det)
+    with pytest.raises(ConfigError):
+        trace_contours(m.T, pump, det)
 
 
 def test_circle_contour_accuracy():
@@ -118,8 +119,7 @@ def test_circle_contour_accuracy():
     y = np.linspace(-2.0, 2.0, 101)
     xx, yy = np.meshgrid(x, y)
     values = 1.0 - (xx**2 + yy**2)  # level 0 is the unit circle
-    m = PmMap(pump_axis=x, detuning_axis=y, values=values)
-    contours = trace_contours(m)
+    contours = trace_contours(values, x, y)
     assert len(contours) == 1
     c = contours[0]
     assert c.closed
@@ -133,8 +133,7 @@ def test_open_contour_hits_boundary():
     x = np.linspace(0.0, 1.0, 21)
     y = np.linspace(0.0, 1.0, 21)
     xx, yy = np.meshgrid(x, y)
-    m = PmMap(pump_axis=x, detuning_axis=y, values=yy - xx)
-    contours = trace_contours(m)
+    contours = trace_contours(yy - xx, x, y)
     assert len(contours) == 1
     c = contours[0]
     assert not c.closed
@@ -150,8 +149,7 @@ def test_saddle_disambiguation():
     x = np.array([0.0, 1.0])
     y = np.array([0.0, 1.0])
     values = np.array([[1.0, -0.8], [-0.8, 1.0]])
-    m = PmMap(pump_axis=x, detuning_axis=y, values=values)
-    contours = trace_contours(m)
+    contours = trace_contours(values, x, y)
     assert len(contours) == 2
     assert all(not c.closed and len(c.points) == 2 for c in contours)
 
@@ -185,8 +183,8 @@ def test_trace_contours_matches_per_cell_oracle(kind, level):
             x, y = np.sort(rng.uniform(-3.0, 3.0, nx)), np.sort(rng.uniform(-3.0, 3.0, ny))
         else:
             x, y = np.linspace(-1.0, 1.0, nx), np.linspace(0.0, 2.0, ny)
-        m = PmMap(pump_axis=x, detuning_axis=y, values=_random_map(rng, kind, ny, nx) - level)
-        got, want = trace_contours(m), trace_contours_per_cell(m)
+        v = _random_map(rng, kind, ny, nx) - level
+        got, want = trace_contours(v, x, y), trace_contours_per_cell(v, x, y)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.closed == b.closed
@@ -198,13 +196,13 @@ def test_trace_contours_matches_per_cell_oracle(kind, level):
 def test_trace_contours_empty_and_flat_maps():
     x, y = np.arange(3.0), np.arange(4.0)
     for values in (np.ones((4, 3)), -np.ones((4, 3)), np.zeros((4, 3))):
-        assert trace_contours(PmMap(pump_axis=x, detuning_axis=y, values=values)) == []
+        assert trace_contours(values, x, y) == []
 
 
 def test_two_loops_one_per_halfplane(profile_1644, p_star):
     for frac in (0.10, 0.40, 0.70, 0.90, 0.95):
         m = _loop_map(profile_1644, GAMMA, frac * p_star)
-        closed = [c for c in trace_contours(m) if c.closed]
+        closed = [c for c in trace_contours(*m) if c.closed]
         assert len(closed) == 2, f"at {frac} P*"
         sides = sorted(np.sign(c.points[:, 1].mean()) for c in closed)
         assert sides == [-1.0, 1.0]
@@ -217,7 +215,7 @@ def test_loops_nested_and_collapsing(profile_1644, gvm_point, p_star):
     prev_up = None
     for frac in (0.10, 0.40, 0.70, 0.90, 0.95):
         m = _loop_map(profile_1644, GAMMA, frac * p_star)
-        closed = [c for c in trace_contours(m) if c.closed]
+        closed = [c for c in trace_contours(*m) if c.closed]
         up = [c for c in closed if c.points[:, 1].mean() > 0][0]
         box = (
             up.points[:, 0].min(),
@@ -233,7 +231,7 @@ def test_loops_nested_and_collapsing(profile_1644, gvm_point, p_star):
             assert box[2] > prev_up[2] and box[3] < prev_up[3]
         prev_up = box
     m = _loop_map(profile_1644, GAMMA, 1.1 * p_star)
-    assert [c for c in trace_contours(m) if c.closed] == []
+    assert [c for c in trace_contours(*m) if c.closed] == []
 
 
 def test_mismatch_sign_at_matching_point(profile_1644, gvm_point, p_star):
@@ -339,7 +337,7 @@ def test_singles_matches_spectrum_map(profile_1644):
     det = np.linspace(0.01, 0.1, 50)
     m = pm_map(profile_1644, np.array([op]), det, GAMMA, 0.5)
     s = singles_spectrum(profile_1644, op, op + det, 5e8, GAMMA, 0.5)
-    expected = np.abs(sinc_phase(5e8 * m.values[:, 0])) ** 2
+    expected = np.abs(sinc_phase(5e8 * m[:, 0])) ** 2
     assert np.allclose(expected, s, rtol=0, atol=1e-14)
 
 
@@ -467,7 +465,7 @@ def test_zero_contours_put_every_vertex_on_the_zero_set():
     axes = config.map_axes(profile)
     steps = [np.diff(ax)[0] for ax in axes]
     for power in rp.powers:
-        traced = trace_contours(pm_map(profile, *axes, config.gamma, power))
+        traced = trace_contours(pm_map(profile, *axes, config.gamma, power), *axes)
         polished = zero_contours(profile, *axes, config.gamma, power)
         assert [c.closed for c in polished] == [c.closed for c in traced]
         a, b = (np.concatenate([c.points for c in cs]) for cs in (traced, polished))
