@@ -35,7 +35,7 @@ from .config import (
     working_point,
 )
 from .dispersion import tau_coefficients, theta_pm, zero_dispersion_wavelengths
-from .errors import ConfigError, EvaluationError, NumericsError
+from .errors import ConfigError, EvaluationError, NumericsError, RangeError
 from .materials import approximate_models
 from .phasematching import (
     critical_power,
@@ -214,7 +214,10 @@ def _numeric_jsa(command: str, args, config: RunConfig, profile) -> tuple[list[s
     """The run's numeric JSA, and its file header with how the pump rule settled."""
     wp = working_point(config, profile)
     s_axis, i_axis = wp.axes(profile, config.jsa_span, config.jsa_points)
-    jsa = jsa_numeric(profile, wp.pump, s_axis, i_axis, config.length_nm, gamma=config.gamma)
+    try:  # the axes are in the window, so only the pump rule's nodes about S / 2 can leave it
+        jsa = jsa_numeric(profile, wp.pump, s_axis, i_axis, config.length_nm, gamma=config.gamma)
+    except RangeError as err:
+        raise ConfigError(f"pump.fwhm_nm = {config.pump_fwhm_nm:.9g} puts a {err}") from None
     lines = _header(command, args, config, _working_point_echo(wp))
     lines.extend(f"# pump_rule_{key} = {_f(val)}" for key, val in vars(jsa.quadrature).items())
     return lines, jsa

@@ -495,6 +495,25 @@ def test_jsa_span_outside_window_exits_2(tmp_path, capsys):
         )
 
 
+def test_pump_wider_than_window_exits_2(tmp_path, capsys):
+    # fig3's axes fit the window, but the pump rule's nodes reach S/2 +- 3 sigma
+    # past it; design-report and spectrum never run that rule.
+    preset = (Path(sfwm.__file__).parent / "presets" / "fig3.cfg").read_text()
+    assert "\nfwhm_nm = 1.0\n" in preset
+    for fwhm in ("150", "200"):
+        cfg = tmp_path / f"wide_pump_{fwhm}.cfg"
+        cfg.write_text(preset.replace("\nfwhm_nm = 1.0\n", f"\nfwhm_nm = {fwhm}\n"))
+        for command in ("jsa", "purity"):
+            assert _run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: pump.fwhm_nm = {fwhm} puts a frequency outside query window "
+                "[0.951969, 1.438820] rad/fs\n"
+            )
+        for command in ("design-report", "spectrum"):
+            assert _run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+            assert capsys.readouterr().err == ""
+
+
 def test_explicit_pump_outside_window_exits_2(tmp_path, capsys):
     # The pump itself, not a grid built around it, is what leaves the window.
     cfg = tmp_path / "far_pump.cfg"

@@ -14,6 +14,7 @@ from sfwm.dispersion import (
     DispersionProfile,
     TauSet,
     build_profile,
+    delta_k_cw,
     distinct_sorted,
     find_fgvm_points,
     find_zdfs,
@@ -222,6 +223,22 @@ def test_tau_set_pair_is_the_working_points(profile_bismuth):
     wp = working_point(config, profile_bismuth)
     tau = tau_coefficients(profile_bismuth, wp.omega_p, wp.delta, config.length_nm)
     assert (tau.omega_s, tau.omega_i) == (wp.omega_s, wp.omega_i)
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig2b", "fig3", "fig4"])
+def test_delta_k0_is_delta_k_cw(preset):
+    # One evaluator of the CW mismatch polynomial: delta_k0 at the working
+    # point and at every full-GVM match is L delta_k_cw at its pair, bit for bit.
+    config = load_preset(preset)
+    profile = config.profile()
+    wp = working_point(config, profile)
+    gamma, power, length = config.gamma, wp.pump.power, config.length_nm
+    pairs = [(wp.omega_p, wp.delta)] + [(m.omega_p, m.delta) for m in profile.matches]
+    assert len(pairs) >= 2
+    for op, d in pairs:
+        tau = tau_coefficients(profile, op, d, length, gamma, power)
+        half = 0.5 * (tau.omega_s - tau.omega_i)
+        assert tau.delta_k0 == length * delta_k_cw(profile, op, half, gamma, power)
 
 
 @pytest.mark.parametrize("radius_um", [0.205, 0.20500000000000002, 0.21])

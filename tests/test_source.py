@@ -40,3 +40,28 @@ def test_unused_import_check_sees_a_leftover(tmp_path):
         "x = np.zeros(1)\n"
     )
     assert unused_imports(module) == ["m.py:3 polyval"]
+
+
+def package_exports(path: Path) -> tuple[list[str], list[str]]:
+    """A package's __all__ and the names its `from . import` lines bind, each sorted."""
+    tree = ast.parse(path.read_text())
+    bound = [a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom) and n.level == 1
+             for a in n.names]
+    listed = next(ast.literal_eval(n.value) for n in tree.body if isinstance(n, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in n.targets))
+    return sorted(listed), sorted(bound)
+
+
+def test_package_all_lists_exactly_what_it_imports():
+    # A stale __all__ entry would otherwise only fail on `from sfwm import *`.
+    listed, bound = package_exports(SRC / "__init__.py")
+    assert len(listed) >= 30
+    assert listed == bound
+
+
+def test_export_check_sees_a_leftover(tmp_path):
+    init = tmp_path / "__init__.py"
+    for imports, names in (("Contour, PmMap", "'Contour'"), ("Contour", "'Contour', 'PmMap'")):
+        init.write_text(f"from .phasematching import {imports}\n__all__ = [{names}]\n")
+        listed, bound = package_exports(init)
+        assert listed != bound and "PmMap" in listed + bound
