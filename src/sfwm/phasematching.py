@@ -182,8 +182,8 @@ def zero_contours(profile, pump_axis, detuning_axis, gamma=0.0, power=0.0) -> li
     along the other on `delta_k_cw`, the function the map samples, so each vertex lies within
     one ulp of a sign change of the mismatch every other caller evaluates.
     """
-    values = pm_map(profile, pump_axis, detuning_axis, gamma, power)
-    contours = trace_contours(values, pump_axis, detuning_axis)
+    contours = trace_contours(pm_map(profile, pump_axis, detuning_axis, gamma, power),
+                              pump_axis, detuning_axis)
     pts = np.concatenate([c.points for c in contours] or [np.empty((0, 2))])
     (p0, p1), (d0, d1) = ((ax[np.searchsorted(ax, c, "right") - 1], ax[np.searchsorted(ax, c)])
                           for ax, c in zip((pump_axis, detuning_axis), pts.T))
