@@ -2,9 +2,9 @@
 
 Submodules build on each other: material index models, the exact HE11 mode
 solver, Chebyshev dispersion proxies with group-velocity matching, scalar
-phase-matching maps and contours, and the biphoton joint spectral amplitude
-with Schmidt-mode metrics.  A small config-driven CLI (`sfwm`) wires the
-pieces into reproducible reports.
+phase matching with the zero contours of `pm_contours`, and the biphoton
+joint spectral amplitude with Schmidt-mode metrics.  A small config-driven
+CLI (`sfwm`) wires the pieces into reproducible reports.
 """
 
 from .biphoton import (
@@ -46,9 +46,8 @@ from .phasematching import (
     critical_power,
     half_max_edges,
     mi_sideband_detuning,
-    pm_map,
+    pm_contours,
     singles_spectrum,
-    trace_contours,
 )
 
 __version__ = "0.1.0"
@@ -86,13 +85,12 @@ __all__ = [
     "jsa_analytic",
     "jsa_numeric",
     "mi_sideband_detuning",
-    "pm_map",
     "phi_function",
+    "pm_contours",
     "refractive_index",
     "schmidt_metrics",
     "singles_spectrum",
     "tau_coefficients",
     "theta_pm",
-    "trace_contours",
     "zero_dispersion_wavelengths",
 ]

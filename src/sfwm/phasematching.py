@@ -77,7 +77,7 @@ def pm_map(
     return delta_k_cw(profile, op, dd, gamma=gamma, power=power)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Contour:
     """Polyline in (pump, detuning) coordinates; closed ones are loops."""
 
@@ -196,8 +196,10 @@ def zero_contours(profile, pump_axis, detuning_axis, gamma=0.0, power=0.0) -> li
 
 
 def pm_contours(profile, px, dx, gamma=0.0, power=0.0) -> tuple[list[Contour], int]:
-    """Zero contours on the pump axis px and detuning axis dx, mirrors first, and the count seeded.
+    """Zero contours of `delta_k_cw` on pump axis px and detuning axis dx, and the count seeded.
 
+    The contours of contours.csv: each vertex within one ulp of a sign change of `delta_k_cw`, the
+    delta < 0 half mirrored from delta >= 0 (mirrors first), and the count of loops seeded.
     delta_k is even in delta: `zero_contours` traces rows delta >= 0, delta = 0 only where delta_k
     = -2 gamma P is not 0 there, and each contour is mirrored or, ending on the lowest row, joined
     to its mirror.  Unless a closed contour winds around a match (omega_p, delta) or lies in the box
@@ -318,31 +320,3 @@ def half_max_edges(
         raise EvaluationError("spectrum still above half maximum at the end of the range")
     roots = np.concatenate([sign_change_roots(x + d, 0.0, end) for d in (-x_h, x_h)])
     return h * np.sqrt(np.sort(roots))
-
-
-def half_max_crossings(x, y) -> tuple[float, float]:
-    """Outermost crossings of half the global maximum, linearly interpolated.
-
-    Returns (x_lo, x_hi).  Raises EvaluationError when a flank never falls
-    below half maximum inside the sampled range, i.e. the width is not
-    resolved.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.size != y.size or x.size < 3:
-        raise ConfigError("need matching 1-d arrays of at least 3 samples")
-    ymax = float(y.max())
-    if not ymax > 0:
-        raise EvaluationError("spectrum is nonpositive; no width to measure")
-    half = 0.5 * ymax
-    above = y >= half
-    idx = np.nonzero(above)[0]
-    if idx[0] == 0 or idx[-1] == y.size - 1:
-        raise EvaluationError(
-            "half-maximum level not bracketed inside the sampled range"
-        )
-    i = idx[0]
-    x_lo = x[i - 1] + (half - y[i - 1]) / (y[i] - y[i - 1]) * (x[i] - x[i - 1])
-    i = idx[-1]
-    x_hi = x[i] + (half - y[i]) / (y[i + 1] - y[i]) * (x[i + 1] - x[i])
-    return (float(x_lo), float(x_hi))

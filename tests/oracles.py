@@ -13,8 +13,9 @@ visits the map one cell at a time, the pump sum `jsa_numeric` once formed
 with a phase and `sinc_phase` per point, the jsa.csv formatter that
 printed every grid cell's four numbers anew, the Schmidt coefficients
 of the weighted SVD written as one expression and the purity summed from them,
-and a 45-digit chain from the Sellmeier index through the HE11 root to the
-full group-velocity match, the zero-dispersion frequencies and P*.
+a 45-digit chain from the Sellmeier index through the HE11 root to the
+full group-velocity match, the zero-dispersion frequencies and P*, and the
+outermost half-maximum crossings of a sampled spectrum.
 """
 
 import math
@@ -24,6 +25,7 @@ from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 from scipy.special import j0, j1, jv, k0, k1, kve
 
+from sfwm.errors import ConfigError, EvaluationError
 from sfwm.materials import ConstantIndex, ScaledIndex
 from sfwm.modes import effective_index
 from sfwm.phasematching import Contour, sinc_phase
@@ -600,3 +602,31 @@ def reference_roots(config):
             matches.append((float(mp_wavelength(w)), float(d), float(p_star)))
         zdfs = [mp_zero_dispersion_frequency(fiber, z) for z in find_zdfs(profile)]
         return matches, sorted(float(mp_wavelength(z)) for z in zdfs)
+
+
+def half_max_crossings(x, y) -> tuple[float, float]:
+    """Outermost crossings of half the global maximum, linearly interpolated.
+
+    Returns (x_lo, x_hi).  Raises EvaluationError when a flank never falls
+    below half maximum inside the sampled range, i.e. the width is not
+    resolved.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.size != y.size or x.size < 3:
+        raise ConfigError("need matching 1-d arrays of at least 3 samples")
+    ymax = float(y.max())
+    if not ymax > 0:
+        raise EvaluationError("spectrum is nonpositive; no width to measure")
+    half = 0.5 * ymax
+    above = y >= half
+    idx = np.nonzero(above)[0]
+    if idx[0] == 0 or idx[-1] == y.size - 1:
+        raise EvaluationError(
+            "half-maximum level not bracketed inside the sampled range"
+        )
+    i = idx[0]
+    x_lo = x[i - 1] + (half - y[i - 1]) / (y[i] - y[i - 1]) * (x[i] - x[i - 1])
+    i = idx[-1]
+    x_hi = x[i] + (half - y[i]) / (y[i + 1] - y[i]) * (x[i + 1] - x[i])
+    return (float(x_lo), float(x_hi))

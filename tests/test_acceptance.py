@@ -25,14 +25,13 @@ from sfwm.materials import ConstantIndex, ScaledIndex, get_material
 from sfwm.modes import FiberSpec, effective_index
 from sfwm.phasematching import (
     critical_power,
-    half_max_crossings,
     pm_map,
     singles_spectrum,
     trace_contours,
 )
 from sfwm.units import omega_from_wavelength, wavelength_from_omega
 
-from oracles import lp01_effective_index
+from oracles import half_max_crossings, lp01_effective_index
 from synthetic import hermite_polynomial_profile, quadratic_profile
 
 GAMMA = 70.0

@@ -237,7 +237,7 @@ def test_jsa_analytic_near_circular_contour():
     ks = np.arange(-100, 101)
     diag_plus = inten[mid + ks, mid + ks]
     diag_minus = inten[mid + ks, mid - ks]
-    from sfwm.phasematching import half_max_crossings
+    from oracles import half_max_crossings
 
     lo, hi = half_max_crossings(nu[mid + ks], diag_plus)
     w_plus = hi - lo

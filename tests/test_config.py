@@ -369,12 +369,17 @@ def test_readme_run_file_parses():
 
 @pytest.mark.parametrize("index", [0, 1])
 def test_readme_python_examples_run(index, capsys):
-    # README's library example and its working-point example, as printed.
+    # README's library example and its working-point example, as printed; the library example
+    # ends on the loop count its comment states.
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
     assert len(blocks) == 2
     exec(compile(blocks[index], f"README.md python block {index}", "exec"), {})
-    assert capsys.readouterr().out.strip()
+    out = capsys.readouterr().out.strip()
+    assert out
+    if index == 0:
+        stated = re.search(r"^print\(len\(loops\)\)  # (\d+):", blocks[0], re.M)
+        assert stated and out.splitlines()[-1] == stated[1]
 
 
 def test_resolve_pump_auto_gvm(profile_1644):

@@ -11,7 +11,6 @@ from sfwm.phasematching import (
     at_critical_power,
     critical_power,
     delta_k_cw,
-    half_max_crossings,
     half_max_edges,
     matched_detunings,
     mi_sideband_detuning,
@@ -25,7 +24,7 @@ from sfwm.phasematching import (
 
 from sfwm.units import nonlinear_mismatch
 
-from oracles import proxy_mismatch, trace_contours_per_cell
+from oracles import half_max_crossings, proxy_mismatch, trace_contours_per_cell
 from synthetic import quadratic_profile, with_line
 
 GAMMA = 70.0
@@ -505,6 +504,16 @@ def test_pm_contours_trace_delta_above_0_and_mirror_it():
         for mirror, c in zip(contours, contours[len(upper):]):
             assert mirror.closed == c.closed and np.all(mirror.points[:, 1] < 0)
             assert sorted(map(tuple, mirror.points * (1.0, -1.0))) == sorted(map(tuple, c.points))
+
+
+def test_contours_compare_by_identity(profile_1644, p_star):
+    # A Contour holds an ndarray, so field-wise == and hash would raise; pm_contours' own loops
+    # go into lists and sets and compare by identity.
+    axes = np.linspace(1.08, 1.31, 161), np.linspace(-0.12, 0.12, 161)
+    contours, _ = pm_contours(profile_1644, *axes, GAMMA, 0.5 * p_star)
+    assert len(contours) == 2 and contours[0] in contours and contours[0] not in contours[1:]
+    assert len(set(contours)) == len(contours)
+    assert contours[0] != contours[1]
 
 
 @pytest.mark.parametrize("name, sizes, closed", [("fig1", [266, 266], False), ("fig2b", [486], True)])

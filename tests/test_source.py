@@ -65,3 +65,33 @@ def test_export_check_sees_a_leftover(tmp_path):
         init.write_text(f"from .phasematching import {imports}\n__all__ = [{names}]\n")
         listed, bound = package_exports(init)
         assert listed != bound and "PmMap" in listed + bound
+
+
+def unread_public_names(package: Path) -> list[str]:
+    """Public top-level defs and classes of a package that its __all__ leaves out and no module reads."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    nodes = [n for tree in trees.values() for n in ast.walk(tree)]
+    read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    read |= set(package_exports(package / "__init__.py")[0])
+    return [f"{stem}.{n.name}" for stem, tree in trees.items() for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")
+            and n.name not in read]
+
+
+def test_library_holds_no_test_only_code():
+    # A reference only tests call belongs in tests/oracles.py, not in the package.
+    assert unread_public_names(SRC) == []
+
+
+def test_unread_name_check_sees_a_leftover(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import f\n__all__ = ['f']\n")
+    (tmp_path / "a.py").write_text(
+        "def f():\n    pass\n"
+        "def g():\n    pass\n"
+        "def h():\n    pass\n"
+        "class Oracle:\n    pass\n"
+        "def _private():\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import g\ny = g()\n")
+    assert unread_public_names(tmp_path) == ["a.h", "a.Oracle"]
