@@ -11,8 +11,8 @@ mismatch
 It is evaluated by `dispersion.delta_k_cw` as the even Taylor polynomial in
 delta about each pump frequency (`dispersion.mismatch_coefficients`), so the
 k values never cancel.  Matched pairs live on its zero set, which
-`pm_contours` traces on a map of delta >= 0 (delta_k is even in delta) and
-then mirrors to delta < 0.
+`pm_contours` traces by one path on the map and on each seed's box: rows
+delta >= 0 (delta_k is even in delta), then a join and mirror to delta < 0.
 """
 
 from __future__ import annotations
@@ -195,20 +195,28 @@ def zero_contours(profile, pump_axis, detuning_axis, gamma=0.0, power=0.0) -> li
     return [Contour(points=p, closed=c.closed) for p, c in zip(np.split(pts, ends), contours)]
 
 
+def _half_map(profile, px, dx, gamma, power) -> list[Contour]:
+    """`zero_contours` on the rows delta >= 0 of px, dx, each mirrored or joined; mirrors first."""
+    floor, mirrors, upper = dx[0] <= 0, [], []  # floor: dx reaches delta = 0, where dk = -2 gamma P
+    rows = np.r_[0.0, dx[dx > 0]] if floor and nonlinear_mismatch(gamma, power) else dx[dx > 0]
+    for c in zero_contours(profile, px, rows, gamma, power):
+        p, r, cut = c.points, c.points[::-1] * (1.0, -1.0), floor & (c.points[[0, -1], 1] == rows[0])
+        if cut.any():  # it ends on the floor's lowest row: join it to its mirror there
+            upper.append(Contour(np.r_[r, p] if cut[0] > cut[1] else np.r_[p, r], bool(cut.all())))
+        else:
+            mirrors, upper = mirrors + [Contour(r, c.closed)], upper + [c]
+    return mirrors + upper
+
+
 def pm_contours(profile, px, dx, gamma=0.0, power=0.0) -> tuple[list[Contour], int]:
     """Zero contours of `delta_k_cw` on pump axis px and detuning axis dx, and the count seeded.
 
-    The contours of contours.csv: each vertex within one ulp of a sign change of `delta_k_cw`, the
-    delta < 0 half mirrored from delta >= 0 (mirrors first), and the count of loops seeded.
-    delta_k is even in delta: `zero_contours` traces rows delta >= 0, delta = 0 only where delta_k
-    = -2 gamma P is not 0 there, and each contour is mirrored or, ending on the lowest row, joined
-    to its mirror.  Unless a closed contour winds around a match (omega_p, delta) or lies in the box
-    of twice the extents of its loop dk0 + x^T H x / 2 = 0 (`tau_coefficients`' model; H definite,
-    dk0 of opposite sign, P not P*), `zero_contours` on axes of the same sizes over that box,
-    clipped to the map and to delta >= 0, seeds its loops; each seed and mirror counts as seeded.
+    `_half_map` traces the map; each vertex is within one ulp of a sign change.  Where no closed
+    contour has a vertex in the box of twice the extents of a match's loop dk0 + x^T H x / 2 = 0
+    (`tau_coefficients`' model; H definite, dk0 of opposite sign, P not P*), `_half_map` of that
+    box (same axis sizes, clipped to the map's delta >= 0) seeds its closed contours after them.
     """
-    rows = np.r_[0.0, dx[dx > 0]] if nonlinear_mismatch(gamma, power) else dx[dx > 0]
-    traced, seeded, mirrors, upper = zero_contours(profile, px, rows, gamma, power), [], [], []
+    traced = len(contours := _half_map(profile, px, dx, gamma, power))
     for m in (m for m in profile.matches if px[0] <= m.omega_p <= px[-1] and m.delta < dx[-1]):
         t = tau_coefficients(profile, m.omega_p, m.delta, 1.0, gamma, power)  # per nm of fibre
         s, d = t.tau_s2 + t.tau_i2, t.tau_s2 - t.tau_i2
@@ -218,19 +226,11 @@ def pm_contours(profile, px, dx, gamma=0.0, power=0.0) -> tuple[list[Contour], i
             continue
         centre = np.array([m.omega_p, m.delta])
         half = 2.0 * np.sqrt(-2.0 * dk0 * np.diag(hess)[::-1] / det)
-        loops = [c.points - centre for c in traced + seeded if c.closed]
-        if not any(np.all(np.abs(p) <= half) or abs(np.angle(np.roll(z, -1) / z).sum()) > np.pi
-                   for p, z in ((p, p[:, 0] + 1j * p[:, 1]) for p in loops)):
-            box = np.clip([centre - half, centre + half], (px[0], 0.0), (px[-1], dx[-1]))
+        if not any(c.closed and (np.abs(c.points - centre) <= half).all(1).any() for c in contours):
+            box = np.clip([centre - half, centre + half], (px[0], max(dx[0], 0.0)), (px[-1], dx[-1]))
             local = [np.linspace(*ends, ax.size) for ends, ax in zip(box.T, (px, dx))]
-            seeded += [c for c in zero_contours(profile, *local, gamma, power) if c.closed]
-    for c in traced + seeded:  # at gamma P = 0 one that ends on the lowest row joins its mirror
-        p, r, cut = c.points, c.points[::-1] * (1.0, -1.0), c.points[[0, -1], 1] == rows[0]
-        if cut.any():
-            upper.append(Contour(np.r_[r, p] if cut[0] > cut[1] else np.r_[p, r], bool(cut.all())))
-        else:
-            mirrors, upper = mirrors + [Contour(r, c.closed)], upper + [c]
-    return mirrors + upper, 2 * len(seeded)
+            contours += [c for c in _half_map(profile, *local, gamma, power) if c.closed]
+    return contours, len(contours) - traced
 
 
 def critical_power(

@@ -160,16 +160,24 @@ def test_contours_mirror_every_row_below_delta_0(tmp_path, capsys):
     assert lower == upper and 2 * len(lower) == len(rows)
 
 
-def test_contours_at_zero_power_trace_one_loop(tmp_path, capsys):
-    # At P = 0 fig2b's loop crosses delta = 0 at its zero-dispersion pumps; the half traced on
-    # delta > 0 and its mirror make one closed loop.
-    preset = (Path(sfwm.__file__).parent / "presets" / "fig2b.cfg").read_text()
+@pytest.mark.parametrize("name, points, note, vertices", [
+    pytest.param("fig2b", 256, "", 486, id="fig2b-256"),
+    pytest.param("fig4", 4, ", 1 seeded", 12, id="fig4-4"),
+    pytest.param("fig4", 9, ", 1 seeded", 30, id="fig4-9"),
+])
+def test_contours_at_zero_power_trace_one_loop(name, points, note, vertices, tmp_path, capsys):
+    # At P = 0 the loop crosses delta = 0 at its zero-dispersion pumps; the half traced on
+    # delta > 0 and its mirror make one closed loop.  fig4's 4- and 9-point maps trace none, and
+    # the seed's box, traced the same way, supplies it.
+    preset = (Path(sfwm.__file__).parent / "presets" / f"{name}.cfg").read_text()
+    text = re.sub(r"(powers_w|map_points) = .*\n", "", preset)
+    text = text.replace("[pump]", "[pump]\npowers_w = 0 auto-critical:0.10")
     cfg = tmp_path / "zero.cfg"
-    cfg.write_text(re.sub(r"powers_w = .*", "powers_w = 0 auto-critical:0.10", preset))
+    cfg.write_text(text.replace("[grids]", f"[grids]\nmap_points = {points}"))
     assert _run(["contours", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "P = 0 W: 1 contour(s), 1 closed"
+    assert capsys.readouterr().out.splitlines()[0] == f"P = 0 W: 1 contour(s), 1 closed{note}"
     rows = np.array([r.split(",") for r in _data_lines(tmp_path / "contours.csv")[1:]], float)
-    assert rows[rows[:, 0] == 0.0].shape == (486, 5)
+    assert rows[rows[:, 0] == 0.0].shape == (vertices, 5)
 
 
 def test_contours_seed_the_loops_a_coarse_map_misses(profile_1644, tmp_path, capsys):

@@ -1,9 +1,12 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 from scipy.optimize import brentq
 
+from sfwm import phasematching
 from sfwm.config import load_preset, resolve_pump
 from sfwm.dispersion import find_fgvm_points, mismatch_coefficients
 from sfwm.errors import ConfigError, EvaluationError, RangeError
@@ -532,3 +535,51 @@ def test_pm_contours_join_halves_at_zero_power(name, sizes, closed):
         assert got.closed == want.closed == closed
         gap = np.abs(got.points[:, None] - want.points[None]).max(axis=2)
         assert gap.min(axis=1).max() <= 1e-15 and gap.min(axis=0).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["fig2b", "fig3", "fig4"])
+def test_pm_contours_count_does_not_depend_on_map_size(name):
+    # A seed's box takes the map's own rows, join and mirror, so a loop a coarse map misses is
+    # seeded whole: fig2b and fig3 at P = 0 and 3 points (one row, no cell) and fig4 at P = 0 and
+    # 3, 4, 5, 7, 9 and 12 points count the 256-point map's one loop, as every other size does.
+    config = load_preset(name)
+    profile = config.profile()
+    p_star = resolve_pump(config, profile).p_star
+
+    def counts(points, power):
+        axes = dataclasses.replace(config, map_points=points).map_axes(profile)
+        contours, _ = pm_contours(profile, *axes, config.gamma, power)
+        return len(contours), sum(c.closed for c in contours)
+
+    for power in (0.0, 0.5 * p_star, 0.99 * p_star):
+        want = counts(256, power)
+        assert [counts(points, power) for points in [*range(3, 13), 16]] == [want] * 11
+
+
+@pytest.mark.parametrize("name", ["fig2b", "fig3", "fig4"])
+def test_pm_contours_trace_one_map_at_zero_power(name, monkeypatch):
+    # At P = 0 the loop is checked after its halves are joined, so the joined loop is the
+    # match's and no seed map is traced beside it.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return zero_contours(*args)
+
+    monkeypatch.setattr(phasematching, "zero_contours", counting)
+    config = load_preset(name)
+    profile = config.profile()
+    contours, seeded = pm_contours(profile, *config.map_axes(profile), config.gamma, 0.0)
+    assert len(calls) == 1 and seeded == 0 and [c.closed for c in contours] == [True]
+
+
+def test_pm_contours_on_a_detuning_axis_above_delta_0():
+    # An axis from delta = 0.03 rad/fs does not reach delta = 0, so fig2b's P = 0 loop, cut by
+    # the lowest row, is one open arc and its mirror, not joined across the unsampled gap; the
+    # seed's box, clipped to the axis, is traced the same way and adds no loop.
+    config = load_preset("fig2b")
+    profile = config.profile()
+    px = dataclasses.replace(config, map_points=64).map_axes(profile)[0]
+    contours, seeded = pm_contours(profile, px, np.linspace(0.03, 0.12, 64), config.gamma, 0.0)
+    assert seeded == 0 and [(len(c.points), c.closed) for c in contours] == [(90, False)] * 2
+    assert np.array_equal(contours[0].points, contours[1].points[::-1] * (1.0, -1.0))
